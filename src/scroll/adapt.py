@@ -1,12 +1,14 @@
 """Stage-two predictor adaptation on replay data.
 
-Starting from the stage-one linear head, a small residual bottleneck
-``g(z) = z + V relu(U z)`` is trained jointly with the head on the replay
-buffer only, using a temperature-scaled cross-entropy loss. ``V`` starts
-at zero, so before the first optimizer step the adapted predictor is
-function-identical to the stage-one predictor. Every adaptation call
-restarts from that point; nothing is warm-started from a previous
-adapted model.
+Starting from the stage-one linear head, training runs on the replay
+buffer only, with a temperature-scaled cross-entropy loss, in one of two
+modes. ``adapter`` trains a small residual bottleneck
+``g(z) = z + V relu(U z)`` jointly with the head; ``V`` starts at zero,
+so before the first optimizer step the adapted predictor is
+function-identical to the stage-one predictor. ``full_head`` trains the
+head alone on the raw embeddings; no adapter is built. Every adaptation
+call restarts from the stage-one head; nothing is warm-started from a
+previous adapted model.
 """
 
 from __future__ import annotations
@@ -141,10 +143,6 @@ class AdapterParams:
     def dim(self) -> int:
         return self.down.shape[1]
 
-    def transform(self, zs: np.ndarray) -> np.ndarray:
-        """Apply g(z) = z + V relu(U z) row-wise."""
-        return zs + np.maximum(zs @ self.down.T, 0.0) @ self.up.T
-
     def copy(self) -> "AdapterParams":
         return AdapterParams(self.down.copy(), self.up.copy(), self.head.copy())
 
@@ -205,29 +203,37 @@ def forward(params: AdapterParams, zs) -> tuple[np.ndarray, dict]:
         zs = zs[None, :]
     if zs.ndim != 2 or zs.shape[1] != params.dim:
         raise ShapeError(f"expected rows of dimension {params.dim}, got {zs.shape}")
-    pre = zs @ params.down.T
-    act = np.maximum(pre, 0.0)
-    feat = zs + act @ params.up.T
-    logits = feat @ params.head.weights.T + params.head.biases
-    cache = {"zs": zs, "pre": pre, "act": act, "feat": feat}
+    act = np.maximum(zs @ params.down.T, 0.0)
+    # In-place sums: no extra (n, d) or (n, k) temporary at prediction time.
+    feat = act @ params.up.T
+    feat += zs
+    logits = feat @ params.head.weights.T
+    logits += params.head.biases
+    cache = {"zs": zs, "act": act, "feat": feat}
     return (logits[0] if single else logits), cache
 
 
 def loss_and_grads(
-    params: AdapterParams, zs, ys, temperature: float
+    params: AdapterParams | LinearHead, zs, ys, temperature: float
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean temperature-scaled cross-entropy and its exact gradients.
 
     The loss is ``mean(-log softmax(logits / temperature)[y])`` over the
-    batch; gradients are returned for the adapter projections (``down``,
-    ``up``) and the head (``weights``, ``biases``).
+    batch. Gradients are returned for the head (``weights``, ``biases``)
+    and, when ``params`` is an adapter, for its projections (``down``,
+    ``up``). A bare :class:`LinearHead` scores the raw embeddings.
     """
     ys = np.asarray(ys, dtype=np.int64)
     if ys.ndim != 1 or ys.shape[0] == 0:
         raise ConfigError("batch must contain at least one sample")
-    logits, cache = forward(params, zs)
-    if logits.ndim == 1:
-        logits = logits[None, :]
+    if isinstance(params, LinearHead):
+        head, cache = params, None
+        feat = np.atleast_2d(np.asarray(zs, dtype=np.float64))
+        logits = head.scores(feat)
+    else:
+        head = params.head
+        logits, cache = forward(params, zs)
+        logits, feat = np.atleast_2d(logits), cache["feat"]
     if ys.shape[0] != logits.shape[0]:
         raise ShapeError("labels and batch rows disagree in length")
     scaled = logits / temperature
@@ -241,15 +247,13 @@ def loss_and_grads(
     dlogits[np.arange(batch), ys] -= 1.0
     dlogits /= batch * temperature
 
-    feat, act, pre, z_in = cache["feat"], cache["act"], cache["pre"], cache["zs"]
-    d_weights = dlogits.T @ feat
-    d_biases = dlogits.sum(axis=0)
-    d_feat = dlogits @ params.head.weights
-    d_up = d_feat.T @ act
-    d_act = d_feat @ params.up
-    d_pre = d_act * (pre > 0.0)
-    d_down = d_pre.T @ z_in
-    return loss, {"down": d_down, "up": d_up, "weights": d_weights, "biases": d_biases}
+    grads = {"weights": dlogits.T @ feat, "biases": dlogits.sum(axis=0)}
+    if cache is not None:
+        d_feat = dlogits @ head.weights
+        grads["up"] = d_feat.T @ cache["act"]
+        d_pre = (d_feat @ params.up) * (cache["act"] > 0.0)
+        grads["down"] = d_pre.T @ cache["zs"]
+    return loss, grads
 
 
 def adadelta_step(
@@ -294,10 +298,13 @@ class AdaptedPredictor:
         self.warnings = warnings or []
 
     def predict_batch(self, zs) -> np.ndarray:
+        if self.adapter is None:
+            return self.head.predict_batch(zs)
         zs = np.asarray(zs, dtype=np.float64)
-        if self.adapter is not None:
-            zs = self.adapter.transform(zs)
-        return self.head.predict_batch(zs)
+        if zs.ndim != 2:
+            raise ShapeError(f"expected a 2-d batch of queries, got shape {zs.shape}")
+        logits, _ = forward(self.adapter, zs)
+        return np.argmax(logits, axis=1).astype(np.int64)
 
     def predict(self, z) -> int:
         return int(self.predict_batch(np.asarray(z, dtype=np.float64)[None, :])[0])
@@ -332,24 +339,15 @@ def adapt(
     if cfg.mode == "none":
         return AdaptedPredictor(init.copy(), provenance=provenance, warnings=warnings)
 
-    params = init_adapter(init, cfg.bottleneck, cfg.seed)
-    if cfg.mode == "full_head":
-        trained = {"weights", "biases"}
-    else:
-        trained = {"weights", "biases", "down", "up"}
-    rates = {
-        "weights": cfg.lr_head,
-        "biases": cfg.lr_head,
-        "down": cfg.lr_adapter,
-        "up": cfg.lr_adapter,
-    }
-    tensors = {
-        "weights": params.head.weights,
-        "biases": params.head.biases,
-        "down": params.down,
-        "up": params.up,
-    }
-    slots = {name: (np.zeros_like(t), np.zeros_like(t)) for name, t in tensors.items()}
+    # One set of parameters, updated in place: the adapter (which holds the
+    # head) in adapter mode, a bare head on the raw embeddings in full_head.
+    adapter = init_adapter(init, cfg.bottleneck, cfg.seed) if cfg.mode == "adapter" else None
+    head = init.copy() if adapter is None else adapter.head
+    params = adapter or head
+    trained = {"weights": (head.weights, cfg.lr_head), "biases": (head.biases, cfg.lr_head)}
+    if adapter is not None:
+        trained.update(down=(adapter.down, cfg.lr_adapter), up=(adapter.up, cfg.lr_adapter))
+    slots = {name: (np.zeros_like(t), np.zeros_like(t)) for name, (t, _) in trained.items()}
 
     rng = seeded_rng(cfg.seed, 33)
     curve: list[tuple[int, float, float]] = []
@@ -360,27 +358,21 @@ def adapt(
             sel = order[lo:lo + cfg.batch_size]
             loss, grads = loss_and_grads(params, zs[sel], ys[sel], cfg.temperature)
             epoch_loss += loss * len(sel)
-            for name in trained:
+            for name, (tensor, rate) in trained.items():
                 if cfg.optimizer == "sgd":
-                    tensors[name] = tensors[name] - rates[name] * grads[name]
+                    tensor -= rate * grads[name]
                 else:
-                    g2, s2 = slots[name]
-                    tensors[name], g2, s2 = adadelta_step(
-                        tensors[name], grads[name], g2, s2, cfg.rho, cfg.eps, rates[name]
+                    stepped, *slots[name] = adadelta_step(
+                        tensor, grads[name], *slots[name], cfg.rho, cfg.eps, rate
                     )
-                    slots[name] = (g2, s2)
-            params = AdapterParams(
-                tensors["down"], tensors["up"],
-                LinearHead(tensors["weights"], tensors["biases"]),
-            )
-        predictor = AdaptedPredictor(params.head, params)
+                    tensor[...] = stepped
+        # Re-validating the head here raises DataError once training diverges.
+        predictor = AdaptedPredictor(LinearHead(head.weights, head.biases), adapter)
         buffer_acc = float(np.mean(predictor.predict_batch(zs) == ys))
         curve.append((epoch, epoch_loss / stored, buffer_acc))
 
-    mode_adapter = params if cfg.mode == "adapter" else None
-    head = params.head
     return AdaptedPredictor(
-        head, mode_adapter, provenance=provenance, curve=curve, warnings=warnings
+        predictor.head, adapter, provenance=provenance, curve=curve, warnings=warnings
     )
 
 

@@ -226,8 +226,37 @@ def _stage_one_predictor(state):
     return state.solve().predict_batch
 
 
-def _adapted(cfg: ExperimentConfig, state, buffer) -> AdaptedPredictor:
-    """Stage two, always restarted from the stage-one statistics."""
+def _stream(cfg: ExperimentConfig, train, schedule, checkpoints, stop=None):
+    """Stream once into fresh statistics and buffer, ending after batch ``stop``.
+
+    Returns both plus copies of them taken after each batch in ``checkpoints``.
+    """
+    state = _new_state(cfg, train)
+    buffer = (
+        ReplayBuffer(cfg.buffer_capacity, cfg.buffer_strategy, cfg.buffer_seed)
+        if cfg.buffer_capacity > 0
+        else None
+    )
+    snapshots: dict[int, tuple] = {}
+    stream = ConsumeOnceStream(iter_batches(schedule, train))
+    for t, batch in enumerate(stream, start=1):
+        if buffer is not None:
+            buffer.update(batch.vectors, batch.labels, batch.indices)
+        state.update_batch(batch.vectors, batch.labels)
+        if t in checkpoints:
+            snapshots[t] = (state.copy(), buffer.copy() if buffer else None)
+        if t == stop:
+            break
+    return state, buffer, snapshots
+
+
+def _adapted(cfg: ExperimentConfig, state, buffer) -> AdaptedPredictor | None:
+    """Stage two, always restarted from the stage-one statistics.
+
+    ``None`` when there is nothing to adapt: no or an empty buffer, or mode ``none``.
+    """
+    if buffer is None or cfg.adapt.mode == "none" or buffer.total_stored() == 0:
+        return None
     if cfg.adapt.init_kind == "random":
         head = init_head(
             "random",
@@ -240,6 +269,12 @@ def _adapted(cfg: ExperimentConfig, state, buffer) -> AdaptedPredictor:
         head = init_head(cfg.classifier, state)
         kind = cfg.classifier
     return adapt(head, buffer, cfg.adapt, init_kind=kind)
+
+
+def _unadapted(cfg: ExperimentConfig, state) -> AdaptedPredictor:
+    """The stage-one head as the final predictor, when stage two is skipped."""
+    head = init_head(cfg.classifier, state)
+    return AdaptedPredictor(head, provenance={"init": cfg.classifier})
 
 
 @dataclass
@@ -301,21 +336,8 @@ def execute(cfg: ExperimentConfig) -> RunOutcome:
                 )
             checkpoints.add(t)
 
-    state = _new_state(cfg, train)
-    buffer = (
-        ReplayBuffer(cfg.buffer_capacity, cfg.buffer_strategy, cfg.buffer_seed)
-        if cfg.buffer_capacity > 0
-        else None
-    )
-    snapshots: dict[int, tuple] = {}
-    stream = ConsumeOnceStream(iter_batches(schedule, train))
     t_stream = time.perf_counter()
-    for t, batch in enumerate(stream, start=1):
-        if buffer is not None:
-            buffer.update(batch.vectors, batch.labels, batch.indices)
-        state.update_batch(batch.vectors, batch.labels)
-        if t in checkpoints:
-            snapshots[t] = (state.copy(), buffer.copy() if buffer else None)
+    state, buffer, snapshots = _stream(cfg, train, schedule, checkpoints)
     stream_s = time.perf_counter() - t_stream
 
     warnings: list[str] = []
@@ -324,14 +346,12 @@ def execute(cfg: ExperimentConfig) -> RunOutcome:
     solve_s = time.perf_counter() - t_solve
 
     t_adapt = time.perf_counter()
-    if buffer is not None and cfg.adapt.mode != "none" and buffer.total_stored() > 0:
-        predictor = _adapted(cfg, state, buffer)
-        warnings.extend(predictor.warnings)
-    else:
+    predictor = _adapted(cfg, state, buffer)
+    if predictor is None:
         if cfg.adapt.mode != "none":
             warnings.append("no replay data available; adaptation skipped")
-        head = init_head(cfg.classifier, state)
-        predictor = AdaptedPredictor(head, provenance={"init": cfg.classifier})
+        predictor = _unadapted(cfg, state)
+    warnings.extend(predictor.warnings)
     adapt_s = time.perf_counter() - t_adapt
 
     t_eval = time.perf_counter()
@@ -342,8 +362,8 @@ def execute(cfg: ExperimentConfig) -> RunOutcome:
         snap_state, snap_buffer = snapshots[t]
         snap_acc, _ = _evaluate(_stage_one_predictor(snap_state), test)
         entry = {"t": t, "stage_one_accuracy": snap_acc}
-        if snap_buffer is not None and cfg.adapt.mode != "none" and snap_buffer.total_stored() > 0:
-            snap_pred = _adapted(cfg, snap_state, snap_buffer)
+        snap_pred = _adapted(cfg, snap_state, snap_buffer)
+        if snap_pred is not None:
             entry["adapted_accuracy"], _ = _evaluate(snap_pred.predict_batch, test)
         else:
             entry["adapted_accuracy"] = snap_acc
@@ -404,23 +424,8 @@ def intermediate_predictor(cfg: ExperimentConfig, t: int) -> AdaptedPredictor:
         raise ConfigError(
             f"stream position {t} outside the {schedule.n_batches}-batch stream"
         )
-    state = _new_state(cfg, train)
-    buffer = (
-        ReplayBuffer(cfg.buffer_capacity, cfg.buffer_strategy, cfg.buffer_seed)
-        if cfg.buffer_capacity > 0
-        else None
-    )
-    stream = ConsumeOnceStream(iter_batches(schedule, train))
-    for step, batch in enumerate(stream, start=1):
-        if buffer is not None:
-            buffer.update(batch.vectors, batch.labels, batch.indices)
-        state.update_batch(batch.vectors, batch.labels)
-        if step == t:
-            break
-    if buffer is not None and cfg.adapt.mode != "none" and buffer.total_stored() > 0:
-        return _adapted(cfg, state, buffer)
-    head = init_head(cfg.classifier, state)
-    return AdaptedPredictor(head, provenance={"init": cfg.classifier})
+    state, buffer, _ = _stream(cfg, train, schedule, (), stop=t)
+    return _adapted(cfg, state, buffer) or _unadapted(cfg, state)
 
 
 @dataclass
@@ -489,24 +494,15 @@ def _max_threads() -> int:
 
 
 def _state_deviation(states) -> float:
-    worst = 0.0
-    for i in range(len(states)):
-        for j in range(i + 1, len(states)):
-            a, b = states[i], states[j]
-            if isinstance(a, NccState):
-                worst = max(
-                    worst,
-                    float(np.abs(a.prototypes - b.prototypes).max()),
-                    float(np.abs(a.counts - b.counts).max()),
-                )
-            else:
-                worst = max(
-                    worst,
-                    float(np.abs(a.cov - b.cov).max()),
-                    float(np.abs(a.class_sums - b.class_sums).max()),
-                    float(abs(a.seen - b.seen)),
-                )
-    return worst
+    """Largest |a - b| of one element over every pair of states: its max minus min."""
+    if isinstance(states[0], NccState):
+        fields = ("prototypes", "counts")
+    else:
+        fields = ("cov", "class_sums", "seen")
+    return max(
+        float(np.ptp(np.stack([getattr(s, name) for s in states]), axis=0).max())
+        for name in fields
+    )
 
 
 def robustness_sweep(

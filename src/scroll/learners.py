@@ -104,6 +104,9 @@ class LinearHead:
         return int(np.argmax(self.scores(x)))
 
     def predict_batch(self, xs) -> np.ndarray:
+        xs = np.asarray(xs, dtype=np.float64)
+        if xs.ndim != 2:
+            raise ShapeError(f"expected a 2-d batch of queries, got shape {xs.shape}")
         return np.argmax(self.scores(xs), axis=1).astype(np.int64)
 
     def copy(self) -> "LinearHead":

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -8,10 +9,12 @@ from scroll import (
     AdaptError,
     AdapterParams,
     ConfigError,
+    DataError,
     LinearHead,
     NccState,
     ReplayBuffer,
     RidgeState,
+    ShapeError,
     adadelta_step,
     adapt,
     forward,
@@ -22,6 +25,7 @@ from scroll import (
     save_predictor,
     write_training_curve,
 )
+from scroll._seeding import seeded_rng
 
 
 def unit_rows(rng, n, d):
@@ -119,18 +123,18 @@ class TestLossAndGrads:
 
     @staticmethod
     def _numeric_grad(params, zs, ys, tau, name, indices, step=1e-5):
-        tensors = {
-            "down": params.down, "up": params.up,
-            "weights": params.head.weights, "biases": params.head.biases,
-        }
+        bare = isinstance(params, LinearHead)
+        head = params if bare else params.head
+        tensors = {"weights": head.weights, "biases": head.biases}
+        if not bare:
+            tensors.update(down=params.down, up=params.up)
 
         def loss_with(offset_value):
             arrays = {k: v.copy() for k, v in tensors.items()}
             arrays[name][indices] = offset_value
-            p = AdapterParams(
-                arrays["down"], arrays["up"],
-                LinearHead(arrays["weights"], arrays["biases"]),
-            )
+            p = LinearHead(arrays["weights"], arrays["biases"])
+            if not bare:
+                p = AdapterParams(arrays["down"], arrays["up"], p)
             return loss_and_grads(p, zs, ys, tau)[0]
 
         base = tensors[name][indices]
@@ -139,22 +143,35 @@ class TestLossAndGrads:
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(37)
         for _ in range(5):
-            params = random_params(rng)
+            adapter = random_params(rng)
             zs = rng.standard_normal((4, 6))
             ys = rng.integers(0, 4, 4)
-            _, grads = loss_and_grads(params, zs, ys, 2.0)
-            for name, shape in (
-                ("down", params.down.shape),
-                ("up", params.up.shape),
-                ("weights", params.head.weights.shape),
-                ("biases", params.head.biases.shape),
+            for params, names in (
+                (adapter, {"down", "up", "weights", "biases"}),
+                (adapter.head, {"weights", "biases"}),
             ):
-                flat = rng.integers(0, np.prod(shape))
-                idx = np.unravel_index(flat, shape)
-                numeric = self._numeric_grad(params, zs, ys, 2.0, name, idx)
-                analytic = grads[name][idx]
-                denom = max(abs(numeric), abs(analytic), 1e-8)
-                assert abs(numeric - analytic) / denom < 1e-4
+                _, grads = loss_and_grads(params, zs, ys, 2.0)
+                assert set(grads) == names
+                for name, grad in grads.items():
+                    flat = rng.integers(0, grad.size)
+                    idx = np.unravel_index(flat, grad.shape)
+                    numeric = self._numeric_grad(params, zs, ys, 2.0, name, idx)
+                    analytic = grad[idx]
+                    denom = max(abs(numeric), abs(analytic), 1e-8)
+                    assert abs(numeric - analytic) / denom < 1e-4
+
+    def test_bare_head_gradients_equal_zero_up_adapter(self):
+        rng = np.random.default_rng(47)
+        head = LinearHead(rng.standard_normal((4, 6)), rng.standard_normal(4))
+        frozen = AdapterParams(rng.standard_normal((3, 6)), np.zeros((6, 3)), head)
+        zs = rng.standard_normal((9, 6))
+        ys = rng.integers(0, 4, 9)
+        bare_loss, bare = loss_and_grads(head, zs, ys, 2.0)
+        frozen_loss, full = loss_and_grads(frozen, zs, ys, 2.0)
+        assert bare_loss == frozen_loss
+        assert set(bare) == {"weights", "biases"}
+        for name, grad in bare.items():
+            np.testing.assert_array_equal(grad, full[name])
 
 
 class TestAdadeltaStep:
@@ -274,12 +291,108 @@ class TestAdapt:
         assert pred.adapter is None
         assert np.abs(pred.head.weights - head.weights).max() > 0
 
+    def test_divergence_is_a_data_error(self):
+        rng = np.random.default_rng(48)
+        buf = filled_buffer(rng)
+        head = LinearHead(rng.standard_normal((3, 6)), np.zeros(3))
+        for mode in ("full_head", "adapter"):
+            cfg = AdaptConfig(mode=mode, epochs=2, optimizer="sgd", lr_head=1e308,
+                              lr_adapter=1e308, temperature=1e-3, seed=7)
+            with np.errstate(all="ignore"), pytest.raises(DataError):
+                adapt(head, buf, cfg)
+
     def test_threshold_mismatch_warns_but_runs(self):
         rng = np.random.default_rng(45)
         buf = filled_buffer(rng)  # 18 < default threshold 500
         head = LinearHead(rng.standard_normal((3, 6)), np.zeros(3))
         pred = adapt(head, buf, AdaptConfig(mode="full_head", epochs=1, seed=5))
         assert any("threshold" in w for w in pred.warnings)
+
+
+def frozen_adapter_reference(head, buf, cfg, rng):
+    """Head-only training as an adapter whose ``up`` stays at zero.
+
+    Oracle for ``full_head``: every step runs the adapter forward and
+    backward pass, keeps only the head's gradients, and rebuilds the
+    parameters; the curve's buffer accuracy goes through ``forward``.
+    """
+    zs, ys = buf.training_arrays()
+    params = AdapterParams(rng.standard_normal((2, head.dim)), np.zeros((head.dim, 2)), head)
+    slots = {name: [np.zeros_like(t), np.zeros_like(t)]
+             for name, t in (("weights", head.weights), ("biases", head.biases))}
+    order_rng = seeded_rng(cfg.seed, 33)
+    curve = []
+    for epoch in range(1, cfg.epochs + 1):
+        order = order_rng.permutation(len(ys))
+        total = 0.0
+        for lo in range(0, len(ys), cfg.batch_size):
+            sel = order[lo:lo + cfg.batch_size]
+            loss, grads = loss_and_grads(params, zs[sel], ys[sel], cfg.temperature)
+            total += loss * len(sel)
+            tensors = {"weights": params.head.weights, "biases": params.head.biases}
+            for name in tensors:
+                if cfg.optimizer == "sgd":
+                    tensors[name] = tensors[name] - cfg.lr_head * grads[name]
+                else:
+                    tensors[name], *slots[name] = adadelta_step(
+                        tensors[name], grads[name], *slots[name], cfg.rho, cfg.eps,
+                        cfg.lr_head,
+                    )
+            params = AdapterParams(
+                params.down, params.up, LinearHead(tensors["weights"], tensors["biases"])
+            )
+        logits, _ = forward(params, zs)
+        curve.append((epoch, total / len(ys), float(np.mean(np.argmax(logits, axis=1) == ys))))
+    return params.head, curve
+
+
+class TestHeadOnly:
+    def test_matches_frozen_adapter_reference(self):
+        rng = np.random.default_rng(49)
+        buf = filled_buffer(rng)
+        head = LinearHead(rng.standard_normal((3, 6)), rng.standard_normal(3))
+        for optimizer in ("adadelta", "sgd"):
+            cfg = AdaptConfig(mode="full_head", epochs=5, batch_size=7, lr_head=0.2,
+                              temperature=1.5, optimizer=optimizer, seed=8)
+            pred = adapt(head, buf, cfg)
+            ref_head, ref_curve = frozen_adapter_reference(head, buf, cfg, rng)
+            np.testing.assert_array_equal(pred.head.weights, ref_head.weights)
+            np.testing.assert_array_equal(pred.head.biases, ref_head.biases)
+            assert pred.curve == ref_curve
+
+    def test_builds_and_runs_no_adapter(self, monkeypatch):
+        module = importlib.import_module("scroll.adapt")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("full_head must not touch the adapter")
+
+        monkeypatch.setattr(module, "init_adapter", refuse)
+        monkeypatch.setattr(module, "forward", refuse)
+        rng = np.random.default_rng(50)
+        buf = filled_buffer(rng)
+        head = LinearHead(rng.standard_normal((3, 6)), np.zeros(3))
+        pred = adapt(head, buf, AdaptConfig(mode="full_head", epochs=3, seed=4))
+        assert pred.adapter is None
+        assert len(pred.curve) == 3
+
+
+class TestAdaptedPredictorQueries:
+    def test_wrong_width_with_adapter_is_shape_error(self):
+        rng = np.random.default_rng(51)
+        buf = filled_buffer(rng)
+        head = LinearHead(rng.standard_normal((3, 6)), np.zeros(3))
+        pred = adapt(head, buf, AdaptConfig(mode="adapter", epochs=1, seed=6))
+        with pytest.raises(ShapeError):
+            pred.predict_batch(rng.standard_normal((5, 7)))
+
+    def test_single_row_batch_is_shape_error(self):
+        rng = np.random.default_rng(52)
+        buf = filled_buffer(rng)
+        head = LinearHead(rng.standard_normal((3, 6)), np.zeros(3))
+        for mode in ("adapter", "full_head"):
+            pred = adapt(head, buf, AdaptConfig(mode=mode, epochs=1, seed=6))
+            with pytest.raises(ShapeError, match="2-d batch"):
+                pred.predict_batch(rng.standard_normal(6))
 
 
 class TestPredictorCheckpoint:

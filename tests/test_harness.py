@@ -8,7 +8,9 @@ from scroll import (
     ConfigError,
     ConsumeOnceStream,
     ExperimentConfig,
+    NccState,
     NoClassError,
+    RidgeState,
     StreamReuseError,
     buffer_study,
     execute,
@@ -17,6 +19,7 @@ from scroll import (
     run,
     write_study_summary,
 )
+from scroll.harness import _state_deviation
 
 
 def config_dict(**overrides):
@@ -139,6 +142,19 @@ class TestIntermediatePredictor:
             pred.predict_batch(queries), outcome.predictor.predict_batch(queries)
         )
 
+    def test_mid_stream_position_matches_run(self):
+        cfg = small_config(
+            schedule={"kind": "class_split", "classes_per_batch": 1, "seed": 3},
+            buffer={"capacity": 16}, adapt={"mode": "adapter", "epochs": 2},
+            intermediate_evals=[2],
+        )
+        outcome = execute(cfg)
+        (entry,) = outcome.report.intermediate
+        assert entry["t"] == 2
+        pred = intermediate_predictor(cfg, 2)  # 2 of the 4 single-class batches
+        preds = pred.predict_batch(outcome.test.vectors)
+        assert float(np.mean(preds == outcome.test.labels)) == entry["adapted_accuracy"]
+
     def test_position_zero_is_no_class_error(self):
         with pytest.raises(NoClassError):
             intermediate_predictor(small_config(), 0)
@@ -183,6 +199,43 @@ class TestRobustnessSweep:
         monkeypatch.setenv("SCROLL_THREADS", "zero")
         with pytest.raises(ConfigError, match="SCROLL_THREADS"):
             robustness_sweep(small_config(), 2, ("split",))
+
+
+def pairwise_deviation(states):
+    # Oracle: the largest element-wise |a - b| over every pair of states.
+    worst = 0.0
+    for i in range(len(states)):
+        for j in range(i + 1, len(states)):
+            a, b = states[i], states[j]
+            if isinstance(a, NccState):
+                worst = max(
+                    worst,
+                    float(np.abs(a.prototypes - b.prototypes).max()),
+                    float(np.abs(a.counts - b.counts).max()),
+                )
+            else:
+                worst = max(
+                    worst,
+                    float(np.abs(a.cov - b.cov).max()),
+                    float(np.abs(a.class_sums - b.class_sums).max()),
+                    float(abs(a.seen - b.seen)),
+                )
+    return worst
+
+
+class TestStateDeviation:
+    def test_equals_pairwise_oracle(self):
+        rng = np.random.default_rng(61)
+        for trial in range(200):
+            kind = NccState if trial % 2 else RidgeState
+            k, d = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+            states = []
+            for _ in range(int(rng.integers(1, 6))):
+                n = int(rng.integers(0, 12))
+                states.append(kind(k, d).update_batch(
+                    rng.standard_normal((n, d)), rng.integers(0, k, n)
+                ))
+            assert _state_deviation(states) == pairwise_deviation(states)
 
 
 class TestBufferStudy:

@@ -233,6 +233,11 @@ class TestLinearPredict:
         with pytest.raises(ShapeError):
             head.predict(np.array([1.0, 2.0]))
 
+    def test_batch_prediction_rejects_a_single_row(self):
+        head = LinearHead(np.eye(3), np.zeros(3))
+        with pytest.raises(ShapeError, match="2-d batch"):
+            head.predict_batch(np.array([0.0, 1.0, 0.0]))
+
 
 class TestPermutationInvariance:
     def test_states_and_heads_agree_across_orderings(self):
