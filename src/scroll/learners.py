@@ -3,9 +3,13 @@
 Two stage-one learners are provided. :class:`NccState` keeps one running
 mean per class and classifies by nearest prototype. :class:`RidgeState`
 accumulates the feature second-moment matrix and per-class feature sums,
-from which a one-vs-all ridge head is solved on demand. Both states are
-plain sums over the observed samples, so the final predictor depends only
-on the multiset of data seen, never on arrival order or batching, and
+from which a one-vs-all ridge head is solved on demand. The ridge state
+is plain sums over the observed samples, so it depends only on the
+multiset of data seen, never on arrival order or batching. The NCC state
+is not sums: it stores each running mean and folds a batch in as
+``(n * mean + batch_sum) / (n + m)``, so its rounding depends on the
+batching (across the schedules of a robustness sweep the states differ
+by at most about 4e-14) until it keeps sums and counts instead. In both,
 updating one class never touches another class's statistics.
 """
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from bisect import bisect_left
+from itertools import islice
 
 import numpy as np
 
@@ -76,46 +78,20 @@ def herding_order(candidates, target_mean) -> list[int]:
     pool = np.asarray(candidates, dtype=np.float64)
     if pool.ndim != 2 or pool.shape[0] == 0:
         raise ConfigError("herding needs a non-empty 2-d candidate pool")
-    target = np.asarray(target_mean, dtype=np.float64)
-    n = pool.shape[0]
-    remaining = np.arange(n)
+    return list(_herd(pool, np.asarray(target_mean, dtype=np.float64)))
+
+
+def _herd(pool: np.ndarray, target: np.ndarray):
+    """Yield :func:`herding_order` one pick at a time, so callers can stop early."""
+    remaining = np.arange(pool.shape[0])
     chosen_sum = np.zeros(pool.shape[1])
-    order: list[int] = []
-    for step in range(1, n + 1):
+    for step in range(1, pool.shape[0] + 1):
         trial_means = (chosen_sum + pool[remaining]) / step
         dists = np.linalg.norm(target - trial_means, axis=1)
         pick = remaining[int(np.argmin(dists))]
-        order.append(int(pick))
+        yield int(pick)
         chosen_sum += pool[pick]
         remaining = remaining[remaining != pick]
-    return order
-
-
-class _ClassStore:
-    """Stored rows for one class, kept in selection order."""
-
-    __slots__ = ("indices", "vectors")
-
-    def __init__(self):
-        self.indices: list[int] = []
-        self.vectors: list[np.ndarray] = []
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def truncate(self, quota: int) -> None:
-        del self.indices[quota:]
-        del self.vectors[quota:]
-
-    def replace(self, indices: list[int], vectors: list[np.ndarray]) -> None:
-        self.indices = indices
-        self.vectors = vectors
-
-    def copy(self) -> "_ClassStore":
-        out = _ClassStore()
-        out.indices = list(self.indices)
-        out.vectors = [v.copy() for v in self.vectors]
-        return out
 
 
 class ReplayBuffer:
@@ -128,6 +104,9 @@ class ReplayBuffer:
     its shrunken quota, the tail of its selection order is dropped. If
     more classes appear than there are slots, the classes left without a
     slot are recorded in ``warnings`` and hold nothing.
+
+    Each class's stored samples are two arrays in selection order: int64
+    dataset indices in ``_indices`` and float64 rows in ``_rows``.
     """
 
     def __init__(self, capacity: int, strategy: str = "exemplar", seed: int = 0):
@@ -142,40 +121,37 @@ class ReplayBuffer:
         self.seed = int(seed)
         self.stats = RunningClassMean()
         self.warnings: list[str] = []
-        self._warned: set[int] = set()
-        self._stores: dict[int, _ClassStore] = {}
+        self._indices: dict[int, np.ndarray] = {}
+        self._rows: dict[int, np.ndarray] = {}
         self._reservoir_seen: dict[int, int] = {}
         self._rng = seeded_rng(seed, 77)
 
     # -- content views -------------------------------------------------
 
     def total_stored(self) -> int:
-        return sum(len(s) for s in self._stores.values())
+        return sum(len(idx) for idx in self._indices.values())
 
     def per_class_counts(self) -> dict[int, int]:
-        return {y: len(s) for y, s in sorted(self._stores.items()) if len(s) > 0}
+        return {y: len(idx) for y, idx in sorted(self._indices.items()) if len(idx) > 0}
 
     def stored_indices(self, y: int) -> list[int]:
-        return list(self._stores[y].indices) if y in self._stores else []
+        return self._indices[y].tolist() if y in self._indices else []
 
     def training_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """All stored rows as (vectors, labels), classes in ascending order."""
-        vecs: list[np.ndarray] = []
-        labs: list[int] = []
-        for y in sorted(self._stores):
-            store = self._stores[y]
-            vecs.extend(store.vectors)
-            labs.extend([y] * len(store))
-        if not vecs:
+        classes = sorted(self._indices)
+        counts = [len(self._indices[y]) for y in classes]
+        if sum(counts) == 0:
             return np.zeros((0, 0)), np.zeros(0, dtype=np.int64)
-        return np.array(vecs), np.array(labs, dtype=np.int64)
+        vectors = np.concatenate([self._rows[y] for y in classes])
+        return vectors, np.repeat(np.array(classes, dtype=np.int64), counts)
 
     def content_digest(self) -> str:
         """Stable fingerprint of which samples are stored, for provenance."""
         h = hashlib.sha256()
-        for y in sorted(self._stores):
+        for y in sorted(self._indices):
             h.update(str(y).encode())
-            h.update(np.array(self._stores[y].indices, dtype=np.int64).tobytes())
+            h.update(self._indices[y].tobytes())
         return h.hexdigest()[:16]
 
     def moment_distances(self, table) -> dict[int, float]:
@@ -184,23 +160,21 @@ class ReplayBuffer:
         Classes with nothing stored are absent from the result.
         """
         out: dict[int, float] = {}
-        for y in sorted(self._stores):
-            store = self._stores[y]
-            if not store.vectors:
+        for y in sorted(self._rows):
+            rows = self._rows[y]
+            if len(rows) == 0:
                 continue
-            stored_mean = np.mean(store.vectors, axis=0)
+            stored_mean = np.mean(rows, axis=0)
             class_mean = table.vectors[table.labels == y].mean(axis=0)
             out[y] = float(np.linalg.norm(stored_mean - class_mean))
         return out
 
     # -- updates ---------------------------------------------------------
 
-    def _quotas(self) -> dict[int, int]:
-        classes = self.stats.classes()
-        if not classes:
-            return {}
+    def _quota(self, y: int, classes: list[int]) -> int:
+        """Slots for class ``y`` when ``classes`` (sorted) have been observed."""
         base, extra = divmod(self.capacity, len(classes))
-        return {y: base + (1 if rank < extra else 0) for rank, y in enumerate(classes)}
+        return base + (1 if bisect_left(classes, y) < extra else 0)
 
     def update(self, vectors, labels, indices) -> "ReplayBuffer":
         """Fold one stream batch into the buffer.
@@ -213,91 +187,98 @@ class ReplayBuffer:
         indices = np.asarray(indices, dtype=np.int64)
         if vectors.ndim != 2 or not (len(vectors) == len(labels) == len(indices)):
             raise ConfigError("batch arrays disagree in length")
-        self.stats.add_batch(vectors, labels)
-        quotas = self._quotas()
         arrivals = {int(y): np.flatnonzero(labels == y) for y in np.unique(labels)}
-        touched = set(arrivals) | set(self._stores)
-        for y in sorted(touched):
-            quota = quotas.get(y, 0)
+        fresh = [y for y in arrivals if self.stats.count(y) == 0]
+        before = self.stats.classes()
+        self.stats.add_batch(vectors, labels)
+        classes = self.stats.classes()
+        # Quotas change only when a new class arrives, so only then can a
+        # class without arrivals have anything to do.
+        for y in classes if fresh else arrivals:
+            quota = self._quota(y, classes)
             if quota == 0:
-                if self.stats.count(y) > 0 and y not in self._warned:
-                    self._warned.add(y)
+                # The class count only grows, so a zero quota is permanent:
+                # warn in the one update where it becomes zero.
+                if y in fresh or self._quota(y, before) > 0:
                     self.warnings.append(
                         f"class {y} exceeds the capacity budget and holds no samples"
                     )
-                if y in self._stores:
-                    self._stores[y].truncate(0)
+                if y in self._indices:
+                    self._truncate(y, 0)
                 continue
-            store = self._stores.setdefault(y, _ClassStore())
-            rows = arrivals.get(y)
-            if rows is None:
-                new_idx: list[int] = []
-                new_vec: list[np.ndarray] = []
-            else:
-                new_idx = [int(i) for i in indices[rows]]
-                new_vec = [vectors[i].copy() for i in rows]
+            if y not in self._indices:
+                self._keep(y, np.zeros(0, dtype=np.int64), np.zeros((0, vectors.shape[1])))
+            pos = arrivals.get(y, np.zeros(0, dtype=np.intp))
+            new_idx, new_rows = indices[pos], vectors[pos]
             if self.strategy == "exemplar":
-                self._update_exemplar(store, y, new_idx, new_vec, quota)
+                self._update_exemplar(y, new_idx, new_rows, quota)
             elif self.strategy == "reservoir":
-                self._update_reservoir(store, y, new_idx, new_vec, quota)
+                self._update_reservoir(y, new_idx, new_rows, quota)
             else:
-                self._update_by_distance(store, y, new_idx, new_vec, quota)
+                self._update_by_distance(y, new_idx, new_rows, quota)
         return self
 
-    def _pooled(self, store: _ClassStore, new_idx, new_vec):
+    def _keep(self, y: int, idx: np.ndarray, rows: np.ndarray) -> None:
+        self._indices[y] = idx
+        self._rows[y] = rows
+
+    def _truncate(self, y: int, n: int) -> None:
+        # Copies, so a shrunken class does not keep its longer rows alive.
+        self._keep(y, self._indices[y][:n].copy(), self._rows[y][:n].copy())
+
+    def _pooled(self, y, new_idx, new_rows):
         # Pool ordered by original dataset index, so tie-breaking inside the
         # selection rules cannot depend on arrival order.
-        pairs = sorted(
-            zip(store.indices + new_idx, store.vectors + new_vec), key=lambda p: p[0]
-        )
-        idx = [p[0] for p in pairs]
-        vec = [p[1] for p in pairs]
-        return idx, vec
+        idx = np.concatenate([self._indices[y], new_idx])
+        order = np.argsort(idx, kind="stable")
+        return idx[order], np.concatenate([self._rows[y], new_rows])[order]
 
-    def _update_exemplar(self, store, y, new_idx, new_vec, quota) -> None:
-        if not new_idx:
-            store.truncate(quota)
+    def _update_exemplar(self, y, new_idx, new_rows, quota) -> None:
+        if len(new_idx) == 0:
+            self._truncate(y, quota)
             return
-        idx, vec = self._pooled(store, new_idx, new_vec)
-        order = herding_order(np.array(vec), self.stats.mean(y))
-        keep = order[:quota]
-        store.replace([idx[i] for i in keep], [vec[i] for i in keep])
+        idx, rows = self._pooled(y, new_idx, new_rows)
+        keep = list(islice(_herd(rows, self.stats.mean(y)), quota))
+        self._keep(y, idx[keep], rows[keep])
 
-    def _update_reservoir(self, store, y, new_idx, new_vec, quota) -> None:
+    def _update_reservoir(self, y, new_idx, new_rows, quota) -> None:
         seen = self._reservoir_seen.get(y, 0)
-        for i, v in zip(new_idx, new_vec):
+        fill = max(0, min(quota - len(self._indices[y]), len(new_idx)))
+        if fill:
+            self._keep(
+                y,
+                np.concatenate([self._indices[y], new_idx[:fill]]),
+                np.concatenate([self._rows[y], new_rows[:fill]]),
+            )
+            seen += fill
+        idx, rows = self._indices[y], self._rows[y]
+        for i in range(fill, len(new_idx)):
             seen += 1
-            if len(store) < quota:
-                store.indices.append(i)
-                store.vectors.append(v)
-            else:
-                j = int(self._rng.integers(0, seen))
-                if j < quota and quota > 0:
-                    store.indices[j] = i
-                    store.vectors[j] = v
+            j = int(self._rng.integers(0, seen))
+            if j < quota:
+                idx[j] = new_idx[i]
+                rows[j] = new_rows[i]
         self._reservoir_seen[y] = seen
-        while len(store) > quota:
-            j = int(self._rng.integers(0, len(store)))
-            store.indices.pop(j)
-            store.vectors.pop(j)
+        keep = list(range(len(idx)))
+        while len(keep) > quota:
+            del keep[int(self._rng.integers(0, len(keep)))]
+        if len(keep) < len(idx):
+            self._keep(y, idx[keep], rows[keep])
 
-    def _update_by_distance(self, store, y, new_idx, new_vec, quota) -> None:
-        idx, vec = self._pooled(store, new_idx, new_vec)
-        if not idx:
-            return
-        dists = np.linalg.norm(np.array(vec) - self.stats.mean(y), axis=1)
+    def _update_by_distance(self, y, new_idx, new_rows, quota) -> None:
+        idx, rows = self._pooled(y, new_idx, new_rows)
+        dists = np.linalg.norm(rows - self.stats.mean(y), axis=1)
         if self.strategy == "outlier":
             dists = -dists
-        ranked = np.lexsort((np.array(idx), dists))[:quota]
-        ranked = sorted(int(i) for i in ranked)
-        store.replace([idx[i] for i in ranked], [vec[i] for i in ranked])
+        ranked = np.sort(np.lexsort((idx, dists))[:quota])
+        self._keep(y, idx[ranked], rows[ranked])
 
     def copy(self) -> "ReplayBuffer":
         out = ReplayBuffer(self.capacity, self.strategy, self.seed)
         out.stats = self.stats.copy()
         out.warnings = list(self.warnings)
-        out._warned = set(self._warned)
-        out._stores = {y: s.copy() for y, s in self._stores.items()}
+        out._indices = {y: idx.copy() for y, idx in self._indices.items()}
+        out._rows = {y: rows.copy() for y, rows in self._rows.items()}
         out._reservoir_seen = dict(self._reservoir_seen)
         out._rng = np.random.default_rng()
         out._rng.bit_generator.state = self._rng.bit_generator.state
@@ -317,19 +298,13 @@ def save_buffer(buf: ReplayBuffer, path) -> None:
         buf.seed,
         len(classes),
     )
-    dim = 0
+    w.pack("I", len(buf.stats._sums[classes[0]]) if classes else 0)
     for y in classes:
-        if y in buf._stores and buf._stores[y].vectors:
-            dim = buf._stores[y].vectors[0].shape[0]
-            break
-    w.pack("I", dim)
-    for y in classes:
-        store = buf._stores.get(y, _ClassStore())
-        w.pack("IIQQ", y, len(store), buf.stats.count(y), buf._reservoir_seen.get(y, 0))
+        idx = buf._indices.get(y, np.zeros(0, dtype=np.int64))
+        w.pack("IIQQ", y, len(idx), buf.stats.count(y), buf._reservoir_seen.get(y, 0))
         w.array(buf.stats._sums[y], "<f8")
-        w.array(np.array(store.indices, dtype=np.int64), "<i8")
-        for v in store.vectors:
-            w.array(v, "<f8")
+        w.array(idx, "<i8")
+        w.array(buf._rows.get(y, np.zeros(0)), "<f8")
     rng_state = json.dumps(buf._rng.bit_generator.state, sort_keys=True).encode()
     w.pack("I", len(rng_state))
     w.raw(rng_state)
@@ -359,10 +334,9 @@ def load_buffer(path) -> ReplayBuffer:
         buf.stats._counts[y] = int(seen)
         if reservoir_seen:
             buf._reservoir_seen[y] = int(reservoir_seen)
-        store = _ClassStore()
-        store.indices = [int(i) for i in r.array("<i8", stored, "stored indices")]
-        store.vectors = [r.array("<f8", dim, "stored row").copy() for _ in range(stored)]
-        buf._stores[y] = store
+        idx = r.array("<i8", stored, "stored indices").copy()
+        rows = r.array("<f8", stored * dim, "stored rows").reshape(stored, dim).copy()
+        buf._keep(y, idx, rows)
     (rng_len,) = r.unpack("I", "rng state length")
     buf._rng.bit_generator.state = json.loads(r.take(rng_len, "rng state"))
     (warn_len,) = r.unpack("I", "warnings length")

@@ -1,5 +1,9 @@
+from bisect import bisect_left
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scroll import (
     ConfigError,
@@ -35,6 +39,31 @@ def oracle_greedy_order(candidates, target):
         chosen.append(best)
         remaining.remove(best)
     return order
+
+
+def assert_greedy_prefix(stored, pool, vectors, target):
+    """``stored`` is the oracle's greedy order over ``pool``, cut to its length.
+
+    The oracle takes each distance with a 1-d norm (a dot product), herding
+    with a row-wise reduction. Two candidates at the same distance in exact
+    arithmetic, but not equal rows, can then be ordered differently by the
+    two roundings. So the orders must agree up to their first difference,
+    and there the two picks must be different rows (equal rows tie exactly
+    and go to the smaller index) that tie to within rounding.
+    """
+    expected = [pool[i] for i in oracle_greedy_order(vectors[pool], target)[:len(stored)]]
+    if stored == expected:
+        return
+    k = next(k for k, (a, b) in enumerate(zip(stored, expected)) if a != b)
+    assert not np.array_equal(vectors[stored[k]], vectors[expected[k]]), (stored, expected)
+
+    def dist(j):
+        trial = np.mean(vectors[stored[:k] + [j]], axis=0)
+        return float(np.linalg.norm(np.asarray(target) - trial))
+
+    assert dist(stored[k]) == pytest.approx(dist(expected[k]), rel=1e-12, abs=1e-15), (
+        stored, expected
+    )
 
 
 def feed(buf, table, index_order, batch_size):
@@ -231,25 +260,88 @@ class TestMomentDistance:
         assert set(buf.moment_distances(table)) == {3}
 
 
+@st.composite
+def streams(draw):
+    """A small labelled stream: rows, labels, a schedule split into batches."""
+    n_classes = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 30))
+    labels = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)))
+    # Rows drawn from fewer distinct vectors than samples repeat exactly.
+    distinct = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vectors = rng.standard_normal((distinct, draw(st.integers(1, 4))))[
+        rng.integers(0, distinct, n)
+    ]
+    order = np.array(draw(st.permutations(range(n))))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1)) if n > 1 else [])
+    batches = np.split(order, cuts)
+    capacity = draw(st.integers(0, 2 * n_classes + 2))
+    strategy = draw(st.sampled_from(["exemplar", "reservoir", "nearest", "outlier"]))
+    return vectors, labels, batches, capacity, strategy
+
+
+class TestBufferProperties:
+    @settings(max_examples=300)
+    @given(streams())
+    def test_every_batch_keeps_quota_order_and_balance(self, stream):
+        vectors, labels, batches, capacity, strategy = stream
+        buf = ReplayBuffer(capacity, strategy, seed=0)
+        seen: dict[int, int] = {}
+        for batch in batches:
+            held = {y: buf.stored_indices(y) for y in seen}
+            buf.update(vectors[batch], labels[batch], batch)
+            batch_labels = labels[batch]
+            arrived = {int(y): batch[batch_labels == y].tolist() for y in np.unique(batch_labels)}
+            for y, idx in arrived.items():
+                seen[y] = seen.get(y, 0) + len(idx)
+            classes = sorted(seen)
+            base, extra = divmod(capacity, len(classes))
+            quotas = {y: base + (bisect_left(classes, y) < extra) for y in classes}
+            for y in classes:
+                stored = buf.stored_indices(y)
+                assert len(stored) == min(quotas[y], seen[y])
+                if y not in arrived:
+                    if strategy == "exemplar":
+                        assert stored == held[y][:len(stored)]
+                    else:
+                        assert set(stored) <= set(held[y])
+                elif strategy == "exemplar":
+                    pool = sorted(held.get(y, []) + arrived[y])
+                    assert_greedy_prefix(stored, pool, vectors, buf.stats.mean(y))
+            capped = [n for y, n in buf.per_class_counts().items() if n < seen[y]]
+            assert not capped or max(capped) - min(capped) <= 1
+            assert buf.total_stored() <= capacity
+
+
 class TestBufferCheckpoint:
     def test_round_trip_contents_and_behavior(self, table, tmp_path):
-        buf = ReplayBuffer(11, "reservoir", seed=15)
-        order = np.arange(table.n_samples)
-        feed(buf, table, order[:80], 9)
-        path = tmp_path / "buffer.bin"
-        save_buffer(buf, path)
-        loaded = load_buffer(path)
-        assert loaded.capacity == buf.capacity and loaded.strategy == buf.strategy
-        assert {y: loaded.stored_indices(y) for y in range(4)} == {
-            y: buf.stored_indices(y) for y in range(4)
-        }
-        # Continuing the stream must agree step for step.
-        rest = order[80:]
-        buf.update(table.vectors[rest], table.labels[rest], rest)
-        loaded.update(table.vectors[rest], table.labels[rest], rest)
-        assert {y: loaded.stored_indices(y) for y in range(4)} == {
-            y: buf.stored_indices(y) for y in range(4)
-        }
+        # Capacity 2 is below the class count and leaves classes without a
+        # slot; capacity 0 stores nothing at all. The shuffled stream shows
+        # every class before the checkpoint.
+        order = np.random.default_rng(15).permutation(table.n_samples)
+        classes = range(table.class_count)
+        for strategy in ("exemplar", "reservoir", "nearest", "outlier"):
+            for capacity in (11, 2, 0):
+                buf = ReplayBuffer(capacity, strategy, seed=15)
+                feed(buf, table, order[:80], 9)
+                path = tmp_path / f"{strategy}-{capacity}.bin"
+                save_buffer(buf, path)
+                loaded = load_buffer(path)
+                case = (strategy, capacity)
+                assert loaded.capacity == buf.capacity, case
+                assert loaded.strategy == buf.strategy, case
+                assert [loaded.stored_indices(y) for y in classes] == [
+                    buf.stored_indices(y) for y in classes
+                ], case
+                assert np.array_equal(loaded.training_arrays()[0], buf.training_arrays()[0]), case
+                # Continuing the stream must agree step for step.
+                feed(buf, table, order[80:], 9)
+                feed(loaded, table, order[80:], 9)
+                assert [loaded.stored_indices(y) for y in classes] == [
+                    buf.stored_indices(y) for y in classes
+                ], case
+                assert loaded.warnings == buf.warnings, case
+                assert loaded._rng.bit_generator.state == buf._rng.bit_generator.state, case
 
     def test_moment_csv_columns(self, tmp_path):
         rows = [
