@@ -1,15 +1,12 @@
 """Online classifiers with order-independent sufficient statistics.
 
-Two stage-one learners are provided. :class:`NccState` keeps one running
-mean per class and classifies by nearest prototype. :class:`RidgeState`
-accumulates the feature second-moment matrix and per-class feature sums,
-from which a one-vs-all ridge head is solved on demand. The ridge state
-is plain sums over the observed samples, so it depends only on the
-multiset of data seen, never on arrival order or batching. The NCC state
-is not sums: it stores each running mean and folds a batch in as
-``(n * mean + batch_sum) / (n + m)``, so its rounding depends on the
-batching (across the schedules of a robustness sweep the states differ
-by at most about 4e-14) until it keeps sums and counts instead. In both,
+Two stage-one learners are provided. :class:`NccState` keeps per-class
+feature sums and counts and classifies by nearest class mean.
+:class:`RidgeState` accumulates the feature second-moment matrix and
+per-class feature sums, from which a one-vs-all ridge head is solved on
+demand. Both states are plain sums over the observed samples, so they
+depend only on the multiset of data seen, never on arrival order or
+batching (up to the rounding of floating-point addition). In both,
 updating one class never touches another class's statistics.
 """
 
@@ -31,7 +28,7 @@ from .errors import (
 )
 
 STATE_MAGIC = b"SCST"
-STATE_VERSION = 1
+STATE_VERSION = 2
 _KIND_NCC = 0
 _KIND_RIDGE = 1
 
@@ -118,36 +115,39 @@ class LinearHead:
 
 
 class NccState:
-    """Per-class running-mean prototypes for nearest-centroid classification.
+    """Per-class sums and counts for nearest-class-mean classification.
 
-    ``prototypes[y]`` is the exact mean of every class-``y`` vector seen so
-    far (the zero vector while the class is unseen) and ``counts[y]`` is
-    how many such vectors there were.
+    ``class_sums[y]`` is the sum of every class-``y`` vector seen so far
+    and ``counts[y]`` how many such vectors there were. ``prototypes[y]``
+    is their mean (the zero vector while the class is unseen).
     """
 
     def __init__(self, class_count: int, dim: int):
         if class_count < 1 or dim < 1:
             raise ConfigError("class_count and dim must be >= 1")
-        self.prototypes = np.zeros((class_count, dim))
+        self.class_sums = np.zeros((class_count, dim))
         self.counts = np.zeros(class_count, dtype=np.int64)
 
     @property
     def class_count(self) -> int:
-        return self.prototypes.shape[0]
+        return self.class_sums.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.prototypes.shape[1]
+        return self.class_sums.shape[1]
+
+    @property
+    def prototypes(self) -> np.ndarray:
+        return self.class_sums / np.maximum(self.counts, 1)[:, None]
 
     def update(self, x, y: int) -> "NccState":
-        """Fold one sample into its class prototype; other rows are untouched."""
+        """Add one sample to its class sum; other rows are untouched."""
         x = _check_vector(x, self.dim)
         y = int(y)
         if not 0 <= y < self.class_count:
             raise ClassIdError(f"class id {y} outside [0, {self.class_count})")
-        n = self.counts[y]
-        self.prototypes[y] = (n * self.prototypes[y] + x) / (n + 1)
-        self.counts[y] = n + 1
+        self.class_sums[y] += x
+        self.counts[y] += 1
         return self
 
     def update_batch(self, xs, ys) -> "NccState":
@@ -155,20 +155,9 @@ class NccState:
         ys = _check_labels(ys, self.class_count)
         if xs.shape[0] != ys.shape[0]:
             raise ShapeError("vectors and labels disagree in length")
-        for y in np.unique(ys):
-            mask = ys == y
-            m = int(mask.sum())
-            n = self.counts[y]
-            self.prototypes[y] = (n * self.prototypes[y] + xs[mask].sum(axis=0)) / (n + m)
-            self.counts[y] = n + m
+        np.add.at(self.class_sums, ys, xs)
+        self.counts += np.bincount(ys, minlength=self.class_count)
         return self
-
-    def _distances(self, xs: np.ndarray) -> np.ndarray:
-        # (n, K) squared distances; unseen classes masked to +inf.
-        diffs = xs[:, None, :] - self.prototypes[None, :, :]
-        d2 = np.sum(diffs * diffs, axis=-1)
-        d2[:, self.counts == 0] = np.inf
-        return d2
 
     def predict(self, x) -> int:
         """Nearest seen prototype by squared distance; ties to smallest id."""
@@ -176,25 +165,28 @@ class NccState:
 
     def predict_batch(self, xs) -> np.ndarray:
         xs = _check_matrix(xs, self.dim)
-        if not (self.counts > 0).any():
+        seen = self.counts > 0
+        if not seen.any():
             raise NoClassError("no class has been observed yet")
-        return np.argmin(self._distances(xs), axis=1).astype(np.int64)
+        scores = self.to_linear_head().scores(xs)
+        scores[:, ~seen] = -np.inf
+        return np.argmax(scores, axis=1).astype(np.int64)
 
     def to_linear_head(self) -> LinearHead:
         """Rewrite the nearest-prototype rule as a linear layer.
 
-        For unit-norm queries, argmin_y ||x - c_y||^2 equals
-        argmax_y (x . c_y - ||c_y||^2 / 2), so the head uses each prototype
-        as its weight row with bias -||c_y||^2 / 2. Unseen classes get a
-        zero row and zero bias.
+        ``||x||^2`` is the same for every class, so for any query
+        argmin_y ||x - c_y||^2 equals argmax_y (x . c_y - ||c_y||^2 / 2):
+        the head uses each prototype as its weight row with bias
+        -||c_y||^2 / 2. Unseen classes get a zero row and zero bias.
         """
-        weights = self.prototypes.copy()
+        weights = self.prototypes
         biases = -0.5 * np.einsum("ij,ij->i", weights, weights)
         return LinearHead(weights, biases)
 
     def copy(self) -> "NccState":
         out = NccState(self.class_count, self.dim)
-        out.prototypes = self.prototypes.copy()
+        out.class_sums = self.class_sums.copy()
         out.counts = self.counts.copy()
         return out
 
@@ -280,8 +272,8 @@ def save_state(state: NccState | RidgeState, path) -> None:
     w.raw(STATE_MAGIC)
     if isinstance(state, NccState):
         w.pack("HBII", STATE_VERSION, _KIND_NCC, state.class_count, state.dim)
-        w.array(state.prototypes, "<f8")
-        w.array(state.counts.astype(np.float64), "<f8")
+        w.array(state.class_sums, "<f8")
+        w.array(state.counts, "<i8")
     elif isinstance(state, RidgeState):
         w.pack("HBII", STATE_VERSION, _KIND_RIDGE, state.class_count, state.dim)
         w.pack("dd", state.lam, float(state.seen))
@@ -303,8 +295,8 @@ def load_state(path) -> NccState | RidgeState:
         raise FormatError(f"unsupported state version {version}")
     if kind == _KIND_NCC:
         state = NccState(k, d)
-        state.prototypes = r.array("<f8", k * d, "prototypes").reshape(k, d).copy()
-        state.counts = r.array("<f8", k, "counts").astype(np.int64)
+        state.class_sums = r.array("<f8", k * d, "class sums").reshape(k, d).copy()
+        state.counts = r.array("<i8", k, "counts").copy()
         r.expect_end()
         return state
     if kind == _KIND_RIDGE:

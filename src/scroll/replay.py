@@ -25,7 +25,7 @@ import numpy as np
 
 from ._binio import Reader, Writer
 from ._seeding import seeded_rng
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, ShapeError
 
 STRATEGIES = ("exemplar", "reservoir", "nearest", "outlier")
 
@@ -57,6 +57,11 @@ class RunningClassMean:
     def count(self, y: int) -> int:
         return self._counts.get(y, 0)
 
+    @property
+    def dim(self) -> int | None:
+        """Width of the rows seen so far; ``None`` before the first row."""
+        return next((len(s) for s in self._sums.values()), None)
+
     def classes(self) -> list[int]:
         return sorted(self._sums)
 
@@ -71,8 +76,11 @@ def herding_order(candidates, target_mean) -> list[int]:
     """Greedy moment-matching order over a candidate pool.
 
     At each step the candidate whose inclusion brings the mean of the
-    selected set closest (Euclidean) to ``target_mean`` is appended; ties
-    go to the smallest candidate index. Returns a permutation of
+    selected set closest (Euclidean) to ``target_mean`` is appended.
+    Candidates whose trial means are bitwise equal (equal rows) tie exactly
+    and go to the smallest candidate index; candidates that are only at
+    the same distance in exact arithmetic are ordered by the rounding of
+    the computed distances. Returns a permutation of
     ``range(len(candidates))``.
     """
     pool = np.asarray(candidates, dtype=np.float64)
@@ -106,7 +114,8 @@ class ReplayBuffer:
     slot are recorded in ``warnings`` and hold nothing.
 
     Each class's stored samples are two arrays in selection order: int64
-    dataset indices in ``_indices`` and float64 rows in ``_rows``.
+    dataset indices in ``_indices`` and float64 rows in ``_rows``. A class
+    with nothing stored has no entry in either.
     """
 
     def __init__(self, capacity: int, strategy: str = "exemplar", seed: int = 0):
@@ -132,7 +141,7 @@ class ReplayBuffer:
         return sum(len(idx) for idx in self._indices.values())
 
     def per_class_counts(self) -> dict[int, int]:
-        return {y: len(idx) for y, idx in sorted(self._indices.items()) if len(idx) > 0}
+        return {y: len(idx) for y, idx in sorted(self._indices.items())}
 
     def stored_indices(self, y: int) -> list[int]:
         return self._indices[y].tolist() if y in self._indices else []
@@ -161,10 +170,7 @@ class ReplayBuffer:
         """
         out: dict[int, float] = {}
         for y in sorted(self._rows):
-            rows = self._rows[y]
-            if len(rows) == 0:
-                continue
-            stored_mean = np.mean(rows, axis=0)
+            stored_mean = np.mean(self._rows[y], axis=0)
             class_mean = table.vectors[table.labels == y].mean(axis=0)
             out[y] = float(np.linalg.norm(stored_mean - class_mean))
         return out
@@ -187,6 +193,10 @@ class ReplayBuffer:
         indices = np.asarray(indices, dtype=np.int64)
         if vectors.ndim != 2 or not (len(vectors) == len(labels) == len(indices)):
             raise ConfigError("batch arrays disagree in length")
+        if self.stats.dim not in (None, vectors.shape[1]):
+            raise ShapeError(
+                f"rows of dimension {self.stats.dim} expected, got {vectors.shape[1]}"
+            )
         arrivals = {int(y): np.flatnonzero(labels == y) for y in np.unique(labels)}
         fresh = [y for y in arrivals if self.stats.count(y) == 0]
         before = self.stats.classes()
@@ -203,8 +213,8 @@ class ReplayBuffer:
                     self.warnings.append(
                         f"class {y} exceeds the capacity budget and holds no samples"
                     )
-                if y in self._indices:
-                    self._truncate(y, 0)
+                self._indices.pop(y, None)
+                self._rows.pop(y, None)
                 continue
             if y not in self._indices:
                 self._keep(y, np.zeros(0, dtype=np.int64), np.zeros((0, vectors.shape[1])))
@@ -298,7 +308,7 @@ def save_buffer(buf: ReplayBuffer, path) -> None:
         buf.seed,
         len(classes),
     )
-    w.pack("I", len(buf.stats._sums[classes[0]]) if classes else 0)
+    w.pack("I", buf.stats.dim or 0)
     for y in classes:
         idx = buf._indices.get(y, np.zeros(0, dtype=np.int64))
         w.pack("IIQQ", y, len(idx), buf.stats.count(y), buf._reservoir_seen.get(y, 0))
@@ -336,7 +346,8 @@ def load_buffer(path) -> ReplayBuffer:
             buf._reservoir_seen[y] = int(reservoir_seen)
         idx = r.array("<i8", stored, "stored indices").copy()
         rows = r.array("<f8", stored * dim, "stored rows").reshape(stored, dim).copy()
-        buf._keep(y, idx, rows)
+        if stored:
+            buf._keep(y, idx, rows)
     (rng_len,) = r.unpack("I", "rng state length")
     buf._rng.bit_generator.state = json.loads(r.take(rng_len, "rng state"))
     (warn_len,) = r.unpack("I", "warnings length")

@@ -1,8 +1,14 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scroll import (
     ClassIdError,
+    FormatError,
     LinearHead,
     NccState,
     NoClassError,
@@ -28,6 +34,14 @@ def brute_force_ncc(state, x):
         if best is None or d < best_d:
             best, best_d = y, d
     return best
+
+
+def distance_tensor_ncc(state, xs):
+    """The (n, K, d) distance rule: argmin squared distance over seen classes."""
+    diffs = xs[:, None, :] - state.prototypes[None, :, :]
+    d2 = np.sum(diffs * diffs, axis=-1)
+    d2[:, state.counts == 0] = np.inf
+    return np.argmin(d2, axis=1), d2
 
 
 def brute_force_linear(head, x):
@@ -71,7 +85,8 @@ class TestNccUpdate:
         b = NccState(4, 6)
         for x, y in zip(xs, ys):
             b.update(x, y)
-        assert np.abs(a.prototypes - b.prototypes).max() < 1e-12
+        # Both add the rows of each class in stream order.
+        np.testing.assert_array_equal(a.class_sums, b.class_sums)
         np.testing.assert_array_equal(a.counts, b.counts)
 
     def test_class_id_out_of_range(self):
@@ -111,6 +126,79 @@ class TestNccPredict:
     def test_empty_state_raises(self):
         with pytest.raises(NoClassError):
             NccState(3, 2).predict(np.array([1.0, 0.0]))
+
+    def test_prediction_memory_is_linear_in_queries_and_prototypes(self):
+        # The distance-tensor rule needs n * K * d floats, about 0.5 GB here.
+        n, k, d = 64, 1000, 512
+        rng = np.random.default_rng(15)
+        s = NccState(k, d).update_batch(rng.standard_normal((k, d)), np.arange(k))
+        queries = rng.standard_normal((n, d))
+        tracemalloc.start()
+        try:
+            s.predict_batch(queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * (n * k + k * d)
+
+
+@st.composite
+def ncc_cases(draw):
+    """An NCC state with unseen classes and duplicate prototypes, plus queries."""
+    k, d = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Each seen class draws its rows, or copies an earlier class's rows in
+    # the same order, which makes the two prototypes bitwise equal.
+    xs, ys, blocks = [], [], []
+    for y in range(k):
+        choice = draw(st.sampled_from(["unseen", "fresh", "copy"]))
+        if choice == "unseen":
+            continue
+        if choice == "copy" and blocks:
+            rows = blocks[draw(st.integers(0, len(blocks) - 1))]
+        else:
+            rows = rng.standard_normal((draw(st.integers(1, 4)), d))
+        blocks.append(rows)
+        xs.append(rows)
+        ys.append(np.full(len(rows), y))
+    state = NccState(k, d)
+    if xs:
+        state.update_batch(np.concatenate(xs), np.concatenate(ys))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    queries = scale * rng.standard_normal((draw(st.integers(1, 20)), d))
+    # Some queries sit on a prototype or halfway between two.
+    if state.counts.any():
+        seen = np.flatnonzero(state.counts)
+        a, b = rng.choice(seen, 2), rng.choice(seen, 2)
+        protos = state.prototypes
+        queries = np.concatenate([queries, protos[a], (protos[a] + protos[b]) / 2])
+    return state, queries
+
+
+class TestNccPredictProperties:
+    # The same examples on every run, and no deadline: a slow host must not
+    # fail a correct run.
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(ncc_cases())
+    def test_agrees_with_distance_tensor(self, case):
+        state, queries = case
+        if not state.counts.any():
+            with pytest.raises(NoClassError):
+                state.predict_batch(queries)
+            return
+        preds = state.predict_batch(queries)
+        expected, d2 = distance_tensor_ncc(state, queries)
+        protos = state.prototypes
+        seen = np.flatnonzero(state.counts)
+        max_c2 = max(float(protos[y] @ protos[y]) for y in seen)
+        for x, p, e, row in zip(queries, preds, expected, d2):
+            assert state.counts[p] > 0
+            # Bitwise-equal prototypes always go to the smaller id.
+            assert not any(np.array_equal(protos[y], protos[p]) for y in seen if y < p)
+            if p != e:
+                # Only a tie to rounding may be broken differently.
+                tol = 1e-12 * (float(x @ x) + max_c2)
+                assert abs(row[p] - row[e]) <= tol, (p, e, row[p], row[e], tol)
 
 
 class TestRidgeUpdate:
@@ -209,7 +297,7 @@ class TestNccToLinear:
         head = s.to_linear_head()
         queries = unit_rows(rng, 1000, 16)
         np.testing.assert_array_equal(
-            head.predict_batch(queries), s.predict_batch(queries)
+            head.predict_batch(queries), distance_tensor_ncc(s, queries)[0]
         )
 
 
@@ -278,8 +366,19 @@ class TestCheckpoints:
         save_state(s, path)
         loaded = load_state(path)
         assert isinstance(loaded, NccState)
+        np.testing.assert_array_equal(loaded.class_sums, s.class_sums)
         np.testing.assert_array_equal(loaded.prototypes, s.prototypes)
         np.testing.assert_array_equal(loaded.counts, s.counts)
+
+    def test_version_one_rejected(self, tmp_path):
+        s = NccState(2, 3).update(np.ones(3), 0)
+        path = tmp_path / "state.bin"
+        save_state(s, path)
+        data = bytearray(path.read_bytes())
+        data[4:6] = struct.pack("<H", 1)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="version 1"):
+            load_state(path)
 
     def test_ridge_round_trip(self, tmp_path):
         rng = np.random.default_rng(14)

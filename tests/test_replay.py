@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scroll import (
     ConfigError,
     ReplayBuffer,
+    ShapeError,
     SyntheticSpec,
     herding_order,
     load_buffer,
@@ -139,6 +140,14 @@ class TestQuotaAndCapacity:
         counts = list(buf.per_class_counts().values())
         assert max(counts) - min(counts) <= 1
         assert sum(counts) == 10
+
+    @pytest.mark.parametrize("label", [0, 1], ids=["known-class", "new-class"])
+    def test_row_width_change_rejected(self, label):
+        buf = ReplayBuffer(4, "exemplar", seed=4)
+        buf.update(np.ones((2, 3)), np.array([0, 0]), np.array([0, 1]))
+        with pytest.raises(ShapeError, match="dimension 3"):
+            buf.update(np.ones((1, 5)), np.array([label]), np.array([2]))
+        assert buf.per_class_counts() == {0: 2}
 
     def test_zero_quota_class_warns(self, table):
         buf = ReplayBuffer(2, "exemplar", seed=4)
@@ -344,6 +353,7 @@ class TestBufferCheckpoint:
                     assert np.array_equal(
                         loaded.training_arrays()[0], buf.training_arrays()[0]
                     ), case
+                    assert loaded.content_digest() == buf.content_digest(), case
                     # Continuing the stream must agree step for step.
                     feed(buf, table, order[80:], 9)
                     feed(loaded, table, order[80:], 9)
