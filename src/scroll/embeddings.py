@@ -116,9 +116,9 @@ def _looks_normalized(vectors: np.ndarray) -> bool:
 
 def _remap_labels(raw_labels: np.ndarray) -> tuple[np.ndarray, dict[int, int]]:
     """Map arbitrary integer labels onto dense ids 0..K-1 (sorted order)."""
-    uniq = np.unique(raw_labels)
+    uniq, dense = np.unique(raw_labels, return_inverse=True)
     mapping = {int(orig): new for new, orig in enumerate(uniq)}
-    return np.searchsorted(uniq, raw_labels).astype(np.int64), mapping
+    return dense.astype(np.int64), mapping
 
 
 def load_embeddings(path, fmt: str = "binary") -> tuple[EmbeddingTable, dict[int, int]]:
@@ -179,12 +179,11 @@ def _load_binary(data: bytes) -> tuple[EmbeddingTable, dict[int, int]]:
     if not np.isfinite(vectors).all():
         row = int(np.where(~np.isfinite(vectors).all(axis=1))[0][0])
         raise DataError(f"non-finite value in row {row}")
-    uniq = np.unique(raw_labels)
-    if uniq.size != k:
-        raise FormatError(
-            f"header declares {k} classes but file contains {uniq.size} distinct labels"
-        )
     labels, mapping = _remap_labels(raw_labels)
+    if len(mapping) != k:
+        raise FormatError(
+            f"header declares {k} classes but file contains {len(mapping)} distinct labels"
+        )
     vectors64 = vectors.astype(np.float64)
     table = EmbeddingTable(vectors64, labels, k, normalized=_looks_normalized(vectors64))
     return table, mapping

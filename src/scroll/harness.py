@@ -23,7 +23,7 @@ from ._seeding import seeded_rng
 from .adapt import AdaptConfig, AdaptedPredictor, adapt, init_head
 from .embeddings import EmbeddingTable, SyntheticSpec, load_embeddings, normalize, synthesize
 from .errors import ConfigError, NoClassError, StreamReuseError
-from .learners import NccState, RidgeState
+from .learners import LinearHead, NccState, RidgeState
 from .replay import ReplayBuffer, STRATEGIES
 from .schedules import ScheduleSpec, build_schedule, iter_batches
 
@@ -220,10 +220,15 @@ def _new_state(cfg: ExperimentConfig, table: EmbeddingTable):
     return RidgeState(table.class_count, table.dim, cfg.ridge_lambda)
 
 
-def _stage_one_predictor(state):
-    if isinstance(state, NccState):
-        return state.predict_batch
-    return state.solve().predict_batch
+def _stage_one(cfg: ExperimentConfig, state):
+    """The stage-one predictor and the head stage two starts from.
+
+    A ridge system is solved once for both; NCC predicts by its own rule,
+    which masks unseen classes, and starts stage two from its linear head.
+    """
+    head = init_head(cfg.classifier, state)
+    predict = state.predict_batch if isinstance(state, NccState) else head.predict_batch
+    return predict, head
 
 
 def _stream(cfg: ExperimentConfig, train, schedule, checkpoints, stop=None):
@@ -250,8 +255,8 @@ def _stream(cfg: ExperimentConfig, train, schedule, checkpoints, stop=None):
     return state, buffer, snapshots
 
 
-def _adapted(cfg: ExperimentConfig, state, buffer) -> AdaptedPredictor | None:
-    """Stage two, always restarted from the stage-one statistics.
+def _adapted(cfg: ExperimentConfig, head: LinearHead, buffer) -> AdaptedPredictor | None:
+    """Stage two, always restarted from the stage-one ``head`` (left untouched).
 
     ``None`` when there is nothing to adapt: no or an empty buffer, or mode ``none``.
     """
@@ -260,20 +265,16 @@ def _adapted(cfg: ExperimentConfig, state, buffer) -> AdaptedPredictor | None:
     if cfg.adapt.init_kind == "random":
         head = init_head(
             "random",
-            class_count=state.class_count,
-            dim=state.dim,
+            class_count=head.class_count,
+            dim=head.dim,
             seed=cfg.adapt.seed,
         )
-        kind = "random"
-    else:
-        head = init_head(cfg.classifier, state)
-        kind = cfg.classifier
-    return adapt(head, buffer, cfg.adapt, init_kind=kind)
+        return adapt(head, buffer, cfg.adapt, init_kind="random")
+    return adapt(head, buffer, cfg.adapt, init_kind=cfg.classifier)
 
 
-def _unadapted(cfg: ExperimentConfig, state) -> AdaptedPredictor:
+def _unadapted(cfg: ExperimentConfig, head: LinearHead) -> AdaptedPredictor:
     """The stage-one head as the final predictor, when stage two is skipped."""
-    head = init_head(cfg.classifier, state)
     return AdaptedPredictor(head, provenance={"init": cfg.classifier})
 
 
@@ -342,15 +343,15 @@ def execute(cfg: ExperimentConfig) -> RunOutcome:
 
     warnings: list[str] = []
     t_solve = time.perf_counter()
-    stage_one = _stage_one_predictor(state)
+    stage_one, head = _stage_one(cfg, state)
     solve_s = time.perf_counter() - t_solve
 
     t_adapt = time.perf_counter()
-    predictor = _adapted(cfg, state, buffer)
+    predictor = _adapted(cfg, head, buffer)
     if predictor is None:
         if cfg.adapt.mode != "none":
             warnings.append("no replay data available; adaptation skipped")
-        predictor = _unadapted(cfg, state)
+        predictor = _unadapted(cfg, head)
     warnings.extend(predictor.warnings)
     adapt_s = time.perf_counter() - t_adapt
 
@@ -360,9 +361,10 @@ def execute(cfg: ExperimentConfig) -> RunOutcome:
     intermediate = []
     for t in sorted(snapshots):
         snap_state, snap_buffer = snapshots[t]
-        snap_acc, _ = _evaluate(_stage_one_predictor(snap_state), test)
+        snap_stage_one, snap_head = _stage_one(cfg, snap_state)
+        snap_acc, _ = _evaluate(snap_stage_one, test)
         entry = {"t": t, "stage_one_accuracy": snap_acc}
-        snap_pred = _adapted(cfg, snap_state, snap_buffer)
+        snap_pred = _adapted(cfg, snap_head, snap_buffer)
         if snap_pred is not None:
             entry["adapted_accuracy"], _ = _evaluate(snap_pred.predict_batch, test)
         else:
@@ -425,7 +427,8 @@ def intermediate_predictor(cfg: ExperimentConfig, t: int) -> AdaptedPredictor:
             f"stream position {t} outside the {schedule.n_batches}-batch stream"
         )
     state, buffer, _ = _stream(cfg, train, schedule, (), stop=t)
-    return _adapted(cfg, state, buffer) or _unadapted(cfg, state)
+    head = init_head(cfg.classifier, state)
+    return _adapted(cfg, head, buffer) or _unadapted(cfg, head)
 
 
 @dataclass

@@ -13,8 +13,6 @@ updating one class never touches another class's statistics.
 from __future__ import annotations
 
 import numpy as np
-from numpy.linalg import LinAlgError as _NumpyLinAlgError
-from scipy.linalg import cho_factor, cho_solve
 
 from ._binio import Reader, Writer
 from .errors import (
@@ -243,19 +241,22 @@ class RidgeState:
     def solve(self) -> LinearHead:
         """Solve (cov + lam * seen * I) w_z = class_sums[z] for every class.
 
-        Uses a Cholesky factorization of the symmetric positive-definite
-        system; classes with no samples come out as exact zero rows.
-        Biases are zero.
+        Factors the symmetric positive-definite system as L L^T (Cholesky)
+        and solves L u = class_sums^T, then L^T w = u; classes with no
+        samples come out as exact zero rows. Biases are zero. Statistics
+        that overflowed to inf or nan raise :class:`LinAlgFailure`.
         """
         k, d = self.class_count, self.dim
         if self.seen == 0:
             return LinearHead(np.zeros((k, d)), np.zeros(k))
         system = self.cov + (self.lam * self.seen) * np.eye(d)
+        if not (np.isfinite(system).all() and np.isfinite(self.class_sums).all()):
+            raise LinAlgFailure("ridge statistics are not finite (overflow)")
         try:
-            factor = cho_factor(system, lower=True, check_finite=False)
-            weights_t = cho_solve(factor, self.class_sums.T, check_finite=False)
-        except _NumpyLinAlgError as exc:
+            lower = np.linalg.cholesky(system)
+        except np.linalg.LinAlgError as exc:
             raise LinAlgFailure(f"ridge system could not be factorized: {exc}") from exc
+        weights_t = np.linalg.solve(lower.T, np.linalg.solve(lower, self.class_sums.T))
         return LinearHead(np.ascontiguousarray(weights_t.T), np.zeros(k))
 
     def copy(self) -> "RidgeState":

@@ -40,16 +40,16 @@ class RunningClassMean:
         self._sums: dict[int, np.ndarray] = {}
         self._counts: dict[int, int] = {}
 
-    def add_batch(self, vectors: np.ndarray, labels: np.ndarray) -> None:
-        for y in np.unique(labels):
-            mask = labels == y
-            y = int(y)
+    def add_batch(self, vectors: np.ndarray, groups: dict[int, np.ndarray]) -> None:
+        """Add a batch whose class ``y`` rows sit at positions ``groups[y]``."""
+        for y, pos in groups.items():
+            batch_sum = vectors[pos].sum(axis=0)
             if y in self._sums:
-                self._sums[y] = self._sums[y] + vectors[mask].sum(axis=0)
-                self._counts[y] += int(mask.sum())
+                self._sums[y] = self._sums[y] + batch_sum
+                self._counts[y] += len(pos)
             else:
-                self._sums[y] = vectors[mask].sum(axis=0)
-                self._counts[y] = int(mask.sum())
+                self._sums[y] = batch_sum
+                self._counts[y] = len(pos)
 
     def mean(self, y: int) -> np.ndarray:
         return self._sums[y] / self._counts[y]
@@ -90,16 +90,33 @@ def herding_order(candidates, target_mean) -> list[int]:
 
 
 def _herd(pool: np.ndarray, target: np.ndarray):
-    """Yield :func:`herding_order` one pick at a time, so callers can stop early."""
-    remaining = np.arange(pool.shape[0])
+    """Yield :func:`herding_order` one pick at a time, so callers can stop early.
+
+    Each step computes ``||target - (chosen_sum + row) / step||`` for the
+    remaining rows (ascending pool index) with the operations of
+    ``np.linalg.norm(..., axis=1)`` in the same order, into buffers made
+    once, so every distance has the same bits as that expression.
+    """
+    n = pool.shape[0]
+    remaining = np.arange(n)
     chosen_sum = np.zeros(pool.shape[1])
-    for step in range(1, pool.shape[0] + 1):
-        trial_means = (chosen_sum + pool[remaining]) / step
-        dists = np.linalg.norm(target - trial_means, axis=1)
-        pick = remaining[int(np.argmin(dists))]
-        yield int(pick)
+    trial_buf, dist_buf = np.empty(pool.shape), np.empty(n)
+    for step in range(1, n + 1):
+        m = n - step + 1
+        trial, dists = trial_buf[:m], dist_buf[:m]
+        # mode="clip" takes straight into ``trial``; "raise" would buffer.
+        pool.take(remaining[:m], axis=0, out=trial, mode="clip")
+        np.add(chosen_sum, trial, out=trial)
+        np.divide(trial, step, out=trial)
+        np.subtract(target, trial, out=trial)
+        np.multiply(trial, trial, out=trial)
+        np.add.reduce(trial, axis=1, out=dists)
+        np.sqrt(dists, out=dists)
+        j = int(np.argmin(dists))
+        pick = int(remaining[j])
+        yield pick
         chosen_sum += pool[pick]
-        remaining = remaining[remaining != pick]
+        remaining[j : m - 1] = remaining[j + 1 : m]
 
 
 class ReplayBuffer:
@@ -197,10 +214,12 @@ class ReplayBuffer:
             raise ShapeError(
                 f"rows of dimension {self.stats.dim} expected, got {vectors.shape[1]}"
             )
-        arrivals = {int(y): np.flatnonzero(labels == y) for y in np.unique(labels)}
+        # With return_inverse, np.unique also skips its lazy numpy.ma import.
+        ids, inverse = np.unique(labels, return_inverse=True)
+        arrivals = {int(y): np.flatnonzero(inverse == i) for i, y in enumerate(ids)}
         fresh = [y for y in arrivals if self.stats.count(y) == 0]
         before = self.stats.classes()
-        self.stats.add_batch(vectors, labels)
+        self.stats.add_batch(vectors, arrivals)
         classes = self.stats.classes()
         # Quotas change only when a new class arrives, so only then can a
         # class without arrivals have anything to do.

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scroll
 from scroll import load_predictor, load_state, normalize, load_embeddings
 from scroll.cli import main
 
@@ -85,6 +90,30 @@ class TestRunCommand:
     def test_bad_arguments_are_validation_errors(self):
         assert main(["run"]) == 1
         assert main(["frobnicate"]) == 1
+
+    def test_overflowing_ridge_system_is_runtime_error(self, workspace, capsys):
+        # lam * seen overflows to inf; the solve must fail, not give a zero head.
+        tmp_path, cfg_path = workspace
+        cfg = json.loads(cfg_path.read_text())
+        cfg["classifier"]["lambda"] = 1e308
+        cfg_path.write_text(json.dumps(cfg))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", "--config", str(cfg_path)]) == 2
+        assert "not finite" in capsys.readouterr().err
+
+
+class TestImports:
+    def test_package_and_cli_import_numpy_but_not_scipy(self):
+        code = (
+            "import sys, scroll, scroll.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        src = str(Path(scroll.__file__).resolve().parent.parent)
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestSweepCommand:

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,19 @@ class TestBinaryFormat:
         save_embeddings(t, path, "binary")
         loaded, _ = load_embeddings(path, "binary")
         assert loaded.normalized
+
+    @pytest.mark.parametrize("declared", [2, 4])
+    def test_header_class_count_must_match_labels(self, tmp_path, declared):
+        t = make_table([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [0, 1, 2], 3)
+        path = tmp_path / "t.bin"
+        save_embeddings(t, path, "binary")
+        blob = bytearray(path.read_bytes())
+        # magic (4 bytes), version (2), then N, d, K as little-endian uint32.
+        assert blob[14:18] == struct.pack("<I", 3)
+        blob[14:18] = struct.pack("<I", declared)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=f"declares {declared} classes.* 3 distinct"):
+            load_embeddings(path, "binary")
 
 
 class TestCsvFormat:

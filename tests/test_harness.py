@@ -159,6 +159,25 @@ class TestIntermediatePredictor:
         with pytest.raises(NoClassError):
             intermediate_predictor(small_config(), 0)
 
+    @pytest.mark.parametrize("adapt", [{"mode": "none"}, {"mode": "full_head", "epochs": 1}])
+    def test_each_ridge_state_is_solved_once(self, monkeypatch, adapt):
+        solved = []
+        original = RidgeState.solve
+
+        def counting_solve(state):
+            solved.append(state.seen)
+            return original(state)
+
+        monkeypatch.setattr(RidgeState, "solve", counting_solve)
+        cfg = small_config(
+            buffer={"capacity": 16}, adapt=adapt, intermediate_evals=[1],
+        )
+        execute(cfg)
+        assert solved == [100, 50]  # the final state, then the snapshot at t=1
+        solved.clear()
+        intermediate_predictor(cfg, 1)
+        assert solved == [50]
+
     def test_position_out_of_range(self):
         with pytest.raises(ConfigError):
             intermediate_predictor(small_config(), 99)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scroll import (
     ClassIdError,
     FormatError,
+    LinAlgFailure,
     LinearHead,
     NccState,
     NoClassError,
@@ -271,6 +272,52 @@ class TestRidgeSolve:
             solved = state.solve().weights
             rel = np.linalg.norm(solved - expected) / np.linalg.norm(expected)
             assert rel < 1e-8
+
+    def test_overflowed_statistics_raise(self):
+        # Finite rows whose outer products overflow: cov holds +-inf.
+        with np.errstate(over="ignore"):
+            s = RidgeState(3, 4).update_batch(np.full((2, 4), 1e200) * [1, -1, 1, 1], [1, 2])
+        assert not np.isfinite(s.cov).all()
+        with pytest.raises(LinAlgFailure, match="not finite"):
+            s.solve()
+
+    def test_overflowed_regularizer_raises(self):
+        # lam * seen overflows to inf, so the system is not finite.
+        s = RidgeState(2, 3, lam=1e308).update_batch(np.eye(3)[:2], [0, 1])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            LinAlgFailure, match="not finite"
+        ):
+            s.solve()
+
+
+@pytest.fixture(scope="module")
+def scipy_linalg():
+    return pytest.importorskip("scipy.linalg")
+
+
+@st.composite
+def ridge_states(draw):
+    """A ridge state of unit rows, d up to 256, fewer or more rows than d."""
+    d, k = draw(st.integers(1, 256)), draw(st.integers(1, 6))
+    n = draw(st.integers(1, 2 * d + 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xs = unit_rows(rng, n, d)
+    if draw(st.booleans()):
+        xs[n // 2 :] = xs[: n - n // 2]  # duplicate rows
+    lam = draw(st.floats(1e-3, 1e2))
+    return RidgeState(k, d, lam).update_batch(xs, rng.integers(0, k, n))
+
+
+class TestRidgeSolveOracle:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(ridge_states())
+    def test_matches_scipy_cho_solve(self, scipy_linalg, state):
+        system = state.cov + state.lam * state.seen * np.eye(state.dim)
+        factor = scipy_linalg.cho_factor(system, lower=True)
+        expected = scipy_linalg.cho_solve(factor, state.class_sums.T).T
+        solved = state.solve().weights
+        scale = np.abs(expected).max()
+        assert np.abs(solved - expected).max() <= 1e-12 * scale
 
 
 class TestNccToLinear:

@@ -16,6 +16,7 @@ from scroll import (
     synthesize,
     write_moment_csv,
 )
+from scroll.replay import _herd
 
 
 def unit_rows(rng, n, d):
@@ -113,6 +114,62 @@ class TestHerdingOrder:
     def test_empty_pool_rejected(self):
         with pytest.raises(ConfigError):
             herding_order(np.zeros((0, 3)), np.zeros(3))
+
+
+def reference_herd(pool, target):
+    """Herding written plainly: fancy-index copies and ``np.linalg.norm``.
+
+    :func:`_herd` must pick exactly what this picks, bit for bit,
+    including every tie that rounding creates or breaks.
+    """
+    remaining = np.arange(pool.shape[0])
+    chosen_sum = np.zeros(pool.shape[1])
+    for step in range(1, pool.shape[0] + 1):
+        trial_means = (chosen_sum + pool[remaining]) / step
+        dists = np.linalg.norm(target - trial_means, axis=1)
+        pick = remaining[int(np.argmin(dists))]
+        yield int(pick)
+        chosen_sum += pool[pick]
+        remaining = remaining[remaining != pick]
+
+
+@st.composite
+def herding_pools(draw):
+    """Pools with duplicate rows, rows on a coarse grid or of small
+    integers (exact and rounding ties), mirrored rows, either memory layout,
+    and several kinds of target."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.one_of(st.integers(1, 8), st.integers(1, 256)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = draw(st.sampled_from(["normal", "grid", "integers"]))
+    if values == "integers":
+        pool = rng.integers(-2, 3, (n, d)).astype(np.float64)
+    else:
+        pool = rng.standard_normal((n, d)) * 10.0 ** draw(st.integers(-3, 3))
+        if values == "grid":
+            pool = np.round(pool, draw(st.integers(0, 1)))
+    if draw(st.booleans()):
+        pool = pool[rng.integers(0, max(1, n // 3), n)]  # many duplicates
+    if draw(st.booleans()) and n > 1:
+        pool[n // 2 :] = -pool[: n - n // 2]  # mirrored rows tie around zero
+    target = draw(st.sampled_from(["mean", "row", "zero", "random"]))
+    target = {
+        "mean": pool.mean(axis=0),
+        "row": pool[0].copy(),
+        "zero": np.zeros(d),
+        "random": rng.standard_normal(d),
+    }[target]
+    if draw(st.booleans()):
+        pool = np.asfortranarray(pool)
+    return pool, target
+
+
+class TestHerdingPicks:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(herding_pools())
+    def test_matches_reference_pick_for_pick(self, case):
+        pool, target = case
+        assert list(_herd(pool, target)) == list(reference_herd(pool, target))
 
 
 class TestQuotaAndCapacity:
