@@ -29,6 +29,12 @@ OPTIMIZERS = ("sgd", "adadelta")
 PREDICTOR_MAGIC = b"SCAD"
 PREDICTOR_VERSION = 1
 
+#: Most rows one product scores in :meth:`AdaptedPredictor.predict_batch`.
+#: OpenBLAS threads a product above about 5e5 multiply-adds; at K=10, d=64
+#: a 256-row block stays on one thread, where a 1000-row product wakes a
+#: second thread that then spins through the small training steps after it.
+PREDICT_BLOCK_ROWS = 256
+
 
 @dataclass(frozen=True)
 class AdaptConfig:
@@ -236,15 +242,16 @@ def loss_and_grads(
         logits, feat = np.atleast_2d(logits), cache["feat"]
     if ys.shape[0] != logits.shape[0]:
         raise ShapeError("labels and batch rows disagree in length")
+    batch = len(ys)
+    rows = np.arange(batch)
     scaled = logits / temperature
     scaled -= scaled.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(scaled).sum(axis=1))
-    loss = float(np.mean(log_z - scaled[np.arange(len(ys)), ys]))
+    loss = float(np.add.reduce(log_z - scaled[rows, ys]) / batch)
 
-    batch = len(ys)
     probs = np.exp(scaled - log_z[:, None])
     dlogits = probs
-    dlogits[np.arange(batch), ys] -= 1.0
+    dlogits[rows, ys] -= 1.0
     dlogits /= batch * temperature
 
     grads = {"weights": dlogits.T @ feat, "biases": dlogits.sum(axis=0)}
@@ -274,10 +281,43 @@ def adadelta_step(
     """
     if not 0 < rho < 1:
         raise ConfigError(f"rho must lie in (0, 1), got {rho}")
-    new_grad_sq = rho * accum_grad_sq + (1.0 - rho) * grad * grad
-    step = -np.sqrt(accum_step_sq + eps) / np.sqrt(new_grad_sq + eps) * grad
-    new_step_sq = rho * accum_step_sq + (1.0 - rho) * step * step
-    return param + lr * step, new_grad_sq, new_step_sq
+    param, grad_sq, step_sq = (
+        np.array(a, dtype=np.float64) for a in (param, accum_grad_sq, accum_step_sq)
+    )
+    _adadelta_update(
+        param, np.asarray(grad, dtype=np.float64), grad_sq, step_sq,
+        np.empty_like(param), np.empty_like(param), rho, eps, lr,
+    )
+    return param, grad_sq, step_sq
+
+
+def _adadelta_update(param, grad, grad_sq, step_sq, tmp, tmp2, rho, eps, lr) -> None:
+    """:func:`adadelta_step` in place: ``param`` and both accumulators are overwritten.
+
+    ``tmp`` and ``tmp2`` are scratch arrays shaped like ``param``. The
+    operations and their order are those of the textbook form
+    ``grad_sq = rho*grad_sq + (1-rho)*grad*grad``,
+    ``step = -sqrt(step_sq + eps) / sqrt(grad_sq + eps) * grad``,
+    ``step_sq = rho*step_sq + (1-rho)*step*step``, ``param + lr*step``,
+    so the results are bit-identical to evaluating it with temporaries.
+    """
+    np.multiply(1.0 - rho, grad, out=tmp)
+    tmp *= grad
+    np.multiply(rho, grad_sq, out=grad_sq)
+    grad_sq += tmp
+    np.add(step_sq, eps, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    np.negative(tmp, out=tmp)
+    np.add(grad_sq, eps, out=tmp2)
+    np.sqrt(tmp2, out=tmp2)
+    tmp /= tmp2
+    tmp *= grad
+    np.multiply(1.0 - rho, tmp, out=tmp2)
+    tmp2 *= tmp
+    np.multiply(rho, step_sq, out=step_sq)
+    step_sq += tmp2
+    np.multiply(lr, tmp, out=tmp)
+    param += tmp
 
 
 class AdaptedPredictor:
@@ -298,13 +338,20 @@ class AdaptedPredictor:
         self.warnings = warnings or []
 
     def predict_batch(self, zs) -> np.ndarray:
-        if self.adapter is None:
-            return self.head.predict_batch(zs)
+        """Argmax class of every row, scored ``PREDICT_BLOCK_ROWS`` rows at a time."""
         zs = np.asarray(zs, dtype=np.float64)
         if zs.ndim != 2:
             raise ShapeError(f"expected a 2-d batch of queries, got shape {zs.shape}")
-        logits, _ = forward(self.adapter, zs)
-        return np.argmax(logits, axis=1).astype(np.int64)
+        preds = np.empty(zs.shape[0], dtype=np.int64)
+        # An empty batch is still scored once, so a wrong width raises ShapeError.
+        for lo in range(0, max(zs.shape[0], 1), PREDICT_BLOCK_ROWS):
+            block = zs[lo:lo + PREDICT_BLOCK_ROWS]
+            if self.adapter is None:
+                logits = self.head.scores(block)
+            else:
+                logits, _ = forward(self.adapter, block)
+            preds[lo:lo + block.shape[0]] = np.argmax(logits, axis=1)
+        return preds
 
     def predict(self, z) -> int:
         return int(self.predict_batch(np.asarray(z, dtype=np.float64)[None, :])[0])
@@ -347,7 +394,11 @@ def adapt(
     trained = {"weights": (head.weights, cfg.lr_head), "biases": (head.biases, cfg.lr_head)}
     if adapter is not None:
         trained.update(down=(adapter.down, cfg.lr_adapter), up=(adapter.up, cfg.lr_adapter))
-    slots = {name: (np.zeros_like(t), np.zeros_like(t)) for name, (t, _) in trained.items()}
+    # Per tensor: both AdaDelta accumulators, then two scratch arrays.
+    slots = {
+        name: (np.zeros_like(t), np.zeros_like(t), np.empty_like(t), np.empty_like(t))
+        for name, (t, _) in trained.items()
+    }
 
     rng = seeded_rng(cfg.seed, 33)
     curve: list[tuple[int, float, float]] = []
@@ -362,10 +413,9 @@ def adapt(
                 if cfg.optimizer == "sgd":
                     tensor -= rate * grads[name]
                 else:
-                    stepped, *slots[name] = adadelta_step(
+                    _adadelta_update(
                         tensor, grads[name], *slots[name], cfg.rho, cfg.eps, rate
                     )
-                    tensor[...] = stepped
         # Re-validating the head here raises DataError once training diverges.
         predictor = AdaptedPredictor(LinearHead(head.weights, head.biases), adapter)
         buffer_acc = float(np.mean(predictor.predict_batch(zs) == ys))

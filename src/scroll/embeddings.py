@@ -95,22 +95,35 @@ def normalize(table: EmbeddingTable) -> EmbeddingTable:
     """Scale every row to unit Euclidean norm.
 
     Already-normalized tables are returned unchanged, which makes the
-    operation exactly idempotent. A zero-norm row cannot be scaled and
-    raises :class:`DegenerateInputError` naming the row.
+    operation exactly idempotent. A zero row cannot be scaled and raises
+    :class:`DegenerateInputError` naming the row.
     """
     if table.normalized:
         return table
-    norms = np.linalg.norm(table.vectors, axis=1)
-    zero = np.where(norms == 0.0)[0]
-    if zero.size:
-        raise DegenerateInputError(f"row {int(zero[0])} has zero norm")
+    rows = table.vectors
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(rows, axis=1)
+    # The sum of squares overflows for entries above ~1e154 and underflows
+    # below ~1e-154. Only such rows are first divided by their largest
+    # entry; every other row keeps the plain x / ||x|| bits.
+    extreme = np.flatnonzero((norms == 0.0) | np.isinf(norms))
+    if extreme.size:
+        peaks = np.abs(rows[extreme]).max(axis=1)
+        zero = extreme[peaks == 0.0]
+        if zero.size:
+            raise DegenerateInputError(f"row {int(zero[0])} has zero norm")
+        rows = rows.copy()
+        rows[extreme] /= peaks[:, None]
+        norms[extreme] = np.linalg.norm(rows[extreme], axis=1)
     return EmbeddingTable(
-        table.vectors / norms[:, None], table.labels, table.class_count, normalized=True
+        rows / norms[:, None], table.labels, table.class_count, normalized=True
     )
 
 
 def _looks_normalized(vectors: np.ndarray) -> bool:
-    norms = np.linalg.norm(vectors, axis=1)
+    # An overflowing norm is inf, which correctly reads as not unit.
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(vectors, axis=1)
     return bool(np.all(np.abs(norms - 1.0) <= UNIT_NORM_TOL))
 
 

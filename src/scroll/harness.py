@@ -22,7 +22,7 @@ import numpy as np
 from ._seeding import seeded_rng
 from .adapt import AdaptConfig, AdaptedPredictor, adapt, init_head
 from .embeddings import EmbeddingTable, SyntheticSpec, load_embeddings, normalize, synthesize
-from .errors import ConfigError, NoClassError, StreamReuseError
+from .errors import ConfigError, DataError, NoClassError, StreamReuseError
 from .learners import LinearHead, NccState, RidgeState
 from .replay import ReplayBuffer, STRATEGIES
 from .schedules import ScheduleSpec, build_schedule, iter_batches
@@ -95,11 +95,22 @@ class DataConfig:
         }
 
     def resolve(self) -> tuple[EmbeddingTable, EmbeddingTable]:
-        """Produce normalized train and test tables."""
+        """Produce normalized train and test tables.
+
+        Each file's labels are remapped to dense ids on their own, so the
+        two files must hold the same label set for the ids to name the same
+        classes; otherwise :class:`DataError` names the differing labels.
+        """
         if self.synthetic is not None:
             return synthesize(self.synthetic)
-        train, _ = load_embeddings(self.train_path, self.file_format)
-        test, _ = load_embeddings(self.test_path, self.file_format)
+        train, train_labels = load_embeddings(self.train_path, self.file_format)
+        test, test_labels = load_embeddings(self.test_path, self.file_format)
+        if train_labels != test_labels:
+            raise DataError(
+                "train and test files hold different label sets: "
+                f"only in train {sorted(train_labels.keys() - test_labels.keys())}, "
+                f"only in test {sorted(test_labels.keys() - train_labels.keys())}"
+            )
         return normalize(train), normalize(test)
 
 

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scroll import (
     AdaptConfig,
+    AdaptedPredictor,
     AdaptError,
     AdapterParams,
     ConfigError,
@@ -159,6 +162,17 @@ class TestLossAndGrads:
                     analytic = grad[idx]
                     denom = max(abs(numeric), abs(analytic), 1e-8)
                     assert abs(numeric - analytic) / denom < 1e-4
+
+    def test_loss_is_bitwise_the_mean_of_row_losses(self):
+        # Oracle: the per-row losses averaged by np.mean.
+        rng = np.random.default_rng(56)
+        head = LinearHead(rng.standard_normal((5, 7)), rng.standard_normal(5))
+        for n in (1, 7, 50):
+            zs, ys = rng.standard_normal((n, 7)), rng.integers(0, 5, n)
+            scaled = head.scores(zs) / 2.0
+            scaled -= scaled.max(axis=1, keepdims=True)
+            row_loss = np.log(np.exp(scaled).sum(axis=1)) - scaled[np.arange(n), ys]
+            assert loss_and_grads(head, zs, ys, 2.0)[0] == float(np.mean(row_loss))
 
     def test_bare_head_gradients_equal_zero_up_adapter(self):
         rng = np.random.default_rng(47)
@@ -393,6 +407,185 @@ class TestAdaptedPredictorQueries:
             pred = adapt(head, buf, AdaptConfig(mode=mode, epochs=1, seed=6))
             with pytest.raises(ShapeError, match="2-d batch"):
                 pred.predict_batch(rng.standard_normal(6))
+
+
+@st.composite
+def predictor_cases(draw):
+    """A predictor with or without an adapter, and 0-1000 queries.
+
+    Heads may repeat a class's weights and bias (bitwise-equal classes);
+    queries may repeat rows; small-integer entries make exact logit ties.
+    """
+    k, d = draw(st.integers(1, 12)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = draw(st.booleans())
+
+    def entries(*shape):
+        return rng.integers(-3, 4, shape).astype(float) if grid else rng.standard_normal(shape)
+
+    weights, biases = entries(k, d), entries(k)
+    for y in range(1, k):
+        if draw(st.booleans()):
+            twin = draw(st.integers(0, y - 1))
+            weights[y], biases[y] = weights[twin], biases[twin]
+    head = LinearHead(weights, biases)
+    adapter = None
+    if draw(st.booleans()):
+        h = draw(st.integers(1, 8))
+        adapter = AdapterParams(entries(h, d), entries(d, h), head)
+    n = draw(st.integers(1, 1000) | st.sampled_from((0, 255, 256, 257, 513, 1000)))
+    pool = entries(draw(st.integers(1, 1000)), d)
+    queries = pool[rng.integers(0, len(pool), n)]
+    return AdaptedPredictor(head, adapter), queries, grid
+
+
+def unblocked_logits(pred, zs):
+    """All queries scored in one product per layer, as before blocking."""
+    feat = zs
+    if pred.adapter is not None:
+        act = np.maximum(zs @ pred.adapter.down.T, 0.0)
+        feat = zs + act @ pred.adapter.up.T
+    return feat @ pred.head.weights.T + pred.head.biases
+
+
+class TestBlockedPredictions:
+    # The same examples on every run, and no deadline: a slow host must not
+    # fail a correct run.
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(predictor_cases())
+    def test_agrees_with_unblocked_oracle(self, case):
+        pred, queries, exact = case
+        preds = pred.predict_batch(queries)
+        assert preds.dtype == np.int64 and preds.shape == (len(queries),)
+        logits = unblocked_logits(pred, queries)
+        expected = np.argmax(logits, axis=1)
+        if exact:
+            # Small-integer entries: every logit is exact, so ties between
+            # bitwise-equal classes go to the smaller id on both sides.
+            np.testing.assert_array_equal(preds, expected)
+        for p, e, row in zip(preds, expected, logits):
+            if p != e:
+                # Otherwise only a tie to rounding may be broken differently.
+                # Bitwise-equal classes are such a tie: the BLAS may round
+                # their two columns differently, depending on the row count,
+                # even within one unblocked product.
+                tol = 1e-12 * max(abs(row[p]), abs(row[e]))
+                assert abs(row[p] - row[e]) <= tol, (p, e, row[p], row[e], tol)
+
+    def test_empty_batch_still_checks_width(self):
+        rng = np.random.default_rng(53)
+        head = LinearHead(rng.standard_normal((3, 6)), np.zeros(3))
+        for adapter in (None, init_adapter(head, 2, seed=1)):
+            pred = AdaptedPredictor(head, adapter)
+            assert pred.predict_batch(np.zeros((0, 6))).shape == (0,)
+            with pytest.raises(ShapeError):
+                pred.predict_batch(np.zeros((0, 7)))
+
+
+def reference_adadelta_step(param, grad, accum_grad_sq, accum_step_sq, rho, eps, lr):
+    """The AdaDelta rule with a fresh array for every intermediate."""
+    new_grad_sq = rho * accum_grad_sq + (1.0 - rho) * grad * grad
+    step = -np.sqrt(accum_step_sq + eps) / np.sqrt(new_grad_sq + eps) * grad
+    new_step_sq = rho * accum_step_sq + (1.0 - rho) * step * step
+    return param + lr * step, new_grad_sq, new_step_sq
+
+
+def pure_update_reference(init, buf, cfg):
+    """Replay training where every step builds new parameter arrays.
+
+    Oracle for ``adapt``'s in-place updates: the same minibatch order and
+    gradients, with each tensor replaced by a pure SGD or
+    :func:`reference_adadelta_step` update. Returns the final tensors and
+    the per-epoch mean losses.
+    """
+    zs, ys = buf.training_arrays()
+    tensors = {"weights": init.weights.copy(), "biases": init.biases.copy()}
+    rates = dict.fromkeys(tensors, cfg.lr_head)
+    if cfg.mode == "adapter":
+        adapter = init_adapter(init, cfg.bottleneck, cfg.seed)
+        tensors.update(down=adapter.down, up=adapter.up)
+        rates.update(down=cfg.lr_adapter, up=cfg.lr_adapter)
+    slots = {name: [np.zeros_like(t), np.zeros_like(t)] for name, t in tensors.items()}
+    order_rng = seeded_rng(cfg.seed, 33)
+    losses = []
+    for _ in range(cfg.epochs):
+        order = order_rng.permutation(len(ys))
+        total = 0.0
+        for lo in range(0, len(ys), cfg.batch_size):
+            sel = order[lo:lo + cfg.batch_size]
+            params = LinearHead(tensors["weights"], tensors["biases"])
+            if cfg.mode == "adapter":
+                params = AdapterParams(tensors["down"], tensors["up"], params)
+            loss, grads = loss_and_grads(params, zs[sel], ys[sel], cfg.temperature)
+            total += loss * len(sel)
+            for name in tensors:
+                if cfg.optimizer == "sgd":
+                    tensors[name] = tensors[name] - rates[name] * grads[name]
+                else:
+                    tensors[name], *slots[name] = reference_adadelta_step(
+                        tensors[name], grads[name], *slots[name], cfg.rho, cfg.eps,
+                        rates[name],
+                    )
+        losses.append(total / len(ys))
+    return tensors, losses
+
+
+def large_buffer(rng, k=4, d=8, per_class=100, capacity=300):
+    buf = ReplayBuffer(capacity, "exemplar", seed=7)
+    xs = unit_rows(rng, k * per_class, d)
+    buf.update(xs, np.repeat(np.arange(k), per_class), np.arange(k * per_class))
+    return buf
+
+
+class TestInPlaceUpdates:
+    def test_matches_pure_update_reference(self):
+        rng = np.random.default_rng(54)
+        buf = large_buffer(rng)
+        assert buf.total_stored() > 256
+        head = LinearHead(rng.standard_normal((4, 8)), rng.standard_normal(4))
+        for mode in ("adapter", "full_head"):
+            for optimizer in ("adadelta", "sgd"):
+                cfg = AdaptConfig(mode=mode, epochs=3, batch_size=32, lr_head=0.2,
+                                  lr_adapter=0.05, optimizer=optimizer, seed=9)
+                pred = adapt(head, buf, cfg)
+                ref, ref_losses = pure_update_reference(head, buf, cfg)
+                np.testing.assert_array_equal(pred.head.weights, ref["weights"])
+                np.testing.assert_array_equal(pred.head.biases, ref["biases"])
+                if mode == "adapter":
+                    np.testing.assert_array_equal(pred.adapter.down, ref["down"])
+                    np.testing.assert_array_equal(pred.adapter.up, ref["up"])
+                assert [loss for _, loss, _ in pred.curve] == ref_losses
+
+    def test_products_stay_in_blocks_and_one_step_per_batch(self, monkeypatch):
+        module = importlib.import_module("scroll.adapt")
+        rows, steps = [], []
+        scores, fwd, step = LinearHead.scores, module.forward, module.loss_and_grads
+
+        def scores_rows(self, xs):
+            rows.append(np.atleast_2d(xs).shape[0])
+            return scores(self, xs)
+
+        def forward_rows(params, zs):
+            rows.append(np.atleast_2d(zs).shape[0])
+            return fwd(params, zs)
+
+        def counted(*args):
+            steps.append(1)
+            return step(*args)
+
+        monkeypatch.setattr(LinearHead, "scores", scores_rows)
+        monkeypatch.setattr(module, "forward", forward_rows)
+        monkeypatch.setattr(module, "loss_and_grads", counted)
+        rng = np.random.default_rng(55)
+        buf = large_buffer(rng)
+        head = LinearHead(rng.standard_normal((4, 8)), np.zeros(4))
+        for mode in ("adapter", "full_head"):
+            rows.clear()
+            steps.clear()
+            adapt(head, buf, AdaptConfig(mode=mode, epochs=3, batch_size=64, seed=2))
+            # Products above 256 rows at K=10, d=64 wake a second BLAS thread.
+            assert max(rows) == 256
+            assert len(steps) == 3 * math.ceil(buf.total_stored() / 64)
 
 
 class TestPredictorCheckpoint:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +103,39 @@ class TestRunCommand:
         assert "not finite" in capsys.readouterr().err
 
 
+def csv_config(tmp_path, train_rows, train_labels, test_rows, test_labels):
+    for name, rows, labels in (("train", train_rows, train_labels),
+                               ("test", test_rows, test_labels)):
+        lines = ["f0,f1,label"] + [f"{a!r},{b!r},{y}" for (a, b), y in zip(rows, labels)]
+        (tmp_path / f"{name}.csv").write_text("\n".join(lines) + "\n")
+    cfg = {
+        "data": {"train_path": str(tmp_path / "train.csv"),
+                 "test_path": str(tmp_path / "test.csv"), "format": "csv"},
+        "schedule": {"kind": "single_batch"},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    return cfg_path
+
+
+class TestFileInput:
+    def test_differing_label_sets_is_runtime_error(self, tmp_path, capsys):
+        rows = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)]
+        cfg_path = csv_config(tmp_path, rows, [0, 1, 2], [rows[0], rows[2]], [0, 2])
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert "different label sets" in capsys.readouterr().err
+
+    def test_huge_csv_row_is_normalized(self, tmp_path):
+        train = [(1e200, 1e200), (1.0, 1.1), (1e200, -1e200), (1.0, -1.1)]
+        test = [(2.0, 2.1), (2.0, -2.1)]
+        cfg_path = csv_config(tmp_path, train, [0, 0, 1, 1], test, [0, 1])
+        report = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(cfg_path), "--report", str(report)]) == 0
+        assert json.loads(report.read_text())["accuracy"]["stage_one"] == 1.0
+
+
 class TestImports:
     def test_package_and_cli_import_numpy_but_not_scipy(self):
         code = (
@@ -112,6 +146,26 @@ class TestImports:
         out = subprocess.run(
             [sys.executable, "-c", code],
             env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "[]"
+
+    def test_blas_threads_are_not_set_in_the_environment(self):
+        # Stage two stays on one BLAS thread by its block size, not by
+        # setting the thread count for the whole process.
+        code = (
+            "import os, scroll; from scroll import ExperimentConfig, execute; "
+            "cfg = ExperimentConfig.from_dict({'data': {'synthetic': {'class_count': 3, "
+            "'dim': 8, 'samples_per_class': 120}}, 'schedule': {'kind': 'single_batch'}, "
+            "'buffer': {'capacity': 300}, 'adapt': {'mode': 'full_head', 'epochs': 1}}); "
+            "execute(cfg); "
+            "print(sorted(k for k in ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS') if k in os.environ))"
+        )
+        src = str(Path(scroll.__file__).resolve().parent.parent)
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**env, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
         )
         assert out.stdout.strip() == "[]"
 

@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +60,25 @@ class TestNormalize:
     def test_zero_row_is_degenerate(self):
         t = make_table([[0.0, 0.0], [0.0, 1.0]], [0, 1], 2)
         with pytest.raises(DegenerateInputError, match="row 0"):
+            normalize(t)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_rows_are_scaled_not_overflowed(self, scale):
+        # sqrt(sum x^2) is inf for [1e200, 1e200] and 0 for [1e-200, 1e-200].
+        rng = np.random.default_rng(8)
+        ordinary = rng.standard_normal((3, 2))
+        t = make_table(np.vstack([[scale, scale], ordinary]), [0, 1, 1, 0], 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = normalize(t)
+        np.testing.assert_allclose(out.vectors[0], [0.5**0.5, 0.5**0.5], rtol=1e-15)
+        # Every ordinary row keeps the plain x / ||x|| bits.
+        expected = ordinary / np.linalg.norm(ordinary, axis=1)[:, None]
+        np.testing.assert_array_equal(out.vectors[1:], expected)
+
+    def test_zero_row_among_extreme_rows_is_degenerate(self):
+        t = make_table([[1e-200, 0.0], [0.0, 0.0], [1e200, 1.0]], [0, 1, 1], 2)
+        with pytest.raises(DegenerateInputError, match="row 1"):
             normalize(t)
 
     def test_exact_idempotence(self):

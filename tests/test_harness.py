@@ -7,6 +7,7 @@ import pytest
 from scroll import (
     ConfigError,
     ConsumeOnceStream,
+    DataError,
     ExperimentConfig,
     NccState,
     NoClassError,
@@ -128,6 +129,29 @@ class TestRun:
     def test_intermediate_positions_validated(self):
         cfg = small_config(intermediate_evals=[99])
         with pytest.raises(ConfigError, match="exceeds"):
+            run(cfg)
+
+
+def write_csv(path, rows, labels):
+    dim = len(rows[0])
+    lines = [",".join([f"f{j}" for j in range(dim)] + ["label"])]
+    lines += [",".join([repr(float(v)) for v in row] + [str(y)]) for row, y in zip(rows, labels)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestFileData:
+    def test_test_file_with_fewer_labels_is_data_error(self, tmp_path):
+        # Each file's labels are remapped on their own, so the test file's
+        # label 2 would become class 1 and be scored against the wrong class.
+        eye = np.eye(3).tolist()
+        write_csv(tmp_path / "train.csv", eye, [0, 1, 2])
+        write_csv(tmp_path / "test.csv", [eye[0], eye[2]], [0, 2])
+        cfg = ExperimentConfig.from_dict({
+            "data": {"train_path": str(tmp_path / "train.csv"),
+                     "test_path": str(tmp_path / "test.csv"), "format": "csv"},
+            "schedule": {"kind": "single_batch"},
+        })
+        with pytest.raises(DataError, match=r"only in train \[1\], only in test \[\]"):
             run(cfg)
 
 
