@@ -218,10 +218,14 @@ class ExperimentConfig:
 
 def _evaluate(predict_batch, table: EmbeddingTable) -> tuple[float, list[float]]:
     preds = predict_batch(table.vectors)
-    accuracy = float(np.mean(preds == table.labels))
-    per_class = [
-        float(np.mean(preds[table.labels == y] == y)) for y in range(table.class_count)
-    ]
+    correct = preds == table.labels
+    accuracy = float(np.mean(correct))
+    # Sums of 0/1 values are exact, so each ratio has the bits of the class's
+    # masked mean; a class absent from the split divides 0 by 0 into nan.
+    hits = np.bincount(table.labels[correct], minlength=table.class_count)
+    totals = np.bincount(table.labels, minlength=table.class_count)
+    with np.errstate(invalid="ignore"):
+        per_class = (hits / totals).tolist()
     return accuracy, per_class
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from itertools import islice
 
 import numpy as np
@@ -101,21 +101,24 @@ def _herd(pool: np.ndarray, target: np.ndarray):
     remaining = np.arange(n)
     chosen_sum = np.zeros(pool.shape[1])
     trial_buf, dist_buf = np.empty(pool.shape), np.empty(n)
+    # Looked up once: at ~10 rows a pick is mostly per-call overhead.
+    take, add, divide, subtract = pool.take, np.add, np.divide, np.subtract
+    multiply, add_reduce, sqrt = np.multiply, np.add.reduce, np.sqrt
     for step in range(1, n + 1):
         m = n - step + 1
         trial, dists = trial_buf[:m], dist_buf[:m]
         # mode="clip" takes straight into ``trial``; "raise" would buffer.
-        pool.take(remaining[:m], axis=0, out=trial, mode="clip")
-        np.add(chosen_sum, trial, out=trial)
-        np.divide(trial, step, out=trial)
-        np.subtract(target, trial, out=trial)
-        np.multiply(trial, trial, out=trial)
-        np.add.reduce(trial, axis=1, out=dists)
-        np.sqrt(dists, out=dists)
-        j = int(np.argmin(dists))
+        take(remaining[:m], axis=0, out=trial, mode="clip")
+        add(chosen_sum, trial, out=trial)
+        divide(trial, step, out=trial)
+        subtract(target, trial, out=trial)
+        multiply(trial, trial, out=trial)
+        add_reduce(trial, axis=1, out=dists)
+        sqrt(dists, out=dists)
+        j = int(dists.argmin())
         pick = int(remaining[j])
         yield pick
-        chosen_sum += pool[pick]
+        add(chosen_sum, pool[pick], out=chosen_sum)
         remaining[j : m - 1] = remaining[j + 1 : m]
 
 
@@ -130,9 +133,13 @@ class ReplayBuffer:
     more classes appear than there are slots, the classes left without a
     slot are recorded in ``warnings`` and hold nothing.
 
-    Each class's stored samples are two arrays in selection order: int64
-    dataset indices in ``_indices`` and float64 rows in ``_rows``. A class
-    with nothing stored has no entry in either.
+    Each class's stored samples are two arrays, in selection order once
+    read: int64 dataset indices in ``_indices`` and float64 rows in
+    ``_rows``. A class with nothing stored has no entry in either. An
+    exemplar class whose whole pool fits its quota keeps every row, so it
+    is stored in dataset-index order and herded only when something reads
+    its order or its quota drops rows. That is exact: a class's running
+    mean moves only when the class gets arrivals, and arrivals re-pool it.
     """
 
     def __init__(self, capacity: int, strategy: str = "exemplar", seed: int = 0):
@@ -146,10 +153,12 @@ class ReplayBuffer:
         self.strategy = strategy
         self.seed = int(seed)
         self.stats = RunningClassMean()
+        self._classes: list[int] = []  # sorted ids of every class seen
         self.warnings: list[str] = []
         self._indices: dict[int, np.ndarray] = {}
         self._rows: dict[int, np.ndarray] = {}
         self._reservoir_seen: dict[int, int] = {}
+        self._unordered: set[int] = set()  # exemplar classes not yet herded
         self._rng = seeded_rng(seed, 77)
 
     # -- content views -------------------------------------------------
@@ -161,10 +170,12 @@ class ReplayBuffer:
         return {y: len(idx) for y, idx in sorted(self._indices.items())}
 
     def stored_indices(self, y: int) -> list[int]:
+        self._order(y)
         return self._indices[y].tolist() if y in self._indices else []
 
     def training_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """All stored rows as (vectors, labels), classes in ascending order."""
+        self._order()
         classes = sorted(self._indices)
         counts = [len(self._indices[y]) for y in classes]
         if sum(counts) == 0:
@@ -174,6 +185,7 @@ class ReplayBuffer:
 
     def content_digest(self) -> str:
         """Stable fingerprint of which samples are stored, for provenance."""
+        self._order()
         h = hashlib.sha256()
         for y in sorted(self._indices):
             h.update(str(y).encode())
@@ -185,6 +197,7 @@ class ReplayBuffer:
 
         Classes with nothing stored are absent from the result.
         """
+        self._order()
         out: dict[int, float] = {}
         for y in sorted(self._rows):
             stored_mean = np.mean(self._rows[y], axis=0)
@@ -218,9 +231,11 @@ class ReplayBuffer:
         ids, inverse = np.unique(labels, return_inverse=True)
         arrivals = {int(y): np.flatnonzero(inverse == i) for i, y in enumerate(ids)}
         fresh = [y for y in arrivals if self.stats.count(y) == 0]
-        before = self.stats.classes()
+        classes = self._classes
+        before = list(classes) if fresh else classes
+        for y in fresh:
+            insort(classes, y)
         self.stats.add_batch(vectors, arrivals)
-        classes = self.stats.classes()
         # Quotas change only when a new class arrives, so only then can a
         # class without arrivals have anything to do.
         for y in classes if fresh else arrivals:
@@ -234,6 +249,7 @@ class ReplayBuffer:
                     )
                 self._indices.pop(y, None)
                 self._rows.pop(y, None)
+                self._unordered.discard(y)
                 continue
             if y not in self._indices:
                 self._keep(y, np.zeros(0, dtype=np.int64), np.zeros((0, vectors.shape[1])))
@@ -250,8 +266,23 @@ class ReplayBuffer:
     def _keep(self, y: int, idx: np.ndarray, rows: np.ndarray) -> None:
         self._indices[y] = idx
         self._rows[y] = rows
+        self._unordered.discard(y)
+
+    def _order(self, *classes: int) -> None:
+        """Herd the named classes stored unordered, or all of them.
+
+        The call is the one :meth:`_update_exemplar` would have made when
+        it stored the pool, so the order is the same.
+        """
+        for y in classes or list(self._unordered):
+            if y in self._unordered:
+                order = list(_herd(self._rows[y], self.stats.mean(y)))
+                self._keep(y, self._indices[y][order], self._rows[y][order])
 
     def _truncate(self, y: int, n: int) -> None:
+        if len(self._indices[y]) <= n:
+            return
+        self._order(y)
         # Copies, so a shrunken class does not keep its longer rows alive.
         self._keep(y, self._indices[y][:n].copy(), self._rows[y][:n].copy())
 
@@ -267,6 +298,12 @@ class ReplayBuffer:
             self._truncate(y, quota)
             return
         idx, rows = self._pooled(y, new_idx, new_rows)
+        if len(idx) <= quota:
+            # Every row stays; nothing reads their order before the next
+            # arrival re-pools the class, so herd them only when read.
+            self._keep(y, idx, rows)
+            self._unordered.add(y)
+            return
         keep = list(islice(_herd(rows, self.stats.mean(y)), quota))
         self._keep(y, idx[keep], rows[keep])
 
@@ -303,8 +340,10 @@ class ReplayBuffer:
         self._keep(y, idx[ranked], rows[ranked])
 
     def copy(self) -> "ReplayBuffer":
+        self._order()
         out = ReplayBuffer(self.capacity, self.strategy, self.seed)
         out.stats = self.stats.copy()
+        out._classes = list(self._classes)
         out.warnings = list(self.warnings)
         out._indices = {y: idx.copy() for y, idx in self._indices.items()}
         out._rows = {y: rows.copy() for y, rows in self._rows.items()}
@@ -316,9 +355,10 @@ class ReplayBuffer:
 
 def save_buffer(buf: ReplayBuffer, path) -> None:
     """Write a buffer checkpoint (magic ``SCBF``) with full restore state."""
+    buf._order()
     w = Writer()
     w.raw(BUFFER_MAGIC)
-    classes = buf.stats.classes()
+    classes = buf._classes
     w.pack(
         "HBQqI",
         BUFFER_VERSION,
@@ -367,6 +407,7 @@ def load_buffer(path) -> ReplayBuffer:
         rows = r.array("<f8", stored * dim, "stored rows").reshape(stored, dim).copy()
         if stored:
             buf._keep(y, idx, rows)
+    buf._classes = buf.stats.classes()
     (rng_len,) = r.unpack("I", "rng state length")
     buf._rng.bit_generator.state = json.loads(r.take(rng_len, "rng state"))
     (warn_len,) = r.unpack("I", "warnings length")

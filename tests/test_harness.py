@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from scroll import (
     run,
     write_study_summary,
 )
-from scroll.harness import _state_deviation
+from scroll.harness import _evaluate, _state_deviation
 
 
 def config_dict(**overrides):
@@ -110,6 +111,19 @@ class TestRun:
         for y in range(outcome.test.class_count):
             mask = outcome.test.labels == y
             assert per_class[y] == pytest.approx(float(np.mean(preds[mask] == y)))
+
+    def test_per_class_accuracy_is_the_masked_mean_bit_for_bit(self):
+        # A duck-typed split: class 4 is absent and reports nan, as a mean
+        # over no rows does.
+        rng = np.random.default_rng(7)
+        labels = rng.integers(0, 4, 997)
+        preds = np.where(rng.random(997) < 0.6, labels, rng.integers(0, 5, 997))
+        split = SimpleNamespace(vectors=preds, labels=labels, class_count=5)
+        accuracy, per_class = _evaluate(lambda xs: xs, split)
+        assert accuracy == float(np.mean(preds == labels))
+        for y in range(4):
+            assert per_class[y] == float(np.mean(preds[labels == y] == y))
+        assert np.isnan(per_class[4]) and len(per_class) == 5
 
     def test_reports_are_deterministic_excluding_timing(self):
         cfg = small_config(buffer={"capacity": 24}, adapt={"mode": "adapter", "epochs": 2})

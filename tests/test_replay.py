@@ -1,4 +1,8 @@
+import tempfile
 from bisect import bisect_left
+from itertools import islice
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import strategies as st
 from scroll import (
     ConfigError,
     ReplayBuffer,
+    RunningClassMean,
     ShapeError,
     SyntheticSpec,
     herding_order,
@@ -16,6 +21,7 @@ from scroll import (
     synthesize,
     write_moment_csv,
 )
+from scroll import replay
 from scroll.replay import _herd
 
 
@@ -379,6 +385,137 @@ class TestBufferProperties:
             capped = [n for y, n in buf.per_class_counts().items() if n < seen[y]]
             assert not capped or max(capped) - min(capped) <= 1
             assert buf.total_stored() <= capacity
+
+
+class EagerBuffer(ReplayBuffer):
+    """The exemplar update as it was before herding was deferred.
+
+    Every update herds the pooled class, also when the whole pool fits its
+    quota, and a quota shrink always copies the kept prefix. Oracle for the
+    deferred order.
+    """
+
+    def _update_exemplar(self, y, new_idx, new_rows, quota):
+        if len(new_idx) == 0:
+            self._keep(y, self._indices[y][:quota].copy(), self._rows[y][:quota].copy())
+            return
+        idx, rows = self._pooled(y, new_idx, new_rows)
+        keep = list(islice(_herd(rows, self.stats.mean(y)), quota))
+        self._keep(y, idx[keep], rows[keep])
+
+
+def scbf_bytes(buf) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "buffer.bin"
+        save_buffer(buf, path)
+        return path.read_bytes()
+
+
+@st.composite
+def exemplar_streams(draw):
+    """Streams of 1-8 row batches with duplicate rows and re-fed dataset
+    indices, at capacities of zero, below and above the class count.
+
+    Shapes come from a drawn seed: derandomized drawing of each size
+    would put most examples at the smallest one.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_classes, n = int(rng.integers(1, 7)), int(rng.integers(1, 41))
+    distinct = int(rng.integers(1, n + 1))
+    vectors = rng.standard_normal((distinct, int(rng.integers(1, 5))))[
+        rng.integers(0, distinct, n)
+    ]
+    labels = rng.integers(0, n_classes, n)
+    order = rng.permutation(n)
+    if rng.random() < 0.3:  # some dataset indices arrive twice, with their row
+        order = rng.permutation(np.concatenate([order, rng.integers(0, n, n // 2 + 1)]))
+    cuts = np.cumsum(rng.integers(1, 9, len(order)))
+    batches = np.split(order, cuts[cuts < len(order)])
+    capacity = [0, int(rng.integers(0, n_classes)), int(rng.integers(n_classes, n + 8))][
+        rng.choice(3, p=[0.1, 0.3, 0.6])
+    ]
+    reads = draw(st.sampled_from(["every", "end"]))
+    first = draw(st.integers(0, 4))
+    handoff = draw(st.sampled_from(["none", "copy", "checkpoint"]))
+    at = int(rng.integers(0, len(batches) + 1))
+    return vectors, labels, batches, capacity, (reads, first), handoff, at
+
+
+def assert_same_contents(buf, ref, table, first=0):
+    """Every read agrees; ``first`` picks the read that has to order the buffer."""
+    classes = sorted(ref.stats.classes())
+    reads = [
+        lambda b: [b.stored_indices(y) for y in classes],
+        lambda b: [(a.shape, a.tobytes()) for a in b.training_arrays()],
+        lambda b: b.content_digest(),
+        lambda b: b.moment_distances(table),
+        scbf_bytes,
+    ]
+    for read in reads[first:] + reads[:first]:
+        assert read(buf) == read(ref)
+    assert buf.warnings == ref.warnings
+
+
+class TestDeferredOrder:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(exemplar_streams())
+    def test_matches_eager_herding(self, stream):
+        vectors, labels, batches, capacity, (reads, first), handoff, at = stream
+        table = SimpleNamespace(vectors=vectors, labels=labels)
+        buf = ReplayBuffer(capacity, "exemplar", seed=0)
+        ref = EagerBuffer(capacity, "exemplar", seed=0)
+        for t, batch in enumerate(batches):
+            if t == at and handoff == "copy":
+                buf = buf.copy()
+            elif t == at and handoff == "checkpoint":
+                with tempfile.TemporaryDirectory() as tmp:
+                    save_buffer(buf, Path(tmp) / "buffer.bin")
+                    buf = load_buffer(Path(tmp) / "buffer.bin")
+            buf.update(vectors[batch], labels[batch], batch)
+            ref.update(vectors[batch], labels[batch], batch)
+            assert buf.per_class_counts() == ref.per_class_counts()
+            if reads == "every":
+                assert_same_contents(buf, ref, table, first)
+        assert_same_contents(buf, ref, table, first)
+
+    def test_herds_only_when_order_is_read(self, table, monkeypatch):
+        calls = []
+
+        def counted(pool, target):
+            calls.append(len(pool))
+            return _herd(pool, target)
+
+        monkeypatch.setattr(replay, "_herd", counted)
+        # Room for every row, so no class ever overflows its quota.
+        buf = ReplayBuffer(table.n_samples, "exemplar", seed=16)
+        feed(buf, table, np.random.default_rng(16).permutation(table.n_samples), 7)
+        assert calls == []
+        buf.content_digest()
+        assert sorted(calls) == [30] * table.class_count
+        calls.clear()
+        buf.training_arrays()
+        buf.moment_distances(table)
+        assert calls == []
+
+    def test_quota_shrink_that_drops_nothing_keeps_arrays(self, table):
+        buf = ReplayBuffer(20, "exemplar", seed=17)
+        idx = np.flatnonzero(table.labels == 0)[:5]
+        buf.update(table.vectors[idx], table.labels[idx], idx)
+        rows = buf._rows[0]
+        new = np.flatnonzero(table.labels == 1)[:5]
+        buf.update(table.vectors[new], table.labels[new], new)  # quota 20 -> 10
+        assert buf._rows[0] is rows
+
+    def test_update_without_new_class_does_not_list_classes(self, table, monkeypatch):
+        buf = ReplayBuffer(6, "exemplar", seed=18)
+        feed(buf, table, [0, 30, 60], 3)
+
+        def listed(self):
+            raise AssertionError("update listed every class seen")
+
+        monkeypatch.setattr(RunningClassMean, "classes", listed)
+        feed(buf, table, [1, 31, 2, 61], 2)
+        assert buf.per_class_counts() == {0: 2, 1: 2, 2: 2}
 
 
 class TestBufferCheckpoint:
