@@ -20,7 +20,9 @@ import numpy as np
 
 from ._binio import Reader, Writer
 from ._seeding import seeded_rng
-from .errors import AdaptError, ConfigError, FormatError, ShapeError
+from .errors import (
+    AdaptError, ClassIdError, ConfigError, FormatError, ShapeError, require_int,
+)
 from .learners import LinearHead, NccState, RidgeState
 
 ADAPT_MODES = ("none", "adapter", "full_head")
@@ -68,6 +70,10 @@ class AdaptConfig:
             raise ConfigError(f"unknown adapt mode {self.mode!r}, expected {ADAPT_MODES}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}, expected {OPTIMIZERS}")
+        for name in ("epochs", "batch_size", "threshold", "seed"):
+            require_int(getattr(self, name), f"adapt.{name}")
+        if self.bottleneck is not None:
+            require_int(self.bottleneck, "adapt.bottleneck")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -220,7 +226,7 @@ def forward(params: AdapterParams, zs) -> tuple[np.ndarray, dict]:
 
 
 def loss_and_grads(
-    params: AdapterParams | LinearHead, zs, ys, temperature: float
+    params: AdapterParams | LinearHead, zs, ys, temperature: float, out=None
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean temperature-scaled cross-entropy and its exact gradients.
 
@@ -228,6 +234,8 @@ def loss_and_grads(
     batch. Gradients are returned for the head (``weights``, ``biases``)
     and, when ``params`` is an adapter, for its projections (``down``,
     ``up``). A bare :class:`LinearHead` scores the raw embeddings.
+    ``out`` optionally maps gradient names to arrays of the gradients'
+    shapes; those gradients are written into them and returned there.
     """
     ys = np.asarray(ys, dtype=np.int64)
     if ys.ndim != 1 or ys.shape[0] == 0:
@@ -243,23 +251,35 @@ def loss_and_grads(
     if ys.shape[0] != logits.shape[0]:
         raise ShapeError("labels and batch rows disagree in length")
     batch = len(ys)
-    rows = np.arange(batch)
-    scaled = logits / temperature
+    try:
+        # Flat positions of the label logits, so one index gathers them.
+        label_pos = np.ravel_multi_index((np.arange(batch), ys), logits.shape)
+    except ValueError:
+        raise ClassIdError(f"labels must lie in [0, {logits.shape[1]})") from None
+    # The logits are a fresh array, so they are scaled in place; one more
+    # fresh array holds the exponentials, then the probabilities.
+    scaled = logits
+    scaled /= temperature
     scaled -= scaled.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(scaled).sum(axis=1))
-    loss = float(np.add.reduce(log_z - scaled[rows, ys]) / batch)
+    dlogits = np.exp(scaled)
+    log_z = np.log(dlogits.sum(axis=1))
+    loss = float(np.add.reduce(log_z - scaled.ravel()[label_pos]) / batch)
 
-    probs = np.exp(scaled - log_z[:, None])
-    dlogits = probs
-    dlogits[rows, ys] -= 1.0
+    np.subtract(scaled, log_z[:, None], out=dlogits)
+    np.exp(dlogits, out=dlogits)
+    dlogits.ravel()[label_pos] -= 1.0
     dlogits /= batch * temperature
 
-    grads = {"weights": dlogits.T @ feat, "biases": dlogits.sum(axis=0)}
+    out = {} if out is None else out
+    grads = {
+        "weights": np.matmul(dlogits.T, feat, out=out.get("weights")),
+        "biases": np.add.reduce(dlogits, axis=0, out=out.get("biases")),
+    }
     if cache is not None:
         d_feat = dlogits @ head.weights
-        grads["up"] = d_feat.T @ cache["act"]
+        grads["up"] = np.matmul(d_feat.T, cache["act"], out=out.get("up"))
         d_pre = (d_feat @ params.up) * (cache["act"] > 0.0)
-        grads["down"] = d_pre.T @ cache["zs"]
+        grads["down"] = np.matmul(d_pre.T, cache["zs"], out=out.get("down"))
     return loss, grads
 
 
@@ -386,19 +406,32 @@ def adapt(
     if cfg.mode == "none":
         return AdaptedPredictor(init.copy(), provenance=provenance, warnings=warnings)
 
-    # One set of parameters, updated in place: the adapter (which holds the
-    # head) in adapter mode, a bare head on the raw embeddings in full_head.
+    # Every trained tensor is a view of one flat array: the head group
+    # (weights, biases) at lr_head, then in adapter mode the adapter group
+    # (down, up) at lr_adapter. The updates are elementwise, so one call per
+    # group gives each element the operations a call per tensor would.
     adapter = init_adapter(init, cfg.bottleneck, cfg.seed) if cfg.mode == "adapter" else None
-    head = init.copy() if adapter is None else adapter.head
-    params = adapter or head
-    trained = {"weights": (head.weights, cfg.lr_head), "biases": (head.biases, cfg.lr_head)}
+    tensors = [init.weights, init.biases]
     if adapter is not None:
-        trained.update(down=(adapter.down, cfg.lr_adapter), up=(adapter.up, cfg.lr_adapter))
-    # Per tensor: both AdaDelta accumulators, then two scratch arrays.
-    slots = {
-        name: (np.zeros_like(t), np.zeros_like(t), np.empty_like(t), np.empty_like(t))
-        for name, (t, _) in trained.items()
-    }
+        tensors += [adapter.down, adapter.up]
+    shapes = [t.shape for t in tensors]
+    flat = np.concatenate([t.ravel() for t in tensors])
+    weights, biases, *projections = _views(flat, shapes)
+    head = LinearHead(weights, biases)
+    if adapter is not None:
+        adapter = AdapterParams(*projections, head)
+    params = adapter or head
+    flat_grad = np.empty_like(flat)
+    grads_out = dict(zip(("weights", "biases", "down", "up"), _views(flat_grad, shapes)))
+    split = init.weights.size + init.biases.size
+    rates = [(slice(0, split), cfg.lr_head)]
+    if adapter is not None:
+        rates.append((slice(split, None), cfg.lr_adapter))
+    # Per group: parameters, gradients, both AdaDelta accumulators, two
+    # scratch arrays, then the learning rate.
+    buffers = (flat, flat_grad, np.zeros_like(flat), np.zeros_like(flat),
+               np.empty_like(flat), np.empty_like(flat))
+    groups = [tuple(b[part] for b in buffers) + (rate,) for part, rate in rates]
 
     rng = seeded_rng(cfg.seed, 33)
     curve: list[tuple[int, float, float]] = []
@@ -407,14 +440,14 @@ def adapt(
         epoch_loss = 0.0
         for lo in range(0, stored, cfg.batch_size):
             sel = order[lo:lo + cfg.batch_size]
-            loss, grads = loss_and_grads(params, zs[sel], ys[sel], cfg.temperature)
+            loss, _ = loss_and_grads(params, zs[sel], ys[sel], cfg.temperature, grads_out)
             epoch_loss += loss * len(sel)
-            for name, (tensor, rate) in trained.items():
+            for param, grad, grad_sq, step_sq, tmp, tmp2, rate in groups:
                 if cfg.optimizer == "sgd":
-                    tensor -= rate * grads[name]
+                    param -= rate * grad
                 else:
                     _adadelta_update(
-                        tensor, grads[name], *slots[name], cfg.rho, cfg.eps, rate
+                        param, grad, grad_sq, step_sq, tmp, tmp2, cfg.rho, cfg.eps, rate
                     )
         # Re-validating the head here raises DataError once training diverges.
         predictor = AdaptedPredictor(LinearHead(head.weights, head.biases), adapter)
@@ -424,6 +457,16 @@ def adapt(
     return AdaptedPredictor(
         predictor.head, adapter, provenance=provenance, curve=curve, warnings=warnings
     )
+
+
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views of ``flat``, one per shape."""
+    views, lo = [], 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        views.append(flat[lo:lo + size].reshape(shape))
+        lo += size
+    return views
 
 
 def write_training_curve(curve, path) -> None:

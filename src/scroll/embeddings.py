@@ -15,7 +15,9 @@ import numpy as np
 
 from ._binio import Reader, Writer
 from ._seeding import seeded_rng
-from .errors import ConfigError, DataError, DegenerateInputError, FormatError, ShapeError
+from .errors import (
+    ConfigError, DataError, DegenerateInputError, FormatError, ShapeError, require_int,
+)
 
 EMBEDDING_MAGIC = b"SCRL"
 EMBEDDING_VERSION = 1
@@ -269,6 +271,8 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("class_count", "dim", "samples_per_class", "seed"):
+            require_int(getattr(self, name), f"synthetic.{name}")
         if self.class_count < 2:
             raise ConfigError(f"class_count must be >= 2, got {self.class_count}")
         if self.dim < 2:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check of configs."""
+
+import numbers
 
 
 class ScrollError(Exception):
@@ -43,3 +45,14 @@ class StreamReuseError(ScrollError):
 
 class LinAlgFailure(ScrollError):
     """A linear system could not be solved."""
+
+
+def require_int(value, name: str):
+    """Return ``value`` if it is an integer, numpy integers included.
+
+    Bools, floats, strings and everything else raise :class:`ConfigError`
+    naming the config field ``name``.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value

@@ -22,7 +22,7 @@ import numpy as np
 from ._seeding import seeded_rng
 from .adapt import AdaptConfig, AdaptedPredictor, adapt, init_head
 from .embeddings import EmbeddingTable, SyntheticSpec, load_embeddings, normalize, synthesize
-from .errors import ConfigError, DataError, NoClassError, StreamReuseError
+from .errors import ConfigError, DataError, NoClassError, StreamReuseError, require_int
 from .learners import LinearHead, NccState, RidgeState
 from .replay import ReplayBuffer, STRATEGIES
 from .schedules import ScheduleSpec, build_schedule, iter_batches
@@ -136,7 +136,9 @@ class ExperimentConfig:
             )
         if not self.ridge_lambda > 0:
             raise ConfigError(f"ridge lambda must be positive, got {self.ridge_lambda}")
-        if self.buffer_capacity < 0:
+        require_int(self.seed, "seed")
+        require_int(self.buffer_seed, "buffer.seed")
+        if require_int(self.buffer_capacity, "buffer.capacity") < 0:
             raise ConfigError("buffer capacity must be >= 0")
         if self.buffer_strategy not in STRATEGIES:
             raise ConfigError(
@@ -144,7 +146,9 @@ class ExperimentConfig:
                 f"expected one of {STRATEGIES}"
             )
         if self.intermediate_evals is not None:
-            positions = tuple(int(t) for t in self.intermediate_evals)
+            positions = tuple(
+                int(require_int(t, "intermediate_evals entry")) for t in self.intermediate_evals
+            )
             if any(t < 1 for t in positions):
                 raise ConfigError("intermediate eval positions must be >= 1")
             object.__setattr__(self, "intermediate_evals", positions)
@@ -175,12 +179,14 @@ class ExperimentConfig:
         bad = set(buffer_cfg) - {"capacity", "strategy", "seed"}
         if bad:
             raise ConfigError(f"unknown buffer fields: {sorted(bad)}")
-        capacity = buffer_cfg.get("capacity", 0)
+        capacity = require_int(buffer_cfg.get("capacity", 0), "buffer.capacity")
         if "adapt" in d:
             adapt_cfg = AdaptConfig.from_dict(d["adapt"])
         else:
             adapt_cfg = AdaptConfig(mode="adapter" if capacity > 0 else "none")
         evals = d.get("intermediate_evals")
+        if evals is not None and not isinstance(evals, list):
+            raise ConfigError(f"intermediate_evals must be a list, got {evals!r}")
         return cls(
             data=data,
             schedule=schedule,

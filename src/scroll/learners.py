@@ -62,7 +62,10 @@ def _check_labels(ys, class_count: int) -> np.ndarray:
 class LinearHead:
     """A dense one-vs-all classifier: scores(x) = W x + b, predict = argmax.
 
-    Ties resolve to the smallest class id.
+    Logits that tie exactly resolve to the smallest class id. Bitwise-equal
+    class rows need not give exact ties: OpenBLAS can round their two
+    logits differently depending on the product's row count, so either of
+    the two classes may win.
     """
 
     def __init__(self, weights, biases):

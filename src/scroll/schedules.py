@@ -7,13 +7,14 @@ learner sees the dataset only through a schedule, one batch at a time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from ._seeding import seeded_rng
-from .errors import ConfigError
+from .errors import ConfigError, require_int
 from .embeddings import EmbeddingTable
 
 SCHEDULE_KINDS = ("single_batch", "class_split", "random_iid", "gaussian", "explicit")
@@ -89,6 +90,10 @@ class ScheduleSpec:
             raise ConfigError(
                 f"unknown schedule kind {self.kind!r}, expected one of {SCHEDULE_KINDS}"
             )
+        require_int(self.seed, "schedule.seed")
+        for name in ("classes_per_batch", "batch_size"):
+            if getattr(self, name) is not None:
+                require_int(getattr(self, name), f"schedule.{name}")
         if self.kind == "class_split":
             if self.classes_per_batch is None or self.classes_per_batch < 1:
                 raise ConfigError("class_split requires classes_per_batch >= 1")
@@ -96,17 +101,27 @@ class ScheduleSpec:
             if self.batch_size is None or self.batch_size < 1:
                 raise ConfigError("random_iid requires batch_size >= 1")
         if self.kind == "gaussian":
-            if self.sigma <= 0:
+            if not self.sigma > 0:
                 raise ConfigError("gaussian schedule requires sigma > 0")
-            if self.peak_spacing <= 0:
+            # The draw weights are exp(-x^2 / (2 sigma^2)): a sigma whose
+            # 1/(2 sigma^2) is not a finite float would make them NaN.
+            two_sigma_sq = 2.0 * self.sigma * self.sigma
+            if not (two_sigma_sq > 0 and math.isfinite(1.0 / two_sigma_sq)):
+                raise ConfigError(
+                    f"gaussian schedule sigma={self.sigma!r} is too small: "
+                    "1/(2 sigma^2) is not finite"
+                )
+            if not self.peak_spacing > 0:
                 raise ConfigError("gaussian schedule requires peak_spacing > 0")
             if self.batch_size is not None and self.batch_size < 1:
                 raise ConfigError("batch_size must be >= 1 when given")
         if self.kind == "explicit":
             if self.permutation is None or self.bounds is None:
                 raise ConfigError("explicit schedule requires permutation and bounds")
-            object.__setattr__(self, "permutation", tuple(int(i) for i in self.permutation))
-            object.__setattr__(self, "bounds", tuple(int(i) for i in self.bounds))
+            for name in ("permutation", "bounds"):
+                field = f"schedule.{name} entry"
+                values = tuple(int(require_int(i, field)) for i in getattr(self, name))
+                object.__setattr__(self, name, values)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScheduleSpec":
@@ -199,6 +214,11 @@ def _class_split(spec: ScheduleSpec, labels: np.ndarray) -> Schedule:
     return Schedule(np.concatenate(perm_parts), np.array(bounds))
 
 
+#: Steps whose draw weights are computed together, beyond the steps that
+#: cannot drain a class. Draws after a class drains are redone.
+GAUSSIAN_WINDOW = 64
+
+
 def _gaussian(spec: ScheduleSpec, labels: np.ndarray) -> Schedule:
     k = int(labels.max()) + 1
     n = labels.shape[0]
@@ -207,20 +227,42 @@ def _gaussian(spec: ScheduleSpec, labels: np.ndarray) -> Schedule:
     # Peaks sit at the centers of K equal windows of [0, 1], so equally
     # frequent classes drain exactly when their window ends.
     peaks = 0.5 + spec.peak_spacing * ((ranks + 0.5) / k - 0.5)
-    queues = [list(np.flatnonzero(labels == y)) for y in range(k)]
-    remaining = np.array([len(q) for q in queues])
-    cursor = np.zeros(k, dtype=np.int64)
-    order = np.empty(n, dtype=np.int64)
+    remaining = np.bincount(labels, minlength=k)
+    # Step i draws a class as Generator.choice(live, p=p) would from the
+    # i-th uniform: the first class whose normalized cumulative weight
+    # exceeds it.
+    uniforms = rng.random(n)
     inv_two_sigma_sq = 1.0 / (2.0 * spec.sigma * spec.sigma)
-    for i in range(n):
-        s = i / n
-        live = np.flatnonzero(remaining > 0)
-        logw = -((s - peaks[live]) ** 2) * inv_two_sigma_sq
-        w = np.exp(logw - logw.max())
-        y = int(rng.choice(live, p=w / w.sum()))
-        order[i] = queues[y][cursor[y]]
-        cursor[y] += 1
-        remaining[y] -= 1
+    drawn = np.empty(n, dtype=np.int64)
+    i = 0
+    while i < n:
+        live = np.flatnonzero(remaining)
+        left = remaining[live]
+        hi = min(n, i + max(int(left.min()), GAUSSIAN_WINDOW))
+        # A square past float range gives its class weight 0.
+        with np.errstate(over="ignore"):
+            logw = -((np.arange(i, hi)[:, None] / n - peaks[live]) ** 2) * inv_two_sigma_sq
+        top = logw.max(axis=1, keepdims=True)
+        if not np.isfinite(top).all():
+            raise ConfigError(
+                f"gaussian schedule weights overflow at sigma={spec.sigma!r}, "
+                f"peak_spacing={spec.peak_spacing!r}"
+            )
+        w = np.exp(logw - top)
+        cdf = (w / w.sum(axis=1, keepdims=True)).cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        picks = (cdf <= uniforms[i:hi, None]).sum(axis=1)
+        # Keep the draws up to the first one that drains a class; later
+        # steps drew from a live set that no longer holds.
+        counts = (picks[:, None] == np.arange(len(live))).cumsum(axis=0)
+        drains = (counts == left).any(axis=1)
+        stop = int(drains.argmax()) + 1 if drains.any() else hi - i
+        drawn[i:i + stop] = live[picks[:stop]]
+        remaining -= np.bincount(drawn[i:i + stop], minlength=k)
+        i += stop
+    # The j-th draw of a class takes its j-th sample in index order.
+    order = np.empty(n, dtype=np.int64)
+    order[np.argsort(drawn, kind="stable")] = np.argsort(labels, kind="stable")
     step = 1 if spec.batch_size is None else spec.batch_size
     return Schedule(order, _step_bounds(n, step))
 

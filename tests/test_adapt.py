@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 
@@ -11,6 +12,7 @@ from scroll import (
     AdaptedPredictor,
     AdaptError,
     AdapterParams,
+    ClassIdError,
     ConfigError,
     DataError,
     LinearHead,
@@ -186,6 +188,27 @@ class TestLossAndGrads:
         assert set(bare) == {"weights", "biases"}
         for name, grad in bare.items():
             np.testing.assert_array_equal(grad, full[name])
+
+
+    def test_out_receives_the_gradients_bit_for_bit(self):
+        rng = np.random.default_rng(57)
+        adapter = random_params(rng, d=7, h=3, k=5)
+        zs, ys = rng.standard_normal((11, 7)), rng.integers(0, 5, 11)
+        for params in (adapter, adapter.head):
+            loss, grads = loss_and_grads(params, zs, ys, 2.0)
+            out = {name: np.full_like(g, np.nan) for name, g in grads.items()}
+            out_loss, out_grads = loss_and_grads(params, zs, ys, 2.0, out)
+            assert out_loss == loss
+            for name, grad in grads.items():
+                assert out_grads[name] is out[name]
+                np.testing.assert_array_equal(out[name], grad)
+
+    def test_label_outside_the_classes_is_class_id_error(self):
+        rng = np.random.default_rng(58)
+        head = LinearHead(rng.standard_normal((3, 4)), np.zeros(3))
+        for bad in (3, -1):
+            with pytest.raises(ClassIdError):
+                loss_and_grads(head, rng.standard_normal((2, 4)), np.array([0, bad]), 1.0)
 
 
 class TestAdadeltaStep:
@@ -586,6 +609,84 @@ class TestInPlaceUpdates:
             # Products above 256 rows at K=10, d=64 wake a second BLAS thread.
             assert max(rows) == 256
             assert len(steps) == 3 * math.ceil(buf.total_stored() / 64)
+
+
+@st.composite
+def fused_step_cases(draw):
+    """A buffer, a starting head and a config for every mode and optimizer.
+
+    Shapes come from a drawn seed: derandomized drawing of each size would
+    put most examples at the smallest one.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k, d = int(rng.integers(1, 7)), int(rng.integers(1, 10))
+    per_class = int(rng.integers(1, 12))
+    buf = ReplayBuffer(int(rng.integers(1, k * per_class + 1)), "exemplar", seed=1)
+    buf.update(rng.standard_normal((k * per_class, d)), np.repeat(np.arange(k), per_class),
+               np.arange(k * per_class))
+    stored = buf.total_stored()
+    head = LinearHead(rng.standard_normal((k, d)), rng.standard_normal(k))
+    rates = [0.0, float(rng.uniform(0.01, 0.5))]
+    cfg = AdaptConfig(
+        mode="full_head", epochs=int(rng.integers(1, 4)),
+        batch_size=int(rng.choice([1, int(rng.integers(1, stored + 1)), stored + 3])),
+        lr_head=rates[rng.random() < 0.8], lr_adapter=rates[rng.random() < 0.8],
+        temperature=float(rng.uniform(0.5, 5.0)),
+        bottleneck=int(rng.integers(1, 2 * d + 2)) if rng.random() < 0.7 else None,
+        seed=int(rng.integers(0, 1000)),
+    )
+    return head, buf, cfg
+
+
+class TestFusedSteps:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(fused_step_cases())
+    def test_matches_pure_update_reference(self, case):
+        head, buf, base = case
+        zs, ys = buf.training_arrays()
+        for mode in ("adapter", "full_head"):
+            for optimizer in ("adadelta", "sgd"):
+                cfg = dataclasses.replace(base, mode=mode, optimizer=optimizer)
+                pred = adapt(head, buf, cfg)
+                curve = []
+                for epoch in range(1, cfg.epochs + 1):
+                    ref, losses = pure_update_reference(
+                        head, buf, dataclasses.replace(cfg, epochs=epoch)
+                    )
+                    ref_head = LinearHead(ref["weights"], ref["biases"])
+                    ref_adapter = None
+                    if mode == "adapter":
+                        ref_adapter = AdapterParams(ref["down"], ref["up"], ref_head)
+                    hits = AdaptedPredictor(ref_head, ref_adapter).predict_batch(zs) == ys
+                    curve.append((epoch, losses[-1], float(np.mean(hits))))
+                np.testing.assert_array_equal(pred.head.weights, ref["weights"])
+                np.testing.assert_array_equal(pred.head.biases, ref["biases"])
+                if mode == "adapter":
+                    np.testing.assert_array_equal(pred.adapter.down, ref["down"])
+                    np.testing.assert_array_equal(pred.adapter.up, ref["up"])
+                assert pred.curve == curve
+
+    def test_one_optimizer_call_per_group_per_step(self, monkeypatch):
+        module = importlib.import_module("scroll.adapt")
+        calls = []
+        update = module._adadelta_update
+
+        def counted(param, *args):
+            calls.append(param.size)
+            return update(param, *args)
+
+        monkeypatch.setattr(module, "_adadelta_update", counted)
+        rng = np.random.default_rng(59)
+        buf = large_buffer(rng)
+        head = LinearHead(rng.standard_normal((4, 8)), np.zeros(4))
+        steps = 3 * math.ceil(buf.total_stored() / 64)
+        for mode, sizes in (("full_head", [4 * 8 + 4]), ("adapter", [4 * 8 + 4, 2 * 3 * 8])):
+            calls.clear()
+            adapt(head, buf, AdaptConfig(mode=mode, epochs=3, batch_size=64, bottleneck=3))
+            assert calls == sizes * steps
+        calls.clear()
+        adapt(head, buf, AdaptConfig(mode="adapter", epochs=1, optimizer="sgd"))
+        assert calls == []
 
 
 class TestPredictorCheckpoint:

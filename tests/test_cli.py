@@ -103,6 +103,71 @@ class TestRunCommand:
         assert "not finite" in capsys.readouterr().err
 
 
+def run_with(cfg_path, capsys, **edits):
+    """Run the workspace config with ``section={field: value}`` edits applied.
+
+    A top-level field is edited as ``field=value``. Returns the exit code
+    and standard error.
+    """
+    cfg = json.loads(cfg_path.read_text())
+    for key, value in edits.items():
+        if isinstance(value, dict):
+            cfg[key].update(value)
+        else:
+            cfg[key] = value
+    cfg_path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    code = main(["run", "--config", str(cfg_path)])
+    return code, capsys.readouterr().err
+
+
+class TestBadConfigValues:
+    """Each value once escaped as a traceback or ran with a silently truncated value."""
+
+    @staticmethod
+    def assert_validation_error(result, field):
+        code, err = result
+        assert code == 1
+        assert err.startswith("error: ") and field in err
+        assert "Traceback" not in err
+
+    def test_fractional_adapt_epochs(self, workspace, capsys):
+        _, cfg_path = workspace
+        result = run_with(cfg_path, capsys, adapt={"epochs": 2.5})
+        self.assert_validation_error(result, "adapt.epochs")
+
+    def test_fractional_schedule_batch_size(self, workspace, capsys):
+        _, cfg_path = workspace
+        result = run_with(cfg_path, capsys,
+                          schedule={"kind": "random_iid", "batch_size": 2.5})
+        self.assert_validation_error(result, "schedule.batch_size")
+
+    def test_string_buffer_capacity(self, workspace, capsys):
+        _, cfg_path = workspace
+        result = run_with(cfg_path, capsys, buffer={"capacity": "6"})
+        self.assert_validation_error(result, "buffer.capacity")
+
+    def test_fractional_adapt_bottleneck(self, workspace, capsys):
+        _, cfg_path = workspace
+        result = run_with(cfg_path, capsys, adapt={"bottleneck": 1.5})
+        self.assert_validation_error(result, "adapt.bottleneck")
+
+    def test_fractional_top_level_seed(self, workspace, capsys):
+        _, cfg_path = workspace
+        self.assert_validation_error(run_with(cfg_path, capsys, seed=1.5), "seed")
+
+    def test_intermediate_evals_not_a_list(self, workspace, capsys):
+        _, cfg_path = workspace
+        result = run_with(cfg_path, capsys, intermediate_evals=5)
+        self.assert_validation_error(result, "intermediate_evals")
+
+    @pytest.mark.parametrize("sigma", [1e-155, 1e-200])
+    def test_gaussian_sigma_too_small(self, workspace, capsys, sigma):
+        _, cfg_path = workspace
+        result = run_with(cfg_path, capsys, schedule={"kind": "gaussian", "sigma": sigma})
+        self.assert_validation_error(result, "sigma")
+
+
 def csv_config(tmp_path, train_rows, train_labels, test_rows, test_labels):
     for name, rows, labels in (("train", train_rows, train_labels),
                                ("test", test_rows, test_labels)):

@@ -74,6 +74,37 @@ class TestConfig:
         assert replay.adapt.mode == "adapter"
 
 
+    @pytest.mark.parametrize("path", [
+        ("seed",), ("buffer", "capacity"), ("buffer", "seed"), ("intermediate_evals", 0),
+        ("schedule", "seed"), ("schedule", "classes_per_batch"),
+        ("adapt", "epochs"), ("adapt", "batch_size"), ("adapt", "threshold"),
+        ("adapt", "bottleneck"), ("adapt", "seed"),
+        ("data", "synthetic", "class_count"), ("data", "synthetic", "dim"),
+        ("data", "synthetic", "samples_per_class"), ("data", "synthetic", "seed"),
+    ], ids=lambda path: ".".join(map(str, path)))
+    def test_integer_fields_reject_bools_floats_and_strings(self, path):
+        field = ".".join(str(key) for key in path[-2:] if key not in ("data", 0))
+        for bad in (True, 3.0, "3"):
+            d = config_dict(buffer={"capacity": 40}, adapt={"mode": "adapter"},
+                            intermediate_evals=[1])
+            node = d
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = bad
+            with pytest.raises(ConfigError, match=f"^{field}( entry)? must be an integer"):
+                ExperimentConfig.from_dict(d)
+
+    def test_integer_fields_accept_numpy_integers(self):
+        d = config_dict(buffer={"capacity": 40})
+        cfg = dataclasses.replace(
+            ExperimentConfig.from_dict(d), seed=np.int64(2), buffer_capacity=np.uint16(30),
+            intermediate_evals=(np.int32(1),),
+        )
+        assert cfg.buffer_capacity == 30 and cfg.intermediate_evals == (1,)
+        adapt_cfg = dataclasses.replace(cfg.adapt, epochs=np.int64(2), bottleneck=np.int8(3))
+        assert adapt_cfg.bottleneck == 3
+
+
 class TestConsumeOnce:
     def test_second_iteration_fails(self):
         stream = ConsumeOnceStream(iter([1, 2, 3]))

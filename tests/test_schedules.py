@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scroll import (
     ConfigError,
@@ -10,6 +12,7 @@ from scroll import (
     iter_batches,
     synthesize,
 )
+from scroll._seeding import seeded_rng
 
 
 @pytest.fixture(scope="module")
@@ -162,3 +165,75 @@ class TestSpecSerialization:
     def test_bad_kind_rejected(self):
         with pytest.raises(ConfigError, match="unknown schedule kind"):
             ScheduleSpec.from_dict({"kind": "sorted"})
+
+
+def loop_gaussian(spec, labels):
+    """The gaussian schedule drawn one step at a time with ``Generator.choice``.
+
+    Oracle for the windowed draw in ``build_schedule``.
+    """
+    k = int(labels.max()) + 1
+    n = labels.shape[0]
+    rng = seeded_rng(spec.seed, 23)
+    ranks = rng.permutation(k)
+    peaks = 0.5 + spec.peak_spacing * ((ranks + 0.5) / k - 0.5)
+    queues = [list(np.flatnonzero(labels == y)) for y in range(k)]
+    remaining = np.array([len(q) for q in queues])
+    cursor = np.zeros(k, dtype=np.int64)
+    order = np.empty(n, dtype=np.int64)
+    inv_two_sigma_sq = 1.0 / (2.0 * spec.sigma * spec.sigma)
+    for i in range(n):
+        s = i / n
+        live = np.flatnonzero(remaining > 0)
+        logw = -((s - peaks[live]) ** 2) * inv_two_sigma_sq
+        w = np.exp(logw - logw.max())
+        y = int(rng.choice(live, p=w / w.sum()))
+        order[i] = queues[y][cursor[y]]
+        cursor[y] += 1
+        remaining[y] -= 1
+    return order
+
+
+@st.composite
+def gaussian_cases(draw):
+    """Labels with uneven and empty classes, and a gaussian spec.
+
+    Shapes come from a drawn seed: derandomized drawing of each size
+    would put most examples at the smallest one.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = int(rng.integers(1, 51))
+    sizes = rng.integers(0, 30, k) * (rng.random(k) < 0.9)
+    sizes[rng.integers(0, k)] += 1
+    labels = rng.permutation(np.repeat(np.arange(k), sizes))
+    spec = ScheduleSpec(
+        "gaussian", seed=int(rng.integers(0, 2**31)),
+        sigma=float(10 ** rng.uniform(-2.5, 0.5)),
+        peak_spacing=float(rng.choice([1.0, rng.uniform(0.05, 3.0)])),
+    )
+    return spec, labels
+
+
+class TestGaussianDraw:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(gaussian_cases())
+    def test_matches_one_choice_per_step(self, case):
+        spec, labels = case
+        schedule = build_schedule(spec, labels)
+        np.testing.assert_array_equal(schedule.permutation, loop_gaussian(spec, labels))
+
+    @pytest.mark.parametrize("sigma", [1e-155, 1e-200, float("nan")])
+    def test_sigma_without_finite_weight_scale_is_config_error(self, sigma):
+        with pytest.raises(ConfigError, match="sigma"):
+            ScheduleSpec("gaussian", sigma=sigma)
+
+    def test_smallest_usable_sigma_still_builds(self):
+        labels = np.repeat(np.arange(4), 5)
+        spec = ScheduleSpec("gaussian", seed=3, sigma=1e-150)
+        assert build_schedule(spec, labels).n_samples == 20
+
+    def test_overflowing_peak_distance_is_config_error(self):
+        # Finite 1/(2 sigma^2), but peaks 1e200 apart square past float range.
+        spec = ScheduleSpec("gaussian", seed=1, peak_spacing=1e200)
+        with pytest.raises(ConfigError, match="overflow"):
+            build_schedule(spec, np.repeat(np.arange(5), 4))
