@@ -21,7 +21,8 @@ import numpy as np
 from ._binio import Reader, Writer
 from ._seeding import seeded_rng
 from .errors import (
-    AdaptError, ClassIdError, ConfigError, FormatError, ShapeError, require_int,
+    AdaptError, ClassIdError, ConfigError, FormatError, ShapeError, require_float,
+    require_int,
 )
 from .learners import LinearHead, NccState, RidgeState
 
@@ -32,9 +33,9 @@ PREDICTOR_MAGIC = b"SCAD"
 PREDICTOR_VERSION = 1
 
 #: Most rows one product scores in :meth:`AdaptedPredictor.predict_batch`.
-#: OpenBLAS threads a product above about 5e5 multiply-adds; at K=10, d=64
-#: a 256-row block stays on one thread, where a 1000-row product wakes a
-#: second thread that then spins through the small training steps after it.
+#: At K=10, d=64 a 256-row block stays under ``learners.ONE_THREAD_MULADDS``,
+#: so on one OpenBLAS thread, where a 1000-row product wakes a second
+#: thread that then spins through the small training steps after it.
 PREDICT_BLOCK_ROWS = 256
 
 
@@ -74,6 +75,8 @@ class AdaptConfig:
             require_int(getattr(self, name), f"adapt.{name}")
         if self.bottleneck is not None:
             require_int(self.bottleneck, "adapt.bottleneck")
+        for name in ("lr_head", "lr_adapter", "temperature", "rho", "eps"):
+            require_float(getattr(self, name), f"adapt.{name}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:

@@ -16,7 +16,8 @@ import numpy as np
 from ._binio import Reader, Writer
 from ._seeding import seeded_rng
 from .errors import (
-    ConfigError, DataError, DegenerateInputError, FormatError, ShapeError, require_int,
+    ConfigError, DataError, DegenerateInputError, FormatError, ShapeError, require_float,
+    require_int,
 )
 
 EMBEDDING_MAGIC = b"SCRL"
@@ -273,6 +274,8 @@ class SyntheticSpec:
     def __post_init__(self):
         for name in ("class_count", "dim", "samples_per_class", "seed"):
             require_int(getattr(self, name), f"synthetic.{name}")
+        for name in ("cluster_spread", "shift_strength"):
+            require_float(getattr(self, name), f"synthetic.{name}")
         if self.class_count < 2:
             raise ConfigError(f"class_count must be >= 2, got {self.class_count}")
         if self.dim < 2:

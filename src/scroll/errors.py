@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the integer check of configs."""
+"""Exception types shared across the package, and the type checks of config fields."""
 
+import math
 import numbers
 
 
@@ -55,4 +56,21 @@ def require_int(value, name: str):
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def require_float(value, name: str):
+    """Return ``value`` if it is a finite real number, numpy scalars included.
+
+    Ints and floats pass; bools, strings, NaN, infinities and everything
+    else raise :class:`ConfigError` naming the config field ``name``.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        raise ConfigError(f"{name} must be finite, got {value!r}")
     return value

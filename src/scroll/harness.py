@@ -22,7 +22,9 @@ import numpy as np
 from ._seeding import seeded_rng
 from .adapt import AdaptConfig, AdaptedPredictor, adapt, init_head
 from .embeddings import EmbeddingTable, SyntheticSpec, load_embeddings, normalize, synthesize
-from .errors import ConfigError, DataError, NoClassError, StreamReuseError, require_int
+from .errors import (
+    ConfigError, DataError, NoClassError, StreamReuseError, require_float, require_int,
+)
 from .learners import LinearHead, NccState, RidgeState
 from .replay import ReplayBuffer, STRATEGIES
 from .schedules import ScheduleSpec, build_schedule, iter_batches
@@ -134,7 +136,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown classifier {self.classifier!r}, expected one of {CLASSIFIERS}"
             )
-        if not self.ridge_lambda > 0:
+        if not require_float(self.ridge_lambda, "classifier.lambda") > 0:
             raise ConfigError(f"ridge lambda must be positive, got {self.ridge_lambda}")
         require_int(self.seed, "seed")
         require_int(self.buffer_seed, "buffer.seed")

@@ -8,6 +8,10 @@ demand. Both states are plain sums over the observed samples, so they
 depend only on the multiset of data seen, never on arrival order or
 batching (up to the rounding of floating-point addition). In both,
 updating one class never touches another class's statistics.
+
+Ridge adds its rows to the second-moment matrix in fixed-size blocks
+counted from the first sample, so for a fixed sample order the bits of
+``RidgeState.cov`` do not depend on batching, on reads, or on copies.
 """
 
 from __future__ import annotations
@@ -29,6 +33,17 @@ STATE_MAGIC = b"SCST"
 STATE_VERSION = 2
 _KIND_NCC = 0
 _KIND_RIDGE = 1
+
+#: Most multiply-adds one matrix product may take and still run on one
+#: OpenBLAS thread. Measured with numpy 2.4 on a 2-vCPU VM: 17-row ridge
+#: flushes at d=128 (2.8e5) kept CPU time equal to wall time, 32-row ones
+#: doubled it; the threading point lies between 1.6e5 and 6.4e5.
+ONE_THREAD_MULADDS = 2**18
+
+
+def _ridge_block_rows(dim: int) -> int:
+    """Rows per pending ridge block: what one flush multiplies on one thread, 1-256."""
+    return max(1, min(256, ONE_THREAD_MULADDS // (dim * dim)))
 
 
 def _check_vector(x, dim: int) -> np.ndarray:
@@ -200,6 +215,15 @@ class RidgeState:
     total sample count. The regularizer ``lam`` corresponds to a squared
     penalty on the weights under a sample-averaged data loss, so the
     solve scales it by ``seen``.
+
+    Arriving rows are copied into a pending block of
+    ``_ridge_block_rows(dim)`` rows, which is added to the sums with one
+    ``P.T @ P`` when it fills. Blocks start at sample 0, so where they are
+    cut depends only on the sample count: for a fixed sample order,
+    ``cov``'s bits do not depend on how the samples were batched. Reading
+    ``cov`` with rows pending returns the sums plus the partial block's
+    product, the bits a flush would give, and leaves the block pending, so
+    reads, solves, copies and checkpoints change no later bit.
     """
 
     def __init__(self, class_count: int, dim: int, lam: float = 1.0):
@@ -207,7 +231,9 @@ class RidgeState:
             raise ConfigError("class_count and dim must be >= 1")
         if not lam > 0:
             raise ConfigError(f"lam must be positive, got {lam}")
-        self.cov = np.zeros((dim, dim))
+        self._cov = np.zeros((dim, dim))
+        self._block = np.empty((_ridge_block_rows(dim), dim))
+        self._pending = 0
         self.class_sums = np.zeros((class_count, dim))
         self.lam = float(lam)
         self.seen = 0
@@ -218,7 +244,32 @@ class RidgeState:
 
     @property
     def dim(self) -> int:
-        return self.cov.shape[0]
+        return self.class_sums.shape[1]
+
+    @property
+    def cov(self) -> np.ndarray:
+        """The second-moment matrix of every sample seen, pending rows included."""
+        if not self._pending:
+            return self._cov
+        rows = self._block[: self._pending]
+        # Overflow shows as inf in the result, which solve() reports.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._cov + rows.T @ rows
+
+    def _push(self, xs: np.ndarray) -> None:
+        """Copy rows into the pending block, flushing the block whenever it fills."""
+        block = self._block
+        size = block.shape[0]
+        start, n = 0, xs.shape[0]
+        while start < n:
+            take = min(size - self._pending, n - start)
+            block[self._pending : self._pending + take] = xs[start : start + take]
+            self._pending += take
+            start += take
+            if self._pending == size:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    self._cov += block.T @ block
+                self._pending = 0
 
     def update(self, x, y: int) -> "RidgeState":
         """Accumulate one sample: cov gains x x^T, row y gains x."""
@@ -226,7 +277,7 @@ class RidgeState:
         y = int(y)
         if not 0 <= y < self.class_count:
             raise ClassIdError(f"class id {y} outside [0, {self.class_count})")
-        self.cov += np.outer(x, x)
+        self._push(x[None, :])
         self.class_sums[y] += x
         self.seen += 1
         return self
@@ -236,7 +287,7 @@ class RidgeState:
         ys = _check_labels(ys, self.class_count)
         if xs.shape[0] != ys.shape[0]:
             raise ShapeError("vectors and labels disagree in length")
-        self.cov += xs.T @ xs
+        self._push(xs)
         np.add.at(self.class_sums, ys, xs)
         self.seen += xs.shape[0]
         return self
@@ -264,7 +315,9 @@ class RidgeState:
 
     def copy(self) -> "RidgeState":
         out = RidgeState(self.class_count, self.dim, self.lam)
-        out.cov = self.cov.copy()
+        out._cov = self._cov.copy()
+        out._block[: self._pending] = self._block[: self._pending]
+        out._pending = self._pending
         out.class_sums = self.class_sums.copy()
         out.seen = self.seen
         return out
@@ -306,7 +359,7 @@ def load_state(path) -> NccState | RidgeState:
     if kind == _KIND_RIDGE:
         lam, seen = r.unpack("dd", "ridge scalars")
         state = RidgeState(k, d, lam)
-        state.cov = r.array("<f8", d * d, "second-moment matrix").reshape(d, d).copy()
+        state._cov = r.array("<f8", d * d, "second-moment matrix").reshape(d, d).copy()
         state.class_sums = r.array("<f8", k * d, "class sums").reshape(k, d).copy()
         state.seen = int(seen)
         r.expect_end()

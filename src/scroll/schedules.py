@@ -14,7 +14,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from ._seeding import seeded_rng
-from .errors import ConfigError, require_int
+from .errors import ConfigError, require_float, require_int
 from .embeddings import EmbeddingTable
 
 SCHEDULE_KINDS = ("single_batch", "class_split", "random_iid", "gaussian", "explicit")
@@ -91,6 +91,8 @@ class ScheduleSpec:
                 f"unknown schedule kind {self.kind!r}, expected one of {SCHEDULE_KINDS}"
             )
         require_int(self.seed, "schedule.seed")
+        for name in ("sigma", "peak_spacing"):
+            require_float(getattr(self, name), f"schedule.{name}")
         for name in ("classes_per_batch", "batch_size"):
             if getattr(self, name) is not None:
                 require_int(getattr(self, name), f"schedule.{name}")

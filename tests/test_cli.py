@@ -168,6 +168,73 @@ class TestBadConfigValues:
         self.assert_validation_error(result, "sigma")
 
 
+class TestBadFloatConfigValues:
+    """Float fields once gave a traceback, ran a bool as 1.0, ran a non-finite
+    value to a late runtime failure, or failed without naming the field."""
+
+    assert_validation_error = staticmethod(TestBadConfigValues.assert_validation_error)
+
+    def test_string_ridge_lambda(self, workspace, capsys):
+        _, cfg_path = workspace
+        result = run_with(cfg_path, capsys, classifier={"lambda": "1"})
+        self.assert_validation_error(result, "classifier.lambda")
+
+    def test_bool_ridge_lambda(self, workspace, capsys):
+        _, cfg_path = workspace
+        result = run_with(cfg_path, capsys, classifier={"lambda": True})
+        self.assert_validation_error(result, "classifier.lambda")
+
+    def test_bool_adapt_eps(self, workspace, capsys):
+        _, cfg_path = workspace
+        result = run_with(cfg_path, capsys, adapt={"eps": True})
+        self.assert_validation_error(result, "adapt.eps")
+
+    @pytest.mark.parametrize("literal", ["1e309", "1" + "0" * 400], ids=["inf", "huge_int"])
+    def test_ridge_lambda_literal_beyond_float_range(self, workspace, capsys, literal):
+        # JSON reads 1e309 as inf and must fail before the stream, not after
+        # it; a 401-digit int once overflowed in the finiteness check.
+        _, cfg_path = workspace
+        cfg = json.loads(cfg_path.read_text())
+        cfg["classifier"]["lambda"] = "LAMBDA"
+        cfg_path.write_text(json.dumps(cfg).replace('"LAMBDA"', literal))
+        capsys.readouterr()
+        result = main(["run", "--config", str(cfg_path)]), capsys.readouterr().err
+        self.assert_validation_error(result, "classifier.lambda")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_adapt_lr_head(self, workspace, capsys, value):
+        _, cfg_path = workspace
+        result = run_with(cfg_path, capsys, adapt={"lr_head": value})
+        self.assert_validation_error(result, "adapt.lr_head")
+
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [
+            ("adapt", "lr_head", "0.1"),
+            ("adapt", "temperature", "5"),
+            ("schedule", "sigma", "0.1"),
+            ("schedule", "peak_spacing", "1"),
+        ],
+    )
+    def test_string_float_field(self, workspace, capsys, section, field, value):
+        _, cfg_path = workspace
+        edit = {field: value}
+        if section == "schedule":
+            edit["kind"] = "gaussian"
+        result = run_with(cfg_path, capsys, **{section: edit})
+        self.assert_validation_error(result, f"{section}.{field}")
+
+    def test_string_synthetic_cluster_spread(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "class_count": 2, "dim": 4, "samples_per_class": 2, "cluster_spread": "0.1",
+        }))
+        capsys.readouterr()
+        code = main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "x")])
+        result = code, capsys.readouterr().err
+        self.assert_validation_error(result, "synthetic.cluster_spread")
+
+
 def csv_config(tmp_path, train_rows, train_labels, test_rows, test_labels):
     for name, rows, labels in (("train", train_rows, train_labels),
                                ("test", test_rows, test_labels)):

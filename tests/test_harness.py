@@ -326,6 +326,26 @@ class TestStateDeviation:
             assert _state_deviation(states) == pairwise_deviation(states)
 
 
+    def test_batching_leaves_ridge_statistics_bit_identical(self):
+        # d=64 gives 64-row blocks: 1000 samples cross 15 block boundaries,
+        # which ragged batches straddle.
+        n = 1000
+        rng = np.random.default_rng(62)
+        permutation = tuple(int(i) for i in rng.permutation(n))
+        cuts = np.flatnonzero(rng.random(n - 1) < 0.05) + 1
+        states = []
+        for bounds in (range(n + 1), [0, *cuts.tolist(), n]):
+            schedule = {"kind": "explicit", "permutation": permutation,
+                        "bounds": list(bounds)}
+            cfg = ExperimentConfig.from_dict(config_dict(schedule=schedule))
+            states.append(execute(cfg).state)
+        ones, ragged = states
+        assert len(cuts) > 10 and ones.seen == ragged.seen == n
+        assert ones.cov.tobytes() == ragged.cov.tobytes()
+        assert ones.class_sums.tobytes() == ragged.class_sums.tobytes()
+        assert _state_deviation(states) == 0.0
+
+
 class TestBufferStudy:
     def test_full_capacity_scenario_has_zero_exemplar_distance(self):
         cfg = small_config()

@@ -1,5 +1,7 @@
 import struct
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -318,6 +320,95 @@ class TestRidgeSolveOracle:
         solved = state.solve().weights
         scale = np.abs(expected).max()
         assert np.abs(solved - expected).max() <= 1e-12 * scale
+
+
+def ridge_block_rows(d):
+    """Rows per pending block: at most 2**18 multiply-adds a flush, 1 to 256 rows."""
+    return max(1, min(256, 2**18 // d**2))
+
+
+def blocked_cov(xs, size):
+    """Oracle: blocks of ``size`` rows from sample 0, the partial one added at read time."""
+    cov = np.zeros((xs.shape[1], xs.shape[1]))
+    full = xs.shape[0] - xs.shape[0] % size
+    for start in range(0, full, size):
+        block = xs[start : start + size]
+        cov += block.T @ block
+    rest = xs[full:]
+    return cov + rest.T @ rest if rest.shape[0] else cov
+
+
+@st.composite
+def ridge_feeds(draw):
+    """One row sequence cut into batches of 1, ragged batches, or batches
+    wider than a block, at d of 1-300 and 513-600 (blocks of 256 rows down
+    to 1), with an operation that must not change bits after each batch.
+
+    Shapes come from a drawn seed: derandomized drawing of each size
+    would put most examples at the smallest one.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = int(rng.integers(1, 301)) if rng.random() < 0.85 else int(rng.integers(513, 601))
+    size = ridge_block_rows(d)
+    n = int(rng.integers(0, 3 * size + 3))
+    k = int(rng.integers(1, 5))
+    xs = unit_rows(rng, n, d)
+    if n and rng.random() < 0.3:
+        xs = xs[rng.integers(0, n, n)]  # duplicate rows
+    cutting = draw(st.sampled_from(["ones", "ragged", "wide"]))
+    if cutting == "ones":
+        cuts = np.arange(1, n)
+    elif cutting == "ragged":
+        cuts = np.flatnonzero(rng.random(max(n - 1, 0)) < 0.3) + 1
+    else:
+        cuts = np.cumsum(rng.integers(size + 1, 2 * size + 3, n + 1))
+        cuts = cuts[cuts < n]
+    batches = np.split(np.arange(n), cuts)
+    ops = rng.choice(
+        ["none", "cov", "solve", "copy", "save"], len(batches), p=[0.6, 0.1, 0.1, 0.1, 0.1]
+    )
+    return xs, rng.integers(0, k, n), k, batches, ops
+
+
+class TestRidgePendingBlock:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(ridge_feeds())
+    def test_cov_bits_depend_only_on_the_sample_order(self, feed):
+        xs, ys, k, batches, ops = feed
+        d = xs.shape[1]
+        size = ridge_block_rows(d)
+        state, copies = RidgeState(k, d), []
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "state.bin"
+            for batch, op in zip(batches, ops):
+                if len(batch) == 1 and op == "none":
+                    state.update(xs[batch[0]], ys[batch[0]])
+                else:
+                    state.update_batch(xs[batch], ys[batch])
+                for twin in copies:
+                    twin.update_batch(xs[batch], ys[batch])
+                assert state._block.shape == (size, d)
+                assert 0 <= state._pending < size
+                if op == "cov":
+                    expected = blocked_cov(xs[: state.seen], size)
+                    assert state.cov.tobytes() == expected.tobytes()
+                elif op == "solve":
+                    state.solve()
+                elif op == "copy":
+                    twin = state.copy()
+                    if len(copies) < 2:  # every copy is fed the rest of the stream
+                        copies.append(twin)
+                elif op == "save":
+                    save_state(state, path)
+                    loaded = load_state(path)
+                    assert loaded.cov.tobytes() == state.cov.tobytes()
+                    assert loaded._pending == 0
+        expected = blocked_cov(xs, size)
+        assert state.cov.tobytes() == expected.tobytes()
+        for twin in copies:
+            assert twin.cov.tobytes() == state.cov.tobytes()
+            assert twin.class_sums.tobytes() == state.class_sums.tobytes()
+            assert twin.seen == state.seen == len(xs)
 
 
 class TestNccToLinear:
