@@ -40,10 +40,26 @@ _KIND_RIDGE = 1
 #: doubled it; the threading point lies between 1.6e5 and 6.4e5.
 ONE_THREAD_MULADDS = 2**18
 
+#: Most rows a pending ridge block holds; bounds it at O(256 d) memory.
+RIDGE_BLOCK_ROWS = 256
+
+#: Fewest rows a one-thread ridge block may hold. Every flush also makes a
+#: pass over the d x d sums, which small blocks repeat often. Per 200-row
+#: ``update_batch`` on the VM above: two-row blocks at d=362 took 24 ms
+#: where one threaded 200-row product took 8 ms; four-row blocks at d=256
+#: take 12 ms against 8 ms, and 0.08 ms per single row against 0.24 ms.
+_MIN_ONE_THREAD_ROWS = 4
+
 
 def _ridge_block_rows(dim: int) -> int:
-    """Rows per pending ridge block: what one flush multiplies on one thread, 1-256."""
-    return max(1, min(256, ONE_THREAD_MULADDS // (dim * dim)))
+    """Rows per pending ridge block.
+
+    Up to d=256 a flush stays on one OpenBLAS thread (4-256 rows). Past
+    that no flush of four rows or more does, so the block takes the full
+    ``RIDGE_BLOCK_ROWS`` and a flush threads like one large batch product.
+    """
+    rows = ONE_THREAD_MULADDS // (dim * dim)
+    return min(RIDGE_BLOCK_ROWS, rows) if rows >= _MIN_ONE_THREAD_ROWS else RIDGE_BLOCK_ROWS
 
 
 def _check_vector(x, dim: int) -> np.ndarray:
@@ -223,7 +239,10 @@ class RidgeState:
     ``cov``'s bits do not depend on how the samples were batched. Reading
     ``cov`` with rows pending returns the sums plus the partial block's
     product, the bits a flush would give, and leaves the block pending, so
-    reads, solves, copies and checkpoints change no later bit.
+    reads, solves, copies and checkpoints change no later bit. ``cov`` is
+    read-only: a read-only view of the sums when no rows are pending, and
+    a read-only new array when some are; only ``update``, ``update_batch``
+    and ``load_state`` change the statistics.
     """
 
     def __init__(self, class_count: int, dim: int, lam: float = 1.0):
@@ -248,13 +267,16 @@ class RidgeState:
 
     @property
     def cov(self) -> np.ndarray:
-        """The second-moment matrix of every sample seen, pending rows included."""
-        if not self._pending:
-            return self._cov
-        rows = self._block[: self._pending]
-        # Overflow shows as inf in the result, which solve() reports.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self._cov + rows.T @ rows
+        """A read-only second-moment matrix of every sample seen, pending rows included."""
+        if self._pending:
+            rows = self._block[: self._pending]
+            # Overflow shows as inf in the result, which solve() reports.
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = self._cov + rows.T @ rows
+        else:
+            out = self._cov.view()
+        out.flags.writeable = False
+        return out
 
     def _push(self, xs: np.ndarray) -> None:
         """Copy rows into the pending block, flushing the block whenever it fills."""

@@ -323,8 +323,9 @@ class TestRidgeSolveOracle:
 
 
 def ridge_block_rows(d):
-    """Rows per pending block: at most 2**18 multiply-adds a flush, 1 to 256 rows."""
-    return max(1, min(256, 2**18 // d**2))
+    """Rows per pending block: 2**18 multiply-adds a flush if that is 4-256 rows, else 256."""
+    rows = 2**18 // d**2
+    return min(256, rows) if rows >= 4 else 256
 
 
 def blocked_cov(xs, size):
@@ -341,14 +342,15 @@ def blocked_cov(xs, size):
 @st.composite
 def ridge_feeds(draw):
     """One row sequence cut into batches of 1, ragged batches, or batches
-    wider than a block, at d of 1-300 and 513-600 (blocks of 256 rows down
-    to 1), with an operation that must not change bits after each batch.
+    wider than a block, at d of 1-300 (blocks of 256 rows down to 4, and
+    256 again past d=256), with an operation that must not change bits
+    after each batch.
 
     Shapes come from a drawn seed: derandomized drawing of each size
     would put most examples at the smallest one.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    d = int(rng.integers(1, 301)) if rng.random() < 0.85 else int(rng.integers(513, 601))
+    d = int(rng.integers(1, 301))
     size = ridge_block_rows(d)
     n = int(rng.integers(0, 3 * size + 3))
     k = int(rng.integers(1, 5))
@@ -409,6 +411,25 @@ class TestRidgePendingBlock:
             assert twin.cov.tobytes() == state.cov.tobytes()
             assert twin.class_sums.tobytes() == state.class_sums.tobytes()
             assert twin.seen == state.seen == len(xs)
+
+
+    @pytest.mark.parametrize("pending", [0, 3], ids=["flushed", "pending"])
+    def test_cov_is_read_only_with_or_without_pending_rows(self, pending):
+        rng = np.random.default_rng(5)
+        d = 64  # 64-row blocks: 64 rows flush, 67 leave three pending
+        n = 64 + pending
+        state = RidgeState(2, d).update_batch(unit_rows(rng, n, d), np.zeros(n, int))
+        assert state._pending == pending
+        before = state.cov.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            state.cov[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            state.cov += 1.0
+        assert state.cov.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("d, rows", [(64, 64), (128, 16), (256, 4), (257, 256), (2048, 256)])
+    def test_block_rows_stay_on_one_thread_up_to_d256_then_take_256(self, d, rows):
+        assert RidgeState(1, d)._block.shape == (rows, d)
 
 
 class TestNccToLinear:
