@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 from bisect import bisect_left
 from itertools import islice
 from pathlib import Path
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scroll import (
+    ClassIdError,
     ConfigError,
     ReplayBuffer,
     RunningClassMean,
@@ -121,6 +123,11 @@ class TestHerdingOrder:
         with pytest.raises(ConfigError):
             herding_order(np.zeros((0, 3)), np.zeros(3))
 
+    @pytest.mark.parametrize("shape", [(2,), (4,), (1, 3)])
+    def test_target_of_wrong_shape_is_a_shape_error(self, shape):
+        with pytest.raises(ShapeError, match=r"\(3,\) expected"):
+            herding_order(np.ones((2, 3)), np.zeros(shape))
+
 
 def reference_herd(pool, target):
     """Herding written plainly: fancy-index copies and ``np.linalg.norm``.
@@ -176,6 +183,114 @@ class TestHerdingPicks:
     def test_matches_reference_pick_for_pick(self, case):
         pool, target = case
         assert list(_herd(pool, target)) == list(reference_herd(pool, target))
+
+
+@st.composite
+def screened_pools(draw):
+    """Pools on both sides of the screen's margin and of its range.
+
+    Rows 1 ulp apart, mirrored rows and small-integer grids put several
+    rows within the margin. Scales of 1e+-99 stay screened; 1e101 and
+    1e+-150 fall outside the range, and 1e+-160 underflow or overflow
+    every square. Shapes come from a drawn seed, as in
+    :func:`exemplar_streams`.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = int(rng.choice([1, 2, 3, 4, 5, 6, 7, 8, 512, 2048]))
+    n = int(rng.integers(1, 301))
+    values = draw(st.sampled_from(["ulp", "mirrored", "grid", "scaled", "nonfinite"]))
+    if values == "grid":
+        pool = rng.integers(-2, 3, (n, d)).astype(np.float64)
+    else:
+        pool = rng.standard_normal((n, d))
+    if values == "ulp":
+        pool = pool[rng.integers(0, max(1, n // 4), n)]
+        pool += rng.integers(-1, 2, pool.shape) * np.spacing(pool)
+    elif values == "mirrored" and n > 1:
+        pool[n // 2 :] = -pool[: n - n // 2]
+    elif values == "scaled":
+        pool *= 10.0 ** int(rng.choice([-160, -150, -99, 99, 101, 150, 160]))
+    elif values == "nonfinite":
+        pool.flat[rng.integers(0, pool.size, 2)] = rng.choice([np.inf, -np.inf, np.nan], 2)
+    target = draw(st.sampled_from(["mean", "row", "zero"]))
+    with np.errstate(all="ignore"):
+        target = {"mean": pool.mean(axis=0), "row": pool[0].copy(), "zero": np.zeros(d)}[target]
+    if draw(st.booleans()):
+        pool = np.asfortranarray(pool)
+    return pool, target
+
+
+class TestScreenedHerding:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(screened_pools())
+    def test_matches_reference_pick_for_pick(self, case):
+        pool, target = case
+        # Whole orders of the narrow pools; the wide ones, whose screen runs
+        # in several one-thread row blocks at d=2048, to a prefix.
+        picks = max(8, 2**22 // pool.size)
+        with np.errstate(all="ignore"):
+            assert list(islice(_herd(pool, target), picks)) == list(
+                islice(reference_herd(pool, target), picks)
+            )
+
+    def test_rows_near_the_float_limit_get_the_full_computation(self):
+        # Their squares are finite, but the screen's products with the
+        # chosen sum of nearly parallel rows would overflow.
+        rng = np.random.default_rng(30)
+        pool = (rng.standard_normal(512) + 1e-3 * rng.standard_normal((200, 512))) * 1e152
+        target = pool.mean(axis=0)
+        assert list(_herd(pool, target)) == list(reference_herd(pool, target))
+
+    def test_memory_stays_linear_in_the_pool(self):
+        # An (n, n) Gram matrix of this pool would take 128 MB.
+        pool = np.random.default_rng(31).standard_normal((4000, 8))
+        target = pool.mean(axis=0)
+        tracemalloc.start()
+        try:
+            picks = list(islice(_herd(pool, target), 5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert picks == list(islice(reference_herd(pool, target), 5))
+        assert peak < 4 * pool.nbytes
+
+
+class TestBatchChecks:
+    def test_one_dimensional_rows_are_a_shape_error(self):
+        buf = ReplayBuffer(4, "exemplar", seed=4)
+        with pytest.raises(ShapeError, match=r"\(3,\)"):
+            buf.update(np.ones(3), np.array([0, 0, 0]), np.array([0, 1, 2]))
+
+    @pytest.mark.parametrize("which", ["labels", "indices"])
+    def test_labels_and_indices_must_be_one_dimensional(self, which):
+        # One stable sort of the labels groups the batch; a column of
+        # labels would be sorted row by row.
+        arrays = {"labels": np.array([0, 1, 0]), "indices": np.array([0, 1, 2])}
+        arrays[which] = arrays[which][:, None]
+        buf = ReplayBuffer(4, "exemplar", seed=4)
+        with pytest.raises(ShapeError, match=r"\(3, 1\)"):
+            buf.update(np.ones((3, 2)), arrays["labels"], arrays["indices"])
+
+    @pytest.mark.parametrize("label", [-1, 2**32])
+    def test_class_id_outside_the_checkpoint_range_is_rejected(self, label, tmp_path):
+        buf = ReplayBuffer(4, "exemplar", seed=4)
+        buf.update(np.ones((1, 3)), np.array([1]), np.array([0]))
+        with pytest.raises(ClassIdError, match=f"class id {label} "):
+            buf.update(np.ones((2, 3)), np.array([1, label]), np.array([1, 2]))
+        assert buf.per_class_counts() == {1: 1}
+        save_buffer(buf, tmp_path / "buffer.bin")
+        assert load_buffer(tmp_path / "buffer.bin").per_class_counts() == {1: 1}
+
+    def test_rows_grouped_by_class_in_batch_order(self, table):
+        # Each class's rows are summed in batch order, so its running mean
+        # keeps its bits.
+        idx = np.random.default_rng(32).permutation(table.n_samples)[:40]
+        buf = ReplayBuffer(table.n_samples, "exemplar", seed=4)
+        buf.update(table.vectors[idx], table.labels[idx], idx)
+        for y in range(table.class_count):
+            rows = idx[table.labels[idx] == y]
+            assert buf.stats.count(y) == len(rows)
+            np.testing.assert_array_equal(buf.stats._sums[y], table.vectors[rows].sum(axis=0))
 
 
 class TestQuotaAndCapacity:
