@@ -24,7 +24,7 @@ from .errors import (
     AdaptError, ClassIdError, ConfigError, FormatError, ShapeError, require_float,
     require_int,
 )
-from .learners import LinearHead, NccState, RidgeState
+from .learners import LinearHead, NccState, RidgeState, as_int_ids
 
 ADAPT_MODES = ("none", "adapter", "full_head")
 OPTIMIZERS = ("sgd", "adadelta")
@@ -240,7 +240,7 @@ def loss_and_grads(
     ``out`` optionally maps gradient names to arrays of the gradients'
     shapes; those gradients are written into them and returned there.
     """
-    ys = np.asarray(ys, dtype=np.int64)
+    ys = as_int_ids(ys, "labels")
     if ys.ndim != 1 or ys.shape[0] == 0:
         raise ConfigError("batch must contain at least one sample")
     if isinstance(params, LinearHead):

@@ -12,9 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,9 +30,6 @@ from .schedules import ScheduleSpec, build_schedule, iter_batches
 VERSION = "0.1.0"
 
 CLASSIFIERS = ("ncc", "ridge")
-
-#: Environment variable capping sweep parallelism.
-THREADS_ENV = "SCROLL_THREADS"
 
 _DEFAULT_STUDY_SCENARIOS = ((20, 20), (20, 80), (90, 10), (50, 50))
 _DEFAULT_STUDY_STRATEGIES = ("exemplar", "reservoir")
@@ -329,17 +324,7 @@ class RunReport:
     version: str = VERSION
 
     def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "config_hash": self.config_hash,
-            "config": self.config,
-            "accuracy": self.accuracy,
-            "per_class_accuracy": self.per_class_accuracy,
-            "buffer": self.buffer,
-            "intermediate": self.intermediate,
-            "warnings": self.warnings,
-            "timing": self.timing,
-        }
+        return dataclasses.asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -349,6 +334,15 @@ def execute(cfg: ExperimentConfig) -> RunOutcome:
     """Run one experiment end to end and keep the live objects."""
     t_start = time.perf_counter()
     train, test = cfg.data.resolve()
+    return _execute_on(cfg, train, test, t_start)
+
+
+def _execute_on(cfg: ExperimentConfig, train, test, t_start: float) -> RunOutcome:
+    """:func:`execute` on tables already resolved from ``cfg.data``.
+
+    The tables are read-only, so runs may share them; ``timing.total_s``
+    counts from ``t_start``.
+    """
     schedule = build_schedule(cfg.schedule, train.labels)
     n_batches = schedule.n_batches
     checkpoints = set()
@@ -466,14 +460,7 @@ class RobustnessReport:
     state_max_deviation: float
 
     def to_dict(self) -> dict:
-        return {
-            "schedules": self.schedules,
-            "stage_one_accuracies": self.stage_one_accuracies,
-            "adapted_accuracies": self.adapted_accuracies,
-            "stage_one_spread": self.stage_one_spread,
-            "adapted_spread": self.adapted_spread,
-            "state_max_deviation": self.state_max_deviation,
-        }
+        return dataclasses.asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -506,19 +493,6 @@ def _sweep_schedule_specs(
     return specs
 
 
-def _max_threads() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ConfigError(f"{THREADS_ENV} must be >= 1, got {value}")
-    return value
-
-
 def _state_deviation(states) -> float:
     """Largest |a - b| of one element over every pair of states: its max minus min."""
     if isinstance(states[0], NccState):
@@ -536,16 +510,21 @@ def robustness_sweep(
     n_schedules: int,
     kinds: tuple[str, ...] = ("split", "gaussian", "random"),
 ) -> RobustnessReport:
-    """Run one config under many seeded schedules and compare outcomes."""
-    if n_schedules < 2:
+    """Run one config under many seeded schedules and compare outcomes.
+
+    The data is resolved once and the schedules run one after another on
+    the same read-only tables.
+    """
+    if require_int(n_schedules, "n_schedules") < 2:
         raise ConfigError("a robustness sweep needs at least 2 schedules")
     if not kinds:
         raise ConfigError("at least one schedule kind is required")
-    train, _ = cfg.data.resolve()
+    train, test = cfg.data.resolve()
     specs = _sweep_schedule_specs(cfg, n_schedules, tuple(kinds), train.class_count)
-    variants = [dataclasses.replace(cfg, schedule=spec) for spec in specs]
-    with ThreadPoolExecutor(max_workers=min(_max_threads(), n_schedules)) as pool:
-        outcomes = list(pool.map(execute, variants))
+    outcomes = [
+        _execute_on(dataclasses.replace(cfg, schedule=s), train, test, time.perf_counter())
+        for s in specs
+    ]
     acc_one = [o.report.accuracy["stage_one"] for o in outcomes]
     acc_star = [o.report.accuracy["adapted"] for o in outcomes]
     return RobustnessReport(
@@ -573,10 +552,11 @@ def buffer_study(
     per-scenario mean/variance summary of the stored-vs-population mean
     distance.
     """
-    if shuffles < 2:
+    if require_int(shuffles, "shuffles") < 2:
         raise ConfigError("the buffer study needs at least 2 shuffles")
     for b1, b2 in scenarios:
-        if b1 < 1 or b2 < 1:
+        name = f"scenario ({b1}, {b2}) size"
+        if require_int(b1, name) < 1 or require_int(b2, name) < 1:
             raise ConfigError(f"invalid scenario ({b1}, {b2}): sizes must be >= 1")
     for strategy in strategies:
         if strategy not in STRATEGIES:

@@ -80,8 +80,20 @@ def _check_matrix(xs, dim: int) -> np.ndarray:
     return xs
 
 
+def as_int_ids(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array; a non-integer dtype raises :class:`ClassIdError`.
+
+    Converting with ``dtype=np.int64`` alone would truncate 1.7 to 1. An
+    empty sequence has no integer dtype (``[]`` reads as float64) and passes.
+    """
+    values = np.asarray(values)
+    if values.size and values.dtype.kind not in "iu":
+        raise ClassIdError(f"{what}: expected an integer dtype, got {values.dtype}")
+    return values.astype(np.int64, copy=False)
+
+
 def _check_labels(ys, class_count: int) -> np.ndarray:
-    ys = np.asarray(ys, dtype=np.int64)
+    ys = as_int_ids(ys, "labels")
     if ys.ndim != 1:
         raise ShapeError(f"labels must be 1-d, got shape {ys.shape}")
     if ys.size and (ys.min() < 0 or ys.max() >= class_count):
@@ -175,7 +187,7 @@ class NccState:
     def update(self, x, y: int) -> "NccState":
         """Add one sample to its class sum; other rows are untouched."""
         x = _check_vector(x, self.dim)
-        y = int(y)
+        y = int(as_int_ids(y, "class id"))
         if not 0 <= y < self.class_count:
             raise ClassIdError(f"class id {y} outside [0, {self.class_count})")
         self.class_sums[y] += x
@@ -296,7 +308,7 @@ class RidgeState:
     def update(self, x, y: int) -> "RidgeState":
         """Accumulate one sample: cov gains x x^T, row y gains x."""
         x = _check_vector(x, self.dim)
-        y = int(y)
+        y = int(as_int_ids(y, "class id"))
         if not 0 <= y < self.class_count:
             raise ClassIdError(f"class id {y} outside [0, {self.class_count})")
         self._push(x[None, :])

@@ -27,7 +27,7 @@ import numpy as np
 from ._binio import Reader, Writer
 from ._seeding import seeded_rng
 from .errors import ClassIdError, ConfigError, FormatError, ShapeError
-from .learners import ONE_THREAD_MULADDS
+from .learners import ONE_THREAD_MULADDS, as_int_ids
 
 STRATEGIES = ("exemplar", "reservoir", "nearest", "outlier")
 
@@ -305,8 +305,8 @@ class ReplayBuffer:
         ``indices`` their original dataset positions.
         """
         vectors = np.asarray(vectors, dtype=np.float64)
-        labels = np.asarray(labels, dtype=np.int64)
-        indices = np.asarray(indices, dtype=np.int64)
+        labels = as_int_ids(labels, "labels")
+        indices = as_int_ids(indices, "dataset indices")
         if vectors.ndim != 2 or labels.ndim != 1 or indices.ndim != 1:
             raise ShapeError(
                 "batch rows must be 2-d and labels and indices 1-d, got shapes "

@@ -210,6 +210,13 @@ class TestLossAndGrads:
             with pytest.raises(ClassIdError):
                 loss_and_grads(head, rng.standard_normal((2, 4)), np.array([0, bad]), 1.0)
 
+    def test_non_integer_labels_are_class_id_error(self):
+        # Truncated to int64, labels [0.9, 1.7] would train classes 0 and 1.
+        rng = np.random.default_rng(59)
+        head = LinearHead(rng.standard_normal((3, 4)), np.zeros(3))
+        with pytest.raises(ClassIdError, match="integer dtype"):
+            loss_and_grads(head, rng.standard_normal((2, 4)), [0.9, 1.7], 1.0)
+
 
 class TestAdadeltaStep:
     def test_zero_gradient_leaves_parameter(self):

@@ -21,7 +21,7 @@ from scroll import (
     run,
     write_study_summary,
 )
-from scroll.harness import _evaluate, _state_deviation
+from scroll.harness import DataConfig, _evaluate, _state_deviation, _sweep_schedule_specs
 
 
 def config_dict(**overrides):
@@ -280,13 +280,34 @@ class TestRobustnessSweep:
         with pytest.raises(ConfigError, match="unknown sweep schedule kind"):
             robustness_sweep(small_config(), 2, ("sorted",))
 
-    def test_thread_cap_respected(self, monkeypatch):
-        monkeypatch.setenv("SCROLL_THREADS", "1")
-        report = robustness_sweep(small_config(), 2, ("split",))
-        assert report.stage_one_spread == 0.0
-        monkeypatch.setenv("SCROLL_THREADS", "zero")
-        with pytest.raises(ConfigError, match="SCROLL_THREADS"):
-            robustness_sweep(small_config(), 2, ("split",))
+    @pytest.mark.parametrize("n_schedules", [2.5, 2.0, True, "3"])
+    def test_non_integer_schedule_count_is_config_error(self, n_schedules):
+        with pytest.raises(ConfigError, match="n_schedules must be an integer"):
+            robustness_sweep(small_config(), n_schedules)
+
+    def test_matches_execute_over_the_schedule_variants(self):
+        # Oracle: one full execute per schedule, each resolving its own data.
+        cfg = small_config(buffer={"capacity": 12}, adapt={"mode": "full_head", "epochs": 2})
+        kinds = ("split", "gaussian", "random", "single")
+        report = robustness_sweep(cfg, 5, kinds)
+        specs = _sweep_schedule_specs(cfg, 5, kinds, 4)
+        outcomes = [execute(dataclasses.replace(cfg, schedule=s)) for s in specs]
+        assert report.schedules == [s.to_dict() for s in specs]
+        assert report.stage_one_accuracies == [o.report.accuracy["stage_one"] for o in outcomes]
+        assert report.adapted_accuracies == [o.report.accuracy["adapted"] for o in outcomes]
+        assert report.state_max_deviation == _state_deviation([o.state for o in outcomes])
+
+    def test_data_is_resolved_once(self, monkeypatch):
+        calls = []
+        original = DataConfig.resolve
+
+        def counting_resolve(data):
+            calls.append(data)
+            return original(data)
+
+        monkeypatch.setattr(DataConfig, "resolve", counting_resolve)
+        robustness_sweep(small_config(), 3)
+        assert len(calls) == 1
 
 
 def pairwise_deviation(states):
@@ -372,3 +393,12 @@ class TestBufferStudy:
     def test_minimum_shuffles(self):
         with pytest.raises(ConfigError):
             buffer_study(small_config(), shuffles=1)
+
+    def test_non_integer_shuffles_is_config_error(self):
+        with pytest.raises(ConfigError, match="shuffles must be an integer"):
+            buffer_study(small_config(), shuffles=2.5)
+
+    @pytest.mark.parametrize("scenario", [(2, 1.5), (2.5, 1), ("2", 1)])
+    def test_non_integer_scenario_size_is_config_error(self, scenario):
+        with pytest.raises(ConfigError, match=r"scenario .* size must be an integer"):
+            buffer_study(small_config(), shuffles=2, scenarios=(scenario,))

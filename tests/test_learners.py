@@ -96,6 +96,21 @@ class TestNccUpdate:
         with pytest.raises(ClassIdError):
             NccState(2, 2).update(np.array([1.0, 0.0]), 2)
 
+    def test_non_integer_class_id_is_class_id_error(self):
+        # int(1.9) would count the sample as class 1.
+        state = NccState(3, 2)
+        with pytest.raises(ClassIdError, match="integer dtype"):
+            state.update(np.array([1.0, 0.0]), 1.9)
+        assert state.counts.sum() == 0
+
+    @pytest.mark.parametrize("kind", [NccState, RidgeState])
+    def test_non_integer_batch_labels_are_class_id_error(self, kind):
+        state = kind(3, 2)
+        with pytest.raises(ClassIdError, match="integer dtype"):
+            state.update_batch(np.eye(2), [0.9, 2.7])
+        np.testing.assert_array_equal(state.class_sums, 0.0)
+        state.update_batch(np.zeros((0, 2)), [])  # an empty list has no dtype to judge
+
 
 class TestNccPredict:
     def test_exact_prototype_hit(self):
@@ -229,6 +244,12 @@ class TestRidgeUpdate:
         for x, y in zip(xs, ys):
             s.update(x, y)
         assert np.abs(s.cov - xs.T @ xs).max() <= 1e-10
+
+    def test_non_integer_class_id_is_class_id_error(self):
+        state = RidgeState(3, 2)
+        with pytest.raises(ClassIdError, match="integer dtype"):
+            state.update(np.array([1.0, 0.0]), 1.9)
+        assert state.seen == 0
 
     def test_batch_update_matches_sequential(self):
         rng = np.random.default_rng(7)

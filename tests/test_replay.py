@@ -281,6 +281,17 @@ class TestBatchChecks:
         save_buffer(buf, tmp_path / "buffer.bin")
         assert load_buffer(tmp_path / "buffer.bin").per_class_counts() == {1: 1}
 
+    @pytest.mark.parametrize("which", ["labels", "indices"])
+    def test_non_integer_labels_and_indices_are_class_id_errors(self, which):
+        # Converting straight to int64 stored labels [0.9, 1.7] as classes 0 and 1.
+        arrays = {"labels": [0, 1], "indices": [0, 1]}
+        arrays[which] = [0.9, 1.7]
+        buf = ReplayBuffer(4, "exemplar", seed=4)
+        with pytest.raises(ClassIdError, match="integer dtype"):
+            buf.update(np.eye(2), arrays["labels"], arrays["indices"])
+        assert buf.total_stored() == 0
+        buf.update(np.zeros((0, 2)), [], [])  # an empty list has no dtype to judge
+
     def test_rows_grouped_by_class_in_batch_order(self, table):
         # Each class's rows are summed in batch order, so its running mean
         # keeps its bits.
