@@ -13,6 +13,7 @@ previous adapted model.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 
@@ -21,8 +22,8 @@ import numpy as np
 from ._binio import Reader, Writer
 from ._seeding import seeded_rng
 from .errors import (
-    AdaptError, ClassIdError, ConfigError, FormatError, ShapeError, require_float,
-    require_int,
+    AdaptError, ClassIdError, ConfigError, FormatError, ShapeError, from_fields,
+    require_float, require_int,
 )
 from .learners import LinearHead, NccState, RidgeState, as_int_ids
 
@@ -71,16 +72,13 @@ class AdaptConfig:
             raise ConfigError(f"unknown adapt mode {self.mode!r}, expected {ADAPT_MODES}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}, expected {OPTIMIZERS}")
-        for name in ("epochs", "batch_size", "threshold", "seed"):
-            require_int(getattr(self, name), f"adapt.{name}")
+        for name, minimum in (("epochs", 1), ("batch_size", 1), ("threshold", 0)):
+            require_int(getattr(self, name), f"adapt.{name}", minimum)
+        require_int(self.seed, "adapt.seed")
         if self.bottleneck is not None:
-            require_int(self.bottleneck, "adapt.bottleneck")
+            require_int(self.bottleneck, "adapt.bottleneck", minimum=1)
         for name in ("lr_head", "lr_adapter", "temperature", "rho", "eps"):
             require_float(getattr(self, name), f"adapt.{name}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.lr_head < 0 or self.lr_adapter < 0:
             raise ConfigError("learning rates must be non-negative")
         if not self.temperature > 0:
@@ -89,46 +87,17 @@ class AdaptConfig:
             raise ConfigError(f"rho must lie in (0, 1), got {self.rho}")
         if not self.eps > 0:
             raise ConfigError(f"eps must be positive, got {self.eps}")
-        if self.threshold < 0:
-            raise ConfigError("threshold must be >= 0")
-        if self.bottleneck is not None and self.bottleneck < 1:
-            raise ConfigError("bottleneck width must be >= 1 when given")
         if self.init_kind not in ("auto", "random"):
             raise ConfigError(f"init_kind must be 'auto' or 'random', got {self.init_kind!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "AdaptConfig":
-        if not isinstance(d, dict):
-            raise ConfigError("adapt config must be an object")
-        known = {
-            "mode", "epochs", "batch_size", "lr_head", "lr_adapter", "temperature",
-            "optimizer", "rho", "eps", "threshold", "bottleneck", "init_kind", "seed",
-        }
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown adapt fields: {sorted(unknown)}")
-        try:
-            return cls(**d)
-        except TypeError as exc:
-            raise ConfigError(f"invalid adapt config: {exc}") from None
+        return from_fields(cls, d, "adapt")
 
     def to_dict(self) -> dict:
-        out = {
-            "mode": self.mode,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "lr_head": self.lr_head,
-            "lr_adapter": self.lr_adapter,
-            "temperature": self.temperature,
-            "optimizer": self.optimizer,
-            "rho": self.rho,
-            "eps": self.eps,
-            "threshold": self.threshold,
-            "init_kind": self.init_kind,
-            "seed": self.seed,
-        }
-        if self.bottleneck is not None:
-            out["bottleneck"] = self.bottleneck
+        out = dataclasses.asdict(self)
+        if self.bottleneck is None:
+            del out["bottleneck"]
         return out
 
 

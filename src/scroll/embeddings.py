@@ -9,6 +9,7 @@ inputs. Tables are immutable after construction and safe to share.
 from __future__ import annotations
 
 import csv
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,8 +17,8 @@ import numpy as np
 from ._binio import Reader, Writer
 from ._seeding import seeded_rng
 from .errors import (
-    ConfigError, DataError, DegenerateInputError, FormatError, ShapeError, require_float,
-    require_int,
+    ConfigError, DataError, DegenerateInputError, FormatError, ShapeError, from_fields,
+    require_float, require_int,
 )
 
 EMBEDDING_MAGIC = b"SCRL"
@@ -272,18 +273,11 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("class_count", "dim", "samples_per_class", "seed"):
-            require_int(getattr(self, name), f"synthetic.{name}")
+        for name, minimum in (("class_count", 2), ("dim", 2), ("samples_per_class", 1)):
+            require_int(getattr(self, name), f"synthetic.{name}", minimum)
+        require_int(self.seed, "synthetic.seed")
         for name in ("cluster_spread", "shift_strength"):
             require_float(getattr(self, name), f"synthetic.{name}")
-        if self.class_count < 2:
-            raise ConfigError(f"class_count must be >= 2, got {self.class_count}")
-        if self.dim < 2:
-            raise ConfigError(f"dim must be >= 2, got {self.dim}")
-        if self.samples_per_class < 1:
-            raise ConfigError(
-                f"samples_per_class must be >= 1, got {self.samples_per_class}"
-            )
         if self.cluster_spread < 0:
             raise ConfigError("cluster_spread must be non-negative")
         if self.shift_strength < 0:
@@ -291,29 +285,10 @@ class SyntheticSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SyntheticSpec":
-        if not isinstance(d, dict):
-            raise ConfigError("synthetic spec must be an object")
-        known = {
-            "class_count", "dim", "samples_per_class",
-            "cluster_spread", "shift_strength", "seed",
-        }
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown synthetic spec fields: {sorted(unknown)}")
-        try:
-            return cls(**d)
-        except TypeError as exc:
-            raise ConfigError(f"invalid synthetic spec: {exc}") from None
+        return from_fields(cls, d, "synthetic")
 
     def to_dict(self) -> dict:
-        return {
-            "class_count": self.class_count,
-            "dim": self.dim,
-            "samples_per_class": self.samples_per_class,
-            "cluster_spread": self.cluster_spread,
-            "shift_strength": self.shift_strength,
-            "seed": self.seed,
-        }
+        return dataclasses.asdict(self)
 
 
 def _unit_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
@@ -326,13 +301,11 @@ def _sample_split(means: np.ndarray, spec: SyntheticSpec, rng: np.random.Generat
     k, dim = means.shape
     n = spec.samples_per_class
     rows = np.repeat(means, n, axis=0)
-    rows = rows + spec.cluster_spread * rng.standard_normal((k * n, dim))
-    norms = np.linalg.norm(rows, axis=1)
-    if (norms == 0.0).any():
-        raise DegenerateInputError("sampled a zero vector; lower cluster_spread")
-    rows /= norms[:, None]
+    # A noise entry beyond the float range is inf, which the table rejects.
+    with np.errstate(over="ignore"):
+        rows = rows + spec.cluster_spread * rng.standard_normal((k * n, dim))
     labels = np.repeat(np.arange(k, dtype=np.int64), n)
-    return EmbeddingTable(rows, labels, k, normalized=True)
+    return normalize(EmbeddingTable(rows, labels, k))
 
 
 def synthesize(spec: SyntheticSpec) -> tuple[EmbeddingTable, EmbeddingTable]:

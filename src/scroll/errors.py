@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the type checks of config fields."""
+"""Exception types shared across the package, and the readers of config sections."""
 
+import dataclasses
 import math
 import numbers
 
@@ -48,14 +49,42 @@ class LinAlgFailure(ScrollError):
     """A linear system could not be solved."""
 
 
-def require_int(value, name: str):
-    """Return ``value`` if it is an integer, numpy integers included.
+def require_fields(d, known, section: str) -> None:
+    """Check that ``d`` is a JSON object whose keys all lie in ``known``.
 
-    Bools, floats, strings and everything else raise :class:`ConfigError`
-    naming the config field ``name``.
+    Anything else raises :class:`ConfigError` naming the config ``section``.
+    """
+    if not isinstance(d, dict):
+        raise ConfigError(f"{section} must be an object, got {type(d).__name__}")
+    unknown = d.keys() - known
+    if unknown:
+        raise ConfigError(f"unknown {section} fields: {sorted(unknown)}")
+
+
+def from_fields(cls, d, section: str):
+    """Build the dataclass ``cls`` from a config section whose keys are its fields.
+
+    A missing required field raises :class:`ConfigError` naming ``section``;
+    ``cls`` checks the values themselves.
+    """
+    require_fields(d, {f.name for f in dataclasses.fields(cls)}, section)
+    try:
+        return cls(**d)
+    except TypeError as exc:
+        raise ConfigError(f"invalid {section} config: {exc}") from None
+
+
+def require_int(value, name: str, minimum=None):
+    """Return ``value`` if it is an integer no less than ``minimum``, numpy integers included.
+
+    Bools, floats, strings and everything else, or an integer below
+    ``minimum`` when one is given, raise :class:`ConfigError` naming the
+    config field ``name``.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
     return value
 
 

@@ -19,9 +19,12 @@ import numpy as np
 
 from ._seeding import seeded_rng
 from .adapt import AdaptConfig, AdaptedPredictor, adapt, init_head
-from .embeddings import EmbeddingTable, SyntheticSpec, load_embeddings, normalize, synthesize
+from .embeddings import (
+    FORMATS, EmbeddingTable, SyntheticSpec, load_embeddings, normalize, synthesize,
+)
 from .errors import (
-    ConfigError, DataError, NoClassError, StreamReuseError, require_float, require_int,
+    ConfigError, DataError, NoClassError, StreamReuseError, require_fields, require_float,
+    require_int,
 )
 from .learners import LinearHead, NccState, RidgeState
 from .replay import ReplayBuffer, STRATEGIES
@@ -59,6 +62,14 @@ class DataConfig:
     file_format: str = "binary"
 
     def __post_init__(self):
+        for name in ("train_path", "test_path"):
+            path = getattr(self, name)
+            if path is not None and not isinstance(path, str):
+                raise ConfigError(f"data.{name} must be a string, got {path!r}")
+        if self.file_format not in FORMATS:
+            raise ConfigError(
+                f"unknown data.format {self.file_format!r}, expected one of {FORMATS}"
+            )
         file_side = self.train_path is not None or self.test_path is not None
         if self.synthetic is not None and file_side:
             raise ConfigError("give either a synthetic spec or file paths, not both")
@@ -68,12 +79,7 @@ class DataConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DataConfig":
-        if not isinstance(d, dict):
-            raise ConfigError("data config must be an object")
-        known = {"synthetic", "train_path", "test_path", "format"}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown data fields: {sorted(unknown)}")
+        require_fields(d, {"synthetic", "train_path", "test_path", "format"}, "data")
         synthetic = SyntheticSpec.from_dict(d["synthetic"]) if "synthetic" in d else None
         return cls(
             synthetic=synthetic,
@@ -135,8 +141,7 @@ class ExperimentConfig:
             raise ConfigError(f"ridge lambda must be positive, got {self.ridge_lambda}")
         require_int(self.seed, "seed")
         require_int(self.buffer_seed, "buffer.seed")
-        if require_int(self.buffer_capacity, "buffer.capacity") < 0:
-            raise ConfigError("buffer capacity must be >= 0")
+        require_int(self.buffer_capacity, "buffer.capacity", minimum=0)
         if self.buffer_strategy not in STRATEGIES:
             raise ConfigError(
                 f"unknown buffer strategy {self.buffer_strategy!r}, "
@@ -144,38 +149,27 @@ class ExperimentConfig:
             )
         if self.intermediate_evals is not None:
             positions = tuple(
-                int(require_int(t, "intermediate_evals entry")) for t in self.intermediate_evals
+                int(require_int(t, "intermediate_evals entry", minimum=1))
+                for t in self.intermediate_evals
             )
-            if any(t < 1 for t in positions):
-                raise ConfigError("intermediate eval positions must be >= 1")
             object.__setattr__(self, "intermediate_evals", positions)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        if not isinstance(d, dict):
-            raise ConfigError("experiment config must be an object")
         known = {"data", "schedule", "classifier", "buffer", "adapt",
                  "intermediate_evals", "seed"}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        require_fields(d, known, "config")
         for required in ("data", "schedule"):
             if required not in d:
                 raise ConfigError(f"config is missing {required!r}")
         data = DataConfig.from_dict(d["data"])
         schedule = ScheduleSpec.from_dict(d["schedule"])
         classifier_cfg = d.get("classifier", {"kind": "ridge"})
-        if not isinstance(classifier_cfg, dict) or "kind" not in classifier_cfg:
-            raise ConfigError("classifier config must be an object with 'kind'")
-        bad = set(classifier_cfg) - {"kind", "lambda"}
-        if bad:
-            raise ConfigError(f"unknown classifier fields: {sorted(bad)}")
+        require_fields(classifier_cfg, {"kind", "lambda"}, "classifier")
+        if "kind" not in classifier_cfg:
+            raise ConfigError("classifier config is missing 'kind'")
         buffer_cfg = d.get("buffer", {})
-        if not isinstance(buffer_cfg, dict):
-            raise ConfigError("buffer config must be an object")
-        bad = set(buffer_cfg) - {"capacity", "strategy", "seed"}
-        if bad:
-            raise ConfigError(f"unknown buffer fields: {sorted(bad)}")
+        require_fields(buffer_cfg, {"capacity", "strategy", "seed"}, "buffer")
         capacity = require_int(buffer_cfg.get("capacity", 0), "buffer.capacity")
         if "adapt" in d:
             adapt_cfg = AdaptConfig.from_dict(d["adapt"])
@@ -435,7 +429,7 @@ def intermediate_predictor(cfg: ExperimentConfig, t: int) -> AdaptedPredictor:
     from them and adaptation restarts from scratch, exactly as a full run
     ending at ``t`` would do.
     """
-    if t == 0:
+    if require_int(t, "stream position") == 0:
         raise NoClassError("no data observed at stream position 0")
     train, _ = cfg.data.resolve()
     schedule = build_schedule(cfg.schedule, train.labels)
@@ -515,8 +509,7 @@ def robustness_sweep(
     The data is resolved once and the schedules run one after another on
     the same read-only tables.
     """
-    if require_int(n_schedules, "n_schedules") < 2:
-        raise ConfigError("a robustness sweep needs at least 2 schedules")
+    require_int(n_schedules, "n_schedules", minimum=2)
     if not kinds:
         raise ConfigError("at least one schedule kind is required")
     train, test = cfg.data.resolve()
@@ -552,12 +545,11 @@ def buffer_study(
     per-scenario mean/variance summary of the stored-vs-population mean
     distance.
     """
-    if require_int(shuffles, "shuffles") < 2:
-        raise ConfigError("the buffer study needs at least 2 shuffles")
+    require_int(shuffles, "shuffles", minimum=2)
     for b1, b2 in scenarios:
         name = f"scenario ({b1}, {b2}) size"
-        if require_int(b1, name) < 1 or require_int(b2, name) < 1:
-            raise ConfigError(f"invalid scenario ({b1}, {b2}): sizes must be >= 1")
+        require_int(b1, name, minimum=1)
+        require_int(b2, name, minimum=1)
     for strategy in strategies:
         if strategy not in STRATEGIES:
             raise ConfigError(f"unknown buffer strategy {strategy!r}")

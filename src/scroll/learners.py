@@ -27,6 +27,8 @@ from .errors import (
     LinAlgFailure,
     NoClassError,
     ShapeError,
+    require_float,
+    require_int,
 )
 
 STATE_MAGIC = b"SCST"
@@ -167,8 +169,8 @@ class NccState:
     """
 
     def __init__(self, class_count: int, dim: int):
-        if class_count < 1 or dim < 1:
-            raise ConfigError("class_count and dim must be >= 1")
+        require_int(class_count, "class_count", minimum=1)
+        require_int(dim, "dim", minimum=1)
         self.class_sums = np.zeros((class_count, dim))
         self.counts = np.zeros(class_count, dtype=np.int64)
 
@@ -186,13 +188,7 @@ class NccState:
 
     def update(self, x, y: int) -> "NccState":
         """Add one sample to its class sum; other rows are untouched."""
-        x = _check_vector(x, self.dim)
-        y = int(as_int_ids(y, "class id"))
-        if not 0 <= y < self.class_count:
-            raise ClassIdError(f"class id {y} outside [0, {self.class_count})")
-        self.class_sums[y] += x
-        self.counts[y] += 1
-        return self
+        return self.update_batch(_check_vector(x, self.dim)[None, :], [y])
 
     def update_batch(self, xs, ys) -> "NccState":
         xs = _check_matrix(xs, self.dim)
@@ -258,9 +254,9 @@ class RidgeState:
     """
 
     def __init__(self, class_count: int, dim: int, lam: float = 1.0):
-        if class_count < 1 or dim < 1:
-            raise ConfigError("class_count and dim must be >= 1")
-        if not lam > 0:
+        require_int(class_count, "class_count", minimum=1)
+        require_int(dim, "dim", minimum=1)
+        if not require_float(lam, "lam") > 0:
             raise ConfigError(f"lam must be positive, got {lam}")
         self._cov = np.zeros((dim, dim))
         self._block = np.empty((_ridge_block_rows(dim), dim))
@@ -307,14 +303,7 @@ class RidgeState:
 
     def update(self, x, y: int) -> "RidgeState":
         """Accumulate one sample: cov gains x x^T, row y gains x."""
-        x = _check_vector(x, self.dim)
-        y = int(as_int_ids(y, "class id"))
-        if not 0 <= y < self.class_count:
-            raise ClassIdError(f"class id {y} outside [0, {self.class_count})")
-        self._push(x[None, :])
-        self.class_sums[y] += x
-        self.seen += 1
-        return self
+        return self.update_batch(_check_vector(x, self.dim)[None, :], [y])
 
     def update_batch(self, xs, ys) -> "RidgeState":
         xs = _check_matrix(xs, self.dim)

@@ -26,7 +26,7 @@ import numpy as np
 
 from ._binio import Reader, Writer
 from ._seeding import seeded_rng
-from .errors import ClassIdError, ConfigError, FormatError, ShapeError
+from .errors import ClassIdError, ConfigError, FormatError, ShapeError, require_int
 from .learners import ONE_THREAD_MULADDS, as_int_ids
 
 STRATEGIES = ("exemplar", "reservoir", "nearest", "outlier")
@@ -229,8 +229,8 @@ class ReplayBuffer:
     """
 
     def __init__(self, capacity: int, strategy: str = "exemplar", seed: int = 0):
-        if capacity < 0:
-            raise ConfigError(f"capacity must be >= 0, got {capacity}")
+        require_int(capacity, "capacity", minimum=0)
+        require_int(seed, "seed")
         if strategy not in STRATEGIES:
             raise ConfigError(
                 f"unknown buffer strategy {strategy!r}, expected one of {STRATEGIES}"

@@ -14,7 +14,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from ._seeding import seeded_rng
-from .errors import ConfigError, require_float, require_int
+from .errors import ConfigError, from_fields, require_float, require_int
 from .embeddings import EmbeddingTable
 
 SCHEDULE_KINDS = ("single_batch", "class_split", "random_iid", "gaussian", "explicit")
@@ -95,13 +95,11 @@ class ScheduleSpec:
             require_float(getattr(self, name), f"schedule.{name}")
         for name in ("classes_per_batch", "batch_size"):
             if getattr(self, name) is not None:
-                require_int(getattr(self, name), f"schedule.{name}")
-        if self.kind == "class_split":
-            if self.classes_per_batch is None or self.classes_per_batch < 1:
-                raise ConfigError("class_split requires classes_per_batch >= 1")
-        if self.kind == "random_iid":
-            if self.batch_size is None or self.batch_size < 1:
-                raise ConfigError("random_iid requires batch_size >= 1")
+                require_int(getattr(self, name), f"schedule.{name}", minimum=1)
+        if self.kind == "class_split" and self.classes_per_batch is None:
+            raise ConfigError("class_split requires classes_per_batch >= 1")
+        if self.kind == "random_iid" and self.batch_size is None:
+            raise ConfigError("random_iid requires batch_size >= 1")
         if self.kind == "gaussian":
             if not self.sigma > 0:
                 raise ConfigError("gaussian schedule requires sigma > 0")
@@ -115,8 +113,6 @@ class ScheduleSpec:
                 )
             if not self.peak_spacing > 0:
                 raise ConfigError("gaussian schedule requires peak_spacing > 0")
-            if self.batch_size is not None and self.batch_size < 1:
-                raise ConfigError("batch_size must be >= 1 when given")
         if self.kind == "explicit":
             if self.permutation is None or self.bounds is None:
                 raise ConfigError("explicit schedule requires permutation and bounds")
@@ -127,21 +123,9 @@ class ScheduleSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScheduleSpec":
-        if not isinstance(d, dict):
-            raise ConfigError("schedule spec must be an object")
-        known = {
-            "kind", "seed", "classes_per_batch", "batch_size",
-            "peak_spacing", "sigma", "permutation", "bounds",
-        }
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown schedule fields: {sorted(unknown)}")
-        if "kind" not in d:
+        if isinstance(d, dict) and "kind" not in d:
             raise ConfigError("schedule spec is missing 'kind'")
-        try:
-            return cls(**d)
-        except TypeError as exc:
-            raise ConfigError(f"invalid schedule spec: {exc}") from None
+        return from_fields(cls, d, "schedule")
 
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind, "seed": self.seed}

@@ -161,6 +161,18 @@ class TestBadConfigValues:
         result = run_with(cfg_path, capsys, intermediate_evals=5)
         self.assert_validation_error(result, "intermediate_evals")
 
+    def test_int_data_paths(self, workspace, capsys):
+        # Path 0 once opened stdin: the run read its training table from
+        # there and then closed file descriptor 0.
+        _, cfg_path = workspace
+        result = run_with(cfg_path, capsys, data={"train_path": 0, "test_path": 0})
+        self.assert_validation_error(result, "data.train_path")
+
+    def test_list_data_path(self, workspace, capsys):
+        _, cfg_path = workspace
+        result = run_with(cfg_path, capsys, data={"test_path": ["a"]})
+        self.assert_validation_error(result, "data.test_path")
+
     @pytest.mark.parametrize("sigma", [1e-155, 1e-200])
     def test_gaussian_sigma_too_small(self, workspace, capsys, sigma):
         _, cfg_path = workspace
@@ -266,6 +278,33 @@ class TestFileInput:
             warnings.simplefilter("error")
             assert main(["run", "--config", str(cfg_path), "--report", str(report)]) == 0
         assert json.loads(report.read_text())["accuracy"]["stage_one"] == 1.0
+
+
+def synthetic_run(tmp_path, capsys, **spec):
+    """Run a small synthetic config with ``spec`` edits; return exit code and stderr."""
+    cfg = {
+        "data": {"synthetic": {"class_count": 3, "dim": 4, "samples_per_class": 5, **spec}},
+        "schedule": {"kind": "single_batch"},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    return main(["run", "--config", str(cfg_path)]), capsys.readouterr().err
+
+
+class TestExtremeSyntheticSpecs:
+    """Each spec once printed numpy overflow warnings, and the first two then
+    failed on a zero-norm row of a table flagged as normalized."""
+
+    def test_huge_cluster_spread_runs(self, tmp_path, capsys):
+        assert synthetic_run(tmp_path, capsys, cluster_spread=1e200) == (0, "")
+
+    def test_huge_shift_strength_runs(self, tmp_path, capsys):
+        assert synthetic_run(tmp_path, capsys, shift_strength=1e308) == (0, "")
+
+    def test_spread_beyond_float_range_is_runtime_error(self, tmp_path, capsys):
+        code, err = synthetic_run(tmp_path, capsys, cluster_spread=1e308)
+        assert code == 2 and err.startswith("error: non-finite value in row")
 
 
 class TestImports:

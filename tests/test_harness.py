@@ -247,6 +247,12 @@ class TestIntermediatePredictor:
         intermediate_predictor(cfg, 1)
         assert solved == [50]
 
+    @pytest.mark.parametrize("t", [1.5, True])
+    def test_non_integer_position_is_config_error(self, t):
+        # 1.5 once streamed the whole schedule, and True acted as position 1.
+        with pytest.raises(ConfigError, match="^stream position must be an integer"):
+            intermediate_predictor(small_config(), t)
+
     def test_position_out_of_range(self):
         with pytest.raises(ConfigError):
             intermediate_predictor(small_config(), 99)

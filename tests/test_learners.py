@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from scroll import (
     ClassIdError,
+    ConfigError,
     FormatError,
     LinAlgFailure,
     LinearHead,
@@ -102,6 +103,13 @@ class TestNccUpdate:
         with pytest.raises(ClassIdError, match="integer dtype"):
             state.update(np.array([1.0, 0.0]), 1.9)
         assert state.counts.sum() == 0
+
+    def test_non_integer_sizes_are_config_errors(self):
+        # 2.5 once escaped as a TypeError from numpy.
+        with pytest.raises(ConfigError, match="^class_count must be an integer"):
+            NccState(2.5, 3)
+        with pytest.raises(ConfigError, match="^dim must be >= 1, got 0"):
+            NccState(2, 0)
 
     @pytest.mark.parametrize("kind", [NccState, RidgeState])
     def test_non_integer_batch_labels_are_class_id_error(self, kind):
@@ -220,6 +228,16 @@ class TestNccPredictProperties:
 
 
 class TestRidgeUpdate:
+    @pytest.mark.parametrize("args, message", [
+        ((3.0, 2), "^class_count must be an integer"),
+        ((3, 2, "1"), "^lam must be a number"),
+        ((3, 2, True), "^lam must be a number"),
+    ], ids=["float-class-count", "str-lam", "bool-lam"])
+    def test_mistyped_arguments_are_config_errors(self, args, message):
+        # The first two once escaped as a TypeError, and lam=True ran as 1.0.
+        with pytest.raises(ConfigError, match=message):
+            RidgeState(*args)
+
     def test_single_sample_statistics(self):
         s = RidgeState(2, 2, lam=1.0)
         s.update(np.array([1.0, 0.0]), 0)

@@ -338,6 +338,16 @@ class TestQuotaAndCapacity:
             buf.update(np.ones((1, 5)), np.array([label]), np.array([2]))
         assert buf.per_class_counts() == {0: 2}
 
+    @pytest.mark.parametrize("args, field", [
+        ((2.5,), "capacity"), ((True,), "capacity"), (("3",), "capacity"),
+        ((3, "exemplar", 1.5), "seed"),
+    ], ids=["float-capacity", "bool-capacity", "str-capacity", "float-seed"])
+    def test_non_integer_arguments_are_config_errors(self, args, field):
+        # 2.5 and True were once stored as capacity 2 and 1, seed 1.5 as
+        # seed 1, and "3" escaped as a TypeError.
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer"):
+            ReplayBuffer(*args)
+
     def test_zero_quota_class_warns(self, table):
         buf = ReplayBuffer(2, "exemplar", seed=4)
         feed(buf, table, np.arange(table.n_samples), 30)
