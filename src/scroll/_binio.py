@@ -14,16 +14,20 @@ class Reader:
         self.data = data
         self.offset = 0
 
-    def take(self, count: int, what: str) -> bytes:
-        end = self.offset + count
+    def _advance(self, count: int, what: str) -> int:
+        """Move past ``count`` bytes and return where they start."""
+        start, end = self.offset, self.offset + count
         if end > len(self.data):
             raise FormatError(
-                f"truncated {what}: need bytes [{self.offset}, {end}) "
+                f"truncated {what}: need bytes [{start}, {end}) "
                 f"but data ends at byte {len(self.data)}"
             )
-        raw = self.data[self.offset:end]
         self.offset = end
-        return raw
+        return start
+
+    def take(self, count: int, what: str) -> bytes:
+        start = self._advance(count, what)
+        return self.data[start:self.offset]
 
     def expect_magic(self, magic: bytes) -> None:
         raw = self.take(len(magic), "magic")
@@ -34,9 +38,13 @@ class Reader:
         return struct.unpack("<" + fmt, self.take(struct.calcsize("<" + fmt), what))
 
     def array(self, dtype: str, count: int, what: str) -> np.ndarray:
-        itemsize = np.dtype(dtype).itemsize
-        raw = self.take(itemsize * count, what)
-        return np.frombuffer(raw, dtype=dtype, count=count)
+        """The next ``count`` items as a read-only view of the buffer, not a copy.
+
+        The view may be unaligned and keeps the whole buffer alive; a caller
+        that keeps the values copies them.
+        """
+        start = self._advance(np.dtype(dtype).itemsize * count, what)
+        return np.frombuffer(self.data, dtype=dtype, count=count, offset=start)
 
     def expect_end(self) -> None:
         if self.offset != len(self.data):

@@ -25,20 +25,16 @@ from .errors import (
     AdaptError, ClassIdError, ConfigError, FormatError, ShapeError, from_fields,
     require_float, require_int,
 )
-from .learners import LinearHead, NccState, RidgeState, as_int_ids
+from .learners import (
+    ONE_THREAD_MULADDS, PREDICT_BLOCK_ROWS, LinearHead, NccState, RidgeState, as_int_ids,
+    blocked_argmax,
+)
 
 ADAPT_MODES = ("none", "adapter", "full_head")
 OPTIMIZERS = ("sgd", "adadelta")
 
 PREDICTOR_MAGIC = b"SCAD"
 PREDICTOR_VERSION = 1
-
-#: Most rows one product scores in :meth:`AdaptedPredictor.predict_batch`.
-#: At K=10, d=64 a 256-row block stays under ``learners.ONE_THREAD_MULADDS``,
-#: so on one OpenBLAS thread, where a 1000-row product wakes a second
-#: thread that then spins through the small training steps after it.
-PREDICT_BLOCK_ROWS = 256
-
 
 @dataclass(frozen=True)
 class AdaptConfig:
@@ -334,16 +330,12 @@ class AdaptedPredictor:
         zs = np.asarray(zs, dtype=np.float64)
         if zs.ndim != 2:
             raise ShapeError(f"expected a 2-d batch of queries, got shape {zs.shape}")
-        preds = np.empty(zs.shape[0], dtype=np.int64)
-        # An empty batch is still scored once, so a wrong width raises ShapeError.
-        for lo in range(0, max(zs.shape[0], 1), PREDICT_BLOCK_ROWS):
-            block = zs[lo:lo + PREDICT_BLOCK_ROWS]
-            if self.adapter is None:
-                logits = self.head.scores(block)
-            else:
-                logits, _ = forward(self.adapter, block)
-            preds[lo:lo + block.shape[0]] = np.argmax(logits, axis=1)
-        return preds
+        return blocked_argmax(self._scores, zs)
+
+    def _scores(self, zs: np.ndarray) -> np.ndarray:
+        if self.adapter is None:
+            return self.head.scores(zs)
+        return forward(self.adapter, zs)[0]
 
     def predict(self, z) -> int:
         return int(self.predict_batch(np.asarray(z, dtype=np.float64)[None, :])[0])
@@ -405,6 +397,11 @@ def adapt(
                np.empty_like(flat), np.empty_like(flat))
     groups = [tuple(b[part] for b in buffers) + (rate,) for part, rate in rates]
 
+    # The per-epoch buffer check scores in slices whose largest product
+    # (d x max(K, h) per row) stays on one OpenBLAS thread; a woken second
+    # thread would spin through the small training steps that follow.
+    widest = max(init.class_count, adapter.width if adapter is not None else 0)
+    check_rows = min(PREDICT_BLOCK_ROWS, max(1, ONE_THREAD_MULADDS // (init.dim * widest)))
     rng = seeded_rng(cfg.seed, 33)
     curve: list[tuple[int, float, float]] = []
     for epoch in range(1, cfg.epochs + 1):
@@ -423,7 +420,7 @@ def adapt(
                     )
         # Re-validating the head here raises DataError once training diverges.
         predictor = AdaptedPredictor(LinearHead(head.weights, head.biases), adapter)
-        buffer_acc = float(np.mean(predictor.predict_batch(zs) == ys))
+        buffer_acc = float(np.mean(blocked_argmax(predictor._scores, zs, check_rows) == ys))
         curve.append((epoch, epoch_loss / stored, buffer_acc))
 
     return AdaptedPredictor(

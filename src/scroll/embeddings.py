@@ -17,8 +17,8 @@ import numpy as np
 from ._binio import Reader, Writer
 from ._seeding import seeded_rng
 from .errors import (
-    ConfigError, DataError, DegenerateInputError, FormatError, ShapeError, from_fields,
-    require_float, require_int,
+    ConfigError, DataError, DegenerateInputError, FormatError, ShapeError, all_finite,
+    from_fields, require_float, require_int,
 )
 
 EMBEDDING_MAGIC = b"SCRL"
@@ -28,6 +28,9 @@ EMBEDDING_VERSION = 1
 UNIT_NORM_TOL = 1e-6
 
 FORMATS = ("binary", "csv")
+
+#: Most entries one block of :func:`_row_norms` squares at a time.
+_NORM_BLOCK_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,7 @@ class EmbeddingTable:
             )
         if vectors.shape[0] == 0:
             raise DataError("table has no samples")
-        if not np.isfinite(vectors).all():
+        if not all_finite(vectors):
             row = int(np.where(~np.isfinite(vectors).all(axis=1))[0][0])
             raise DataError(f"non-finite value in row {row}")
         if self.class_count < 1:
@@ -71,7 +74,7 @@ class EmbeddingTable:
             missing = int(np.where(counts == 0)[0][0])
             raise DataError(f"class {missing} has no samples")
         if self.normalized:
-            norms = np.linalg.norm(vectors, axis=1)
+            norms = _row_norms(vectors)
             bad = np.abs(norms - 1.0) > UNIT_NORM_TOL
             if bad.any():
                 row = int(np.where(bad)[0][0])
@@ -106,7 +109,7 @@ def normalize(table: EmbeddingTable) -> EmbeddingTable:
         return table
     rows = table.vectors
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(rows, axis=1)
+        norms = _row_norms(rows)
     # The sum of squares overflows for entries above ~1e154 and underflows
     # below ~1e-154. Only such rows are first divided by their largest
     # entry; every other row keeps the plain x / ||x|| bits.
@@ -124,10 +127,24 @@ def normalize(table: EmbeddingTable) -> EmbeddingTable:
     )
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(rows, axis=1)`` of float64 rows, bit for bit, in row blocks.
+
+    The one-shot call squares the whole table into one temporary. Here each
+    block of about ``_NORM_BLOCK_ELEMENTS`` entries is squared and summed on
+    its own; every row still reduces alone, so the bits are the same.
+    """
+    step = max(1, _NORM_BLOCK_ELEMENTS // max(rows.shape[1], 1))
+    norms = np.empty(rows.shape[0])
+    for lo in range(0, rows.shape[0], step):
+        norms[lo:lo + step] = np.linalg.norm(rows[lo:lo + step], axis=1)
+    return norms
+
+
 def _looks_normalized(vectors: np.ndarray) -> bool:
     # An overflowing norm is inf, which correctly reads as not unit.
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(vectors, axis=1)
+        norms = _row_norms(vectors)
     return bool(np.all(np.abs(norms - 1.0) <= UNIT_NORM_TOL))
 
 
@@ -193,7 +210,7 @@ def _load_binary(data: bytes) -> tuple[EmbeddingTable, dict[int, int]]:
     vectors = r.array("<f4", n * dim, "embedding rows").reshape(n, dim)
     raw_labels = r.array("<u4", n, "label block").astype(np.int64)
     r.expect_end()
-    if not np.isfinite(vectors).all():
+    if not all_finite(vectors):
         row = int(np.where(~np.isfinite(vectors).all(axis=1))[0][0])
         raise DataError(f"non-finite value in row {row}")
     labels, mapping = _remap_labels(raw_labels)

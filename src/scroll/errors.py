@@ -1,8 +1,11 @@
-"""Exception types shared across the package, and the readers of config sections."""
+"""Exception types shared across the package, the readers of config sections,
+and the finiteness check of arrays."""
 
 import dataclasses
 import math
 import numbers
+
+import numpy as np
 
 
 class ScrollError(Exception):
@@ -103,3 +106,13 @@ def require_float(value, name: str):
     if not finite:
         raise ConfigError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def all_finite(values: np.ndarray) -> bool:
+    """Whether every entry of ``values`` is finite, with no temporary as large as it.
+
+    A NaN entry makes the minimum NaN and an infinite one makes the minimum
+    or maximum infinite, so two reductions decide what ``np.isfinite``
+    would without its array of flags.
+    """
+    return values.size == 0 or bool(np.isfinite(values.min()) and np.isfinite(values.max()))

@@ -27,6 +27,7 @@ from .errors import (
     LinAlgFailure,
     NoClassError,
     ShapeError,
+    all_finite,
     require_float,
     require_int,
 )
@@ -41,6 +42,15 @@ _KIND_RIDGE = 1
 #: flushes at d=128 (2.8e5) kept CPU time equal to wall time, 32-row ones
 #: doubled it; the threading point lies between 1.6e5 and 6.4e5.
 ONE_THREAD_MULADDS = 2**18
+
+#: Most rows one product scores in a ``predict_batch``. Blocks bound the
+#: score temporaries at O(256 K) floats, where one product over n rows
+#: holds n x K of them (3.2 MB at n=4000, K=100). That is their purpose at
+#: wide K x d, where a block still threads (K=100, d=256: 6.6e6
+#: multiply-adds). At K=10, d=64 a block also stays under
+#: ``ONE_THREAD_MULADDS``, so it does not wake a second OpenBLAS thread that
+#: would then spin through the small training steps after it.
+PREDICT_BLOCK_ROWS = 256
 
 #: Most rows a pending ridge block holds; bounds it at O(256 d) memory.
 RIDGE_BLOCK_ROWS = 256
@@ -77,9 +87,23 @@ def _check_matrix(xs, dim: int) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != dim:
         raise ShapeError(f"expected rows of dimension {dim}, got shape {xs.shape}")
-    if not np.isfinite(xs).all():
+    if not all_finite(xs):
         raise DataError("vectors contain non-finite values")
     return xs
+
+
+def blocked_argmax(scores, xs: np.ndarray, block_rows: int = PREDICT_BLOCK_ROWS) -> np.ndarray:
+    """Row-wise argmax of ``scores(block)`` over consecutive blocks of ``xs``.
+
+    Each row's scores, and so its argmax, come from that row alone, while
+    the temporaries hold ``block_rows`` rows of scores. An empty batch is
+    still scored once, so a wrong width raises :class:`ShapeError`.
+    """
+    preds = np.empty(xs.shape[0], dtype=np.int64)
+    for lo in range(0, max(xs.shape[0], 1), block_rows):
+        block = xs[lo:lo + block_rows]
+        preds[lo:lo + block.shape[0]] = np.argmax(scores(block), axis=1)
+    return preds
 
 
 def as_int_ids(values, what: str) -> np.ndarray:
@@ -144,7 +168,8 @@ class LinearHead:
             raise ShapeError(
                 f"queries of dimension {self.dim} required, got shape {xs.shape}"
             )
-        out = xs @ self.weights.T + self.biases
+        out = xs @ self.weights.T
+        out += self.biases
         return out[0] if single else out
 
     def predict(self, x) -> int:
@@ -154,7 +179,7 @@ class LinearHead:
         xs = np.asarray(xs, dtype=np.float64)
         if xs.ndim != 2:
             raise ShapeError(f"expected a 2-d batch of queries, got shape {xs.shape}")
-        return np.argmax(self.scores(xs), axis=1).astype(np.int64)
+        return blocked_argmax(self.scores, xs)
 
     def copy(self) -> "LinearHead":
         return LinearHead(self.weights.copy(), self.biases.copy())
@@ -205,12 +230,17 @@ class NccState:
 
     def predict_batch(self, xs) -> np.ndarray:
         xs = _check_matrix(xs, self.dim)
-        seen = self.counts > 0
-        if not seen.any():
+        unseen = self.counts == 0
+        if unseen.all():
             raise NoClassError("no class has been observed yet")
-        scores = self.to_linear_head().scores(xs)
-        scores[:, ~seen] = -np.inf
-        return np.argmax(scores, axis=1).astype(np.int64)
+        head = self.to_linear_head()
+
+        def masked_scores(block):
+            scores = head.scores(block)
+            scores[:, unseen] = -np.inf
+            return scores
+
+        return blocked_argmax(masked_scores, xs)
 
     def to_linear_head(self) -> LinearHead:
         """Rewrite the nearest-prototype rule as a linear layer.
@@ -321,7 +351,11 @@ class RidgeState:
         Factors the symmetric positive-definite system as L L^T (Cholesky)
         and solves L u = class_sums^T, then L^T w = u; classes with no
         samples come out as exact zero rows. Biases are zero. Statistics
-        that overflowed to inf or nan raise :class:`LinAlgFailure`.
+        that overflowed to inf or nan raise :class:`LinAlgFailure`. The
+        weights' last bits depend on the BLAS thread count: the same
+        statistics solved on one and on two OpenBLAS threads gave weights
+        up to 1.3e-18 apart (entries up to 2.1e-3, K=50, d=128), so
+        ``SCAD`` checkpoint bytes differ between the two.
         """
         k, d = self.class_count, self.dim
         if self.seen == 0:

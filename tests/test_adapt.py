@@ -31,6 +31,7 @@ from scroll import (
     write_training_curve,
 )
 from scroll._seeding import seeded_rng
+from scroll.learners import ONE_THREAD_MULADDS
 
 
 def unit_rows(rng, n, d):
@@ -616,6 +617,31 @@ class TestInPlaceUpdates:
             # Products above 256 rows at K=10, d=64 wake a second BLAS thread.
             assert max(rows) == 256
             assert len(steps) == 3 * math.ceil(buf.total_stored() / 64)
+
+    def test_buffer_check_products_stay_on_one_thread(self, monkeypatch):
+        # 256-row checks at K=50, d=128 (1.6e6 multiply-adds per product)
+        # woke a second BLAS thread, which spun through the training after.
+        rows = []
+        scores = AdaptedPredictor._scores
+
+        def recorded(self, zs):
+            rows.append(zs.shape[0])
+            return scores(self, zs)
+
+        monkeypatch.setattr(AdaptedPredictor, "_scores", recorded)
+        rng = np.random.default_rng(66)
+        k, d = 50, 128
+        buf = large_buffer(rng, k=k, d=d, per_class=6, capacity=300)
+        zs, ys = buf.training_arrays()
+        head = LinearHead(rng.standard_normal((k, d)), np.zeros(k))
+        for mode, bottleneck, widest in (("adapter", None, k), ("adapter", 64, 64),
+                                         ("full_head", None, k)):
+            rows.clear()
+            cfg = AdaptConfig(mode=mode, epochs=2, bottleneck=bottleneck, seed=3)
+            pred = adapt(head, buf, cfg)
+            assert max(rows) * d * widest <= ONE_THREAD_MULADDS
+            assert sum(rows) == 2 * len(ys)
+            assert pred.curve[-1][2] == float(np.mean(pred.predict_batch(zs) == ys))
 
 
 @st.composite

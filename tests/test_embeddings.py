@@ -15,6 +15,8 @@ from scroll import (
     save_embeddings,
     synthesize,
 )
+from scroll._binio import Reader
+from scroll.embeddings import _NORM_BLOCK_ELEMENTS, _row_norms
 
 
 def make_table(vectors, labels, k, normalized=False):
@@ -25,6 +27,13 @@ class TestTableInvariants:
     def test_rejects_non_finite(self):
         with pytest.raises(DataError, match="row 1"):
             make_table([[1.0, 0.0], [np.nan, 1.0]], [0, 1], 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_each_kind_of_non_finite_entry(self, bad):
+        rows = np.ones((300, 4))
+        rows[217, 2] = bad
+        with pytest.raises(DataError, match="row 217"):
+            make_table(rows, np.arange(300) % 3, 3)
 
     def test_rejects_missing_class(self):
         with pytest.raises(DataError, match="class 1"):
@@ -95,6 +104,48 @@ class TestNormalize:
         out = normalize(t)
         norms = np.linalg.norm(out.vectors, axis=1)
         assert np.abs(norms - 1.0).max() <= 1e-6
+
+
+class TestRowNorms:
+    @pytest.mark.parametrize("d", [1, 3, 256])
+    @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 1)])
+    def test_bits_equal_the_one_shot_norm(self, d, blocks, extra):
+        n = blocks * (_NORM_BLOCK_ELEMENTS // d) + extra
+        rng = np.random.default_rng(n)
+        rows = rng.standard_normal((n, d))
+        # Rows near 1e+150 and 1e-150 square near the ends of the float range.
+        rows[::3] *= 1e150
+        rows[1::3] *= 1e-150
+        np.testing.assert_array_equal(_row_norms(rows), np.linalg.norm(rows, axis=1))
+
+    def test_normalize_bits_equal_the_one_shot_division(self):
+        rng = np.random.default_rng(65)
+        rows = rng.standard_normal((2 * (_NORM_BLOCK_ELEMENTS // 7) + 3, 7))
+        table = normalize(make_table(rows, np.arange(len(rows)) % 4, 4))
+        np.testing.assert_array_equal(
+            table.vectors, rows / np.linalg.norm(rows, axis=1)[:, None]
+        )
+
+
+class TestReader:
+    def test_array_is_a_view_of_the_buffer(self):
+        data = b"SCRL" + np.arange(6, dtype="<f4").tobytes()
+        r = Reader(data)
+        r.expect_magic(b"SCRL")
+        values = r.array("<f4", 6, "embedding rows")
+        np.testing.assert_array_equal(values, np.arange(6))
+        assert np.shares_memory(values, np.frombuffer(data, np.uint8))
+        assert not values.flags.writeable
+        r.expect_end()
+
+    def test_truncated_array_names_the_byte_range(self):
+        r = Reader(b"SCRL" + bytes(10))
+        r.expect_magic(b"SCRL")
+        with pytest.raises(
+            FormatError, match=r"^truncated embedding rows: need bytes \[4, 28\) "
+            r"but data ends at byte 14$"
+        ):
+            r.array("<f4", 6, "embedding rows")
 
 
 class TestBinaryFormat:

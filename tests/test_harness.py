@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +10,7 @@ from scroll import (
     ConfigError,
     ConsumeOnceStream,
     DataError,
+    EmbeddingTable,
     ExperimentConfig,
     NccState,
     NoClassError,
@@ -19,6 +21,7 @@ from scroll import (
     intermediate_predictor,
     robustness_sweep,
     run,
+    save_embeddings,
     write_study_summary,
 )
 from scroll.harness import DataConfig, _evaluate, _state_deviation, _sweep_schedule_specs
@@ -198,6 +201,29 @@ class TestFileData:
         })
         with pytest.raises(DataError, match=r"only in train \[1\], only in test \[\]"):
             run(cfg)
+
+    def test_resolve_holds_the_tables_and_one_payload(self, tmp_path):
+        # Row norms once squared a whole table into one temporary, and the
+        # file reader copied each float32 payload before converting it.
+        n, d, k = 4000, 256, 100
+        rng = np.random.default_rng(61)
+        for split in ("train", "test"):
+            rows = rng.standard_normal((n, d))
+            rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+            table = EmbeddingTable(rows, np.arange(n) % k, k)
+            save_embeddings(table, tmp_path / f"{split}.bin")
+        cfg = DataConfig(train_path=str(tmp_path / "train.bin"),
+                         test_path=str(tmp_path / "test.bin"))
+        tracemalloc.start()
+        try:
+            train, test = cfg.resolve()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert train.normalized and test.normalized
+        tables = 2 * (n * d + n) * 8
+        payload = (tmp_path / "test.bin").stat().st_size
+        assert peak <= tables + payload + 2**20
 
 
 class TestIntermediatePredictor:

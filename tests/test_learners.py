@@ -9,8 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scroll import (
+    AdaptedPredictor,
+    AdapterParams,
     ClassIdError,
     ConfigError,
+    DataError,
     FormatError,
     LinAlgFailure,
     LinearHead,
@@ -523,6 +526,82 @@ class TestLinearPredict:
         head = LinearHead(np.eye(3), np.zeros(3))
         with pytest.raises(ShapeError, match="2-d batch"):
             head.predict_batch(np.array([0.0, 1.0, 0.0]))
+
+
+def scored_predictors(rng, k, d):
+    """A bare head, an NCC state with unseen classes, and an adapted predictor,
+    each with its one-shot scoring rule: all queries in one product."""
+    head = LinearHead(rng.standard_normal((k, d)), rng.standard_normal(k))
+    state = NccState(k, d).update_batch(rng.standard_normal((3 * k, d)), np.arange(3 * k) % k)
+    state.counts[[1, k - 2]] = 0
+    down, up = rng.standard_normal((4, d)), rng.standard_normal((d, 4))
+    adapted = AdaptedPredictor(head, AdapterParams(down, up, head))
+
+    def head_scores(xs):
+        return xs @ head.weights.T + head.biases
+
+    def ncc_scores(xs):
+        ncc_head = state.to_linear_head()
+        scores = xs @ ncc_head.weights.T + ncc_head.biases
+        scores[:, state.counts == 0] = -np.inf
+        return scores
+
+    def adapted_scores(xs):
+        return head_scores(xs + np.maximum(xs @ down.T, 0.0) @ up.T)
+
+    return [(head, head_scores), (state, ncc_scores), (adapted, adapted_scores)]
+
+
+class TestBlockedScoring:
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 4000])
+    def test_matches_one_shot_argmax(self, n):
+        rng = np.random.default_rng(n)
+        queries = rng.standard_normal((n, 12))
+        for predictor, one_shot in scored_predictors(rng, 9, 12):
+            preds = predictor.predict_batch(queries)
+            assert preds.dtype == np.int64
+            np.testing.assert_array_equal(preds, np.argmax(one_shot(queries), axis=1))
+
+    def test_no_unseen_class_is_predicted(self):
+        rng = np.random.default_rng(62)
+        _, (state, _), _ = scored_predictors(rng, 9, 12)
+        preds = state.predict_batch(rng.standard_normal((600, 12)))
+        assert (state.counts[preds] > 0).all()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_ncc_query_is_data_error(self, bad):
+        rng = np.random.default_rng(67)
+        _, (state, _), _ = scored_predictors(rng, 9, 12)
+        queries = rng.standard_normal((300, 12))
+        queries[280, 5] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            state.predict_batch(queries)
+
+    def test_empty_batch_of_the_wrong_width_is_shape_error(self):
+        rng = np.random.default_rng(63)
+        for predictor, _ in scored_predictors(rng, 9, 12):
+            assert predictor.predict_batch(np.zeros((0, 12))).shape == (0,)
+            with pytest.raises(ShapeError):
+                predictor.predict_batch(np.zeros((0, 13)))
+
+    def test_prediction_memory_is_blocked(self):
+        # One product over every query held n x K scores, twice over with
+        # the bias sum: 6.4 MB here, where a 256-row block holds 0.2 MB.
+        n, k, d = 4000, 100, 256
+        rng = np.random.default_rng(64)
+        state = NccState(k, d).update_batch(rng.standard_normal((k, d)), np.arange(k))
+        state.counts[:5] = 0
+        queries = rng.standard_normal((n, d))
+        for predict in (state.predict_batch, state.to_linear_head().predict_batch):
+            tracemalloc.start()
+            try:
+                predict(queries)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # Scores of two blocks, the NCC head's K x d weights, and the
+            # n predictions with one n-long temporary.
+            assert peak <= 8 * (2 * 256 * k + k * d + 2 * n)
 
 
 class TestPermutationInvariance:
