@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +23,8 @@ import numpy as np
 from ._binio import Reader, Writer
 from ._seeding import seeded_rng
 from .errors import (
-    AdaptError, ClassIdError, ConfigError, FormatError, ShapeError, from_fields,
-    require_float, require_int,
+    AdaptError, ClassIdError, ConfigError, DataError, FormatError, ShapeError, all_finite,
+    from_fields, require_float, require_int,
 )
 from .learners import (
     ONE_THREAD_MULADDS, PREDICT_BLOCK_ROWS, LinearHead, NccState, RidgeState, as_int_ids,
@@ -404,24 +405,32 @@ def adapt(
     check_rows = min(PREDICT_BLOCK_ROWS, max(1, ONE_THREAD_MULADDS // (init.dim * widest)))
     rng = seeded_rng(cfg.seed, 33)
     curve: list[tuple[int, float, float]] = []
-    for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(stored)
-        epoch_loss = 0.0
-        for lo in range(0, stored, cfg.batch_size):
-            sel = order[lo:lo + cfg.batch_size]
-            loss, _ = loss_and_grads(params, zs[sel], ys[sel], cfg.temperature, grads_out)
-            epoch_loss += loss * len(sel)
-            for param, grad, grad_sq, step_sq, tmp, tmp2, rate in groups:
-                if cfg.optimizer == "sgd":
-                    param -= rate * grad
-                else:
-                    _adadelta_update(
-                        param, grad, grad_sq, step_sq, tmp, tmp2, cfg.rho, cfg.eps, rate
-                    )
-        # Re-validating the head here raises DataError once training diverges.
-        predictor = AdaptedPredictor(LinearHead(head.weights, head.biases), adapter)
-        buffer_acc = float(np.mean(blocked_argmax(predictor._scores, zs, check_rows) == ys))
-        curve.append((epoch, epoch_loss / stored, buffer_acc))
+    # A diverging run overflows into inf and nan; the per-epoch checks of
+    # the parameters and the loss turn that into a DataError, so numpy's
+    # warnings on the way are not printed.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.epochs + 1):
+            order = rng.permutation(stored)
+            epoch_loss = 0.0
+            for lo in range(0, stored, cfg.batch_size):
+                sel = order[lo:lo + cfg.batch_size]
+                loss, _ = loss_and_grads(params, zs[sel], ys[sel], cfg.temperature, grads_out)
+                epoch_loss += loss * len(sel)
+                for param, grad, grad_sq, step_sq, tmp, tmp2, rate in groups:
+                    if cfg.optimizer == "sgd":
+                        param -= rate * grad
+                    else:
+                        _adadelta_update(
+                            param, grad, grad_sq, step_sq, tmp, tmp2, cfg.rho, cfg.eps, rate
+                        )
+            # Re-validating the head here raises DataError once training diverges.
+            predictor = AdaptedPredictor(LinearHead(head.weights, head.biases), adapter)
+            if not all_finite(flat[split:]):
+                raise DataError("adapter parameters contain non-finite values")
+            if not math.isfinite(epoch_loss):
+                raise DataError("training loss is not finite")
+            buffer_acc = float(np.mean(blocked_argmax(predictor._scores, zs, check_rows) == ys))
+            curve.append((epoch, epoch_loss / stored, buffer_acc))
 
     return AdaptedPredictor(
         predictor.head, adapter, provenance=provenance, curve=curve, warnings=warnings

@@ -243,10 +243,38 @@ def _stage_one(cfg: ExperimentConfig, state):
     return predict, head
 
 
+class _StoredRows:
+    """A buffer's content at a stream position, held as dataset indices.
+
+    Stream batches are rows of the training table taken by dataset index,
+    so the stored rows are the table's rows at the stored indices. A
+    checkpoint keeps only those indices and reads the rows back when it is
+    adapted. Offers what :func:`adapt` reads of a buffer.
+    """
+
+    def __init__(self, buffer: ReplayBuffer, train: EmbeddingTable):
+        self._train = train
+        self._indices, self._labels = buffer.training_indices()
+        self._digest = buffer.content_digest()
+
+    def total_stored(self) -> int:
+        return len(self._indices)
+
+    def training_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._train.vectors[self._indices], self._labels
+
+    def content_digest(self) -> str:
+        return self._digest
+
+
 def _stream(cfg: ExperimentConfig, train, schedule, checkpoints, stop=None):
     """Stream once into fresh statistics and buffer, ending after batch ``stop``.
 
-    Returns both plus copies of them taken after each batch in ``checkpoints``.
+    Returns both plus, for each batch in ``checkpoints``, a copy of the
+    statistics and the buffer's content as :class:`_StoredRows`, taken
+    after it. Checkpoints are solved and adapted only after the stream:
+    threaded work mid-stream would leave an OpenBLAS thread spinning
+    through the small updates that follow.
     """
     state = _new_state(cfg, train)
     buffer = (
@@ -261,7 +289,7 @@ def _stream(cfg: ExperimentConfig, train, schedule, checkpoints, stop=None):
             buffer.update(batch.vectors, batch.labels, batch.indices)
         state.update_batch(batch.vectors, batch.labels)
         if t in checkpoints:
-            snapshots[t] = (state.copy(), buffer.copy() if buffer else None)
+            snapshots[t] = (state.copy(), _StoredRows(buffer, train) if buffer else None)
         if t == stop:
             break
     return state, buffer, snapshots

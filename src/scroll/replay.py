@@ -37,35 +37,44 @@ BUFFER_VERSION = 1
 #: ``SCBF`` stores class ids as unsigned 32-bit integers.
 _MAX_CLASS_ID = 2**32 - 1
 
+#: The batch positions of a class with no arrivals.
+_NO_ROWS = slice(0, 0)
+
 
 class RunningClassMean:
-    """Exact streaming mean of every sample observed per class."""
+    """Exact streaming mean of every sample observed per class.
+
+    ``dim`` is the width of the rows seen so far, ``None`` before the first row.
+    """
 
     def __init__(self):
         self._sums: dict[int, np.ndarray] = {}
         self._counts: dict[int, int] = {}
+        self.dim: int | None = None
 
-    def add_batch(self, vectors: np.ndarray, groups: dict[int, np.ndarray]) -> None:
-        """Add a batch whose class ``y`` rows sit at positions ``groups[y]``."""
+    def add_batch(self, vectors: np.ndarray, groups: dict) -> None:
+        """Add a batch whose class ``y`` rows are ``vectors[groups[y]]``.
+
+        A group is an index array or a slice. A one-row group adds ``row +
+        0.0``, the bits of its ``sum(axis=0)``: numpy starts that sum from
+        +0.0, so a -0.0 entry comes out as +0.0.
+        """
         for y, pos in groups.items():
-            batch_sum = vectors[pos].sum(axis=0)
+            rows = vectors[pos]
+            batch_sum = rows[0] + 0.0 if len(rows) == 1 else rows.sum(axis=0)
             if y in self._sums:
                 self._sums[y] = self._sums[y] + batch_sum
-                self._counts[y] += len(pos)
+                self._counts[y] += len(rows)
             else:
                 self._sums[y] = batch_sum
-                self._counts[y] = len(pos)
+                self._counts[y] = len(rows)
+                self.dim = len(batch_sum)
 
     def mean(self, y: int) -> np.ndarray:
         return self._sums[y] / self._counts[y]
 
     def count(self, y: int) -> int:
         return self._counts.get(y, 0)
-
-    @property
-    def dim(self) -> int | None:
-        """Width of the rows seen so far; ``None`` before the first row."""
-        return next((len(s) for s in self._sums.values()), None)
 
     def classes(self) -> list[int]:
         return sorted(self._sums)
@@ -74,6 +83,7 @@ class RunningClassMean:
         out = RunningClassMean()
         out._sums = {y: s.copy() for y, s in self._sums.items()}
         out._counts = dict(self._counts)
+        out.dim = self.dim
         return out
 
 
@@ -226,6 +236,11 @@ class ReplayBuffer:
     is stored in dataset-index order and herded only when something reads
     its order or its quota drops rows. That is exact: a class's running
     mean moves only when the class gets arrivals, and arrivals re-pool it.
+
+    A one-row batch, the unit of a per-sample stream, is not grouped by
+    class: the row is its class's whole arrival, taken as a view of the
+    batch, and its running sum gains ``row + 0.0``, the bits the grouped
+    path's one-row sum has. Every result is the grouped path's, bit for bit.
     """
 
     def __init__(self, capacity: int, strategy: str = "exemplar", seed: int = 0):
@@ -269,6 +284,16 @@ class ReplayBuffer:
         vectors = np.concatenate([self._rows[y] for y in classes])
         return vectors, np.repeat(np.array(classes, dtype=np.int64), counts)
 
+    def training_indices(self) -> tuple[np.ndarray, np.ndarray]:
+        """Dataset indices and labels of :meth:`training_arrays`' rows, in its order."""
+        self._order()
+        classes = sorted(self._indices)
+        counts = [len(self._indices[y]) for y in classes]
+        if sum(counts) == 0:
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        indices = np.concatenate([self._indices[y] for y in classes])
+        return indices, np.repeat(np.array(classes, dtype=np.int64), counts)
+
     def content_digest(self) -> str:
         """Stable fingerprint of which samples are stored, for provenance."""
         self._order()
@@ -281,14 +306,17 @@ class ReplayBuffer:
     def moment_distances(self, table) -> dict[int, float]:
         """Per class: distance between the stored mean and the table's class mean.
 
-        Classes with nothing stored are absent from the result.
+        Classes with nothing stored are absent from the result. A stored
+        class with no row in ``table`` raises :class:`ClassIdError`.
         """
         self._order()
         out: dict[int, float] = {}
         for y in sorted(self._rows):
             stored_mean = np.mean(self._rows[y], axis=0)
-            class_mean = table.vectors[table.labels == y].mean(axis=0)
-            out[y] = float(np.linalg.norm(stored_mean - class_mean))
+            class_rows = table.vectors[table.labels == y]
+            if len(class_rows) == 0:
+                raise ClassIdError(f"class {y} is stored but has no row in the table")
+            out[y] = float(np.linalg.norm(stored_mean - class_rows.mean(axis=0)))
         return out
 
     # -- updates ---------------------------------------------------------
@@ -318,14 +346,7 @@ class ReplayBuffer:
             raise ShapeError(
                 f"rows of dimension {self.stats.dim} expected, got {vectors.shape[1]}"
             )
-        # Each class's positions, ascending, keyed in ascending class order.
-        order = labels.argsort(kind="stable")
-        ys = labels[order]
-        if len(ys) and (ys[0] < 0 or ys[-1] > _MAX_CLASS_ID):
-            bad = int(ys[0] if ys[0] < 0 else ys[-1])
-            raise ClassIdError(f"class id {bad} outside [0, {_MAX_CLASS_ID}]")
-        bounds = [0, *((ys[1:] != ys[:-1]).nonzero()[0] + 1).tolist(), len(ys)]
-        arrivals = {int(ys[a]): order[a:b] for a, b in zip(bounds, bounds[1:]) if b > a}
+        arrivals = self._arrivals(labels)
         fresh = [y for y in arrivals if self.stats.count(y) == 0]
         classes = self._classes
         before = list(classes) if fresh else classes
@@ -349,7 +370,8 @@ class ReplayBuffer:
                 continue
             if y not in self._indices:
                 self._keep(y, np.zeros(0, dtype=np.int64), np.zeros((0, vectors.shape[1])))
-            pos = arrivals.get(y, np.zeros(0, dtype=np.intp))
+            # A slice gives views of the batch; every strategy copies what it stores.
+            pos = arrivals.get(y, _NO_ROWS)
             new_idx, new_rows = indices[pos], vectors[pos]
             if self.strategy == "exemplar":
                 self._update_exemplar(y, new_idx, new_rows, quota)
@@ -358,6 +380,25 @@ class ReplayBuffer:
             else:
                 self._update_by_distance(y, new_idx, new_rows, quota)
         return self
+
+    @staticmethod
+    def _arrivals(labels: np.ndarray) -> dict:
+        """Each class's batch positions, ascending, keyed in ascending class order.
+
+        A one-row batch has nothing to group: its class gets ``slice(None)``.
+        """
+        if len(labels) == 1:
+            y = int(labels[0])
+            if not 0 <= y <= _MAX_CLASS_ID:
+                raise ClassIdError(f"class id {y} outside [0, {_MAX_CLASS_ID}]")
+            return {y: slice(None)}
+        order = labels.argsort(kind="stable")
+        ys = labels[order]
+        if len(ys) and (ys[0] < 0 or ys[-1] > _MAX_CLASS_ID):
+            bad = int(ys[0] if ys[0] < 0 else ys[-1])
+            raise ClassIdError(f"class id {bad} outside [0, {_MAX_CLASS_ID}]")
+        bounds = [0, *((ys[1:] != ys[:-1]).nonzero()[0] + 1).tolist(), len(ys)]
+        return {int(ys[a]): order[a:b] for a, b in zip(bounds, bounds[1:]) if b > a}
 
     def _keep(self, y: int, idx: np.ndarray, rows: np.ndarray) -> None:
         self._indices[y] = idx
@@ -372,8 +413,9 @@ class ReplayBuffer:
         """
         for y in classes or list(self._unordered):
             if y in self._unordered:
-                order = list(_herd(self._rows[y], self.stats.mean(y)))
-                self._keep(y, self._indices[y][order], self._rows[y][order])
+                rows = self._rows[y]
+                order = np.fromiter(_herd(rows, self.stats.mean(y)), np.intp, len(rows))
+                self._keep(y, self._indices[y].take(order), rows.take(order, axis=0))
 
     def _truncate(self, y: int, n: int) -> None:
         if len(self._indices[y]) <= n:
@@ -384,10 +426,11 @@ class ReplayBuffer:
 
     def _pooled(self, y, new_idx, new_rows):
         # Pool ordered by original dataset index, so tie-breaking inside the
-        # selection rules cannot depend on arrival order.
-        idx = np.concatenate([self._indices[y], new_idx])
-        order = np.argsort(idx, kind="stable")
-        return idx[order], np.concatenate([self._rows[y], new_rows])[order]
+        # selection rules cannot depend on arrival order. At a few rows this
+        # is per-call overhead, hence methods and take over fancy indexing.
+        idx = np.concatenate((self._indices[y], new_idx))
+        order = idx.argsort(kind="stable")
+        return idx.take(order), np.concatenate((self._rows[y], new_rows)).take(order, axis=0)
 
     def _update_exemplar(self, y, new_idx, new_rows, quota) -> None:
         if len(new_idx) == 0:
@@ -400,8 +443,8 @@ class ReplayBuffer:
             self._keep(y, idx, rows)
             self._unordered.add(y)
             return
-        keep = list(islice(_herd(rows, self.stats.mean(y)), quota))
-        self._keep(y, idx[keep], rows[keep])
+        keep = np.fromiter(islice(_herd(rows, self.stats.mean(y)), quota), np.intp, quota)
+        self._keep(y, idx.take(keep), rows.take(keep, axis=0))
 
     def _update_reservoir(self, y, new_idx, new_rows, quota) -> None:
         seen = self._reservoir_seen.get(y, 0)
@@ -414,17 +457,29 @@ class ReplayBuffer:
             )
             seen += fill
         idx, rows = self._indices[y], self._rows[y]
-        for i in range(fill, len(new_idx)):
-            seen += 1
-            j = int(self._rng.integers(0, seen))
-            if j < quota:
-                idx[j] = new_idx[i]
-                rows[j] = new_rows[i]
+        # Algorithm R: the i-th row past the fill (i from 1) draws a slot in
+        # [0, seen + i) and replaces it if it is below the quota. One call
+        # draws every slot: with an array of bounds, numpy draws them in
+        # order, the values and generator state one call per row gives.
+        late = len(new_idx) - fill
+        if late:
+            slots = self._rng.integers(0, np.arange(seen + 1, seen + late + 1))
+            seen += late
+            rows_in = np.flatnonzero(slots < quota)
+            slots = slots[rows_in]
+            # A slot drawn twice keeps its last row, as sequential writes would.
+            by_slot = slots.argsort(kind="stable")
+            last = np.ones(len(by_slot), dtype=bool)
+            last[:-1] = slots[by_slot[1:]] != slots[by_slot[:-1]]
+            slots, rows_in = slots[by_slot[last]], rows_in[by_slot[last]] + fill
+            idx[slots] = new_idx[rows_in]
+            rows[slots] = new_rows[rows_in]
         self._reservoir_seen[y] = seen
-        keep = list(range(len(idx)))
-        while len(keep) > quota:
-            del keep[int(self._rng.integers(0, len(keep)))]
-        if len(keep) < len(idx):
+        if len(idx) > quota:
+            # Drop one uniformly chosen slot at a time; the draws come in one call.
+            keep = list(range(len(idx)))
+            for k in self._rng.integers(0, np.arange(len(idx), quota, -1)).tolist():
+                del keep[k]
             self._keep(y, idx[keep], rows[keep])
 
     def _update_by_distance(self, y, new_idx, new_rows, quota) -> None:
@@ -504,6 +559,7 @@ def load_buffer(path) -> ReplayBuffer:
         if stored:
             buf._keep(y, idx, rows)
     buf._classes = buf.stats.classes()
+    buf.stats.dim = dim if n_classes else None
     (rng_len,) = r.unpack("I", "rng state length")
     buf._rng.bit_generator.state = json.loads(r.take(rng_len, "rng state"))
     (warn_len,) = r.unpack("I", "warnings length")

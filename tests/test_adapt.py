@@ -346,6 +346,38 @@ class TestAdapt:
             with np.errstate(all="ignore"), pytest.raises(DataError):
                 adapt(head, buf, cfg)
 
+    @pytest.mark.parametrize("mode", ["full_head", "adapter"])
+    def test_divergence_raises_without_numpy_warnings(self, mode):
+        # No errstate here: tier-1 turns every warning into an error, so a
+        # numpy RuntimeWarning on the way to the DataError fails the test.
+        rng = np.random.default_rng(48)
+        buf = filled_buffer(rng)
+        head = LinearHead(rng.standard_normal((3, 6)), np.zeros(3))
+        cfg = AdaptConfig(mode=mode, epochs=2, optimizer="sgd", lr_head=1e308,
+                          lr_adapter=1e308, temperature=1e-3, seed=7)
+        with pytest.raises(DataError, match="non-finite"):
+            adapt(head, buf, cfg)
+
+    def test_diverging_adapter_under_a_frozen_head_is_a_data_error(self):
+        rng = np.random.default_rng(49)
+        buf = filled_buffer(rng)
+        head = LinearHead(rng.standard_normal((3, 6)), np.zeros(3))
+        cfg = AdaptConfig(mode="adapter", epochs=2, optimizer="sgd", lr_head=0.0,
+                          lr_adapter=1e308, temperature=1e-3, seed=7)
+        with pytest.raises(DataError, match="adapter parameters"):
+            adapt(head, buf, cfg)
+
+    def test_overflowing_loss_under_finite_parameters_is_a_data_error(self):
+        # Frozen parameters stay finite, but 1e304-scale logits give losses
+        # whose sum overflows; the curve must not silently record inf.
+        rng = np.random.default_rng(50)
+        buf = filled_buffer(rng)
+        head = LinearHead(3e304 * np.eye(3, 6), np.zeros(3))
+        cfg = AdaptConfig(mode="full_head", epochs=1, optimizer="sgd", lr_head=0.0,
+                          temperature=1e-3, batch_size=6, seed=7)
+        with pytest.raises(DataError, match="training loss is not finite"):
+            adapt(head, buf, cfg)
+
     def test_threshold_mismatch_warns_but_runs(self):
         rng = np.random.default_rng(45)
         buf = filled_buffer(rng)  # 18 < default threshold 500

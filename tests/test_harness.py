@@ -24,7 +24,11 @@ from scroll import (
     save_embeddings,
     write_study_summary,
 )
-from scroll.harness import DataConfig, _evaluate, _state_deviation, _sweep_schedule_specs
+from scroll.harness import (
+    DataConfig, _evaluate, _stage_one, _state_deviation, _stream, _sweep_schedule_specs,
+)
+from scroll.learners import RIDGE_BLOCK_ROWS
+from scroll.schedules import build_schedule
 
 
 def config_dict(**overrides):
@@ -224,6 +228,71 @@ class TestFileData:
         tables = 2 * (n * d + n) * 8
         payload = (tmp_path / "test.bin").stat().st_size
         assert peak <= tables + payload + 2**20
+
+
+class TestCheckpoints:
+    def test_checkpoints_hold_no_buffer_rows(self):
+        # A 4000-slot reservoir that stores every row, ten checkpoints. A
+        # checkpoint that copied the buffer held 4000 x d floats; one that
+        # keeps the stored dataset indices holds 4000 ints beside its
+        # statistics.
+        k, d = 10, 64
+        cfg = ExperimentConfig.from_dict(config_dict(
+            data={"synthetic": {"class_count": k, "dim": d, "samples_per_class": 400,
+                                "cluster_spread": 0.3, "shift_strength": 0.0, "seed": 1}},
+            schedule={"kind": "random_iid", "batch_size": 200, "seed": 3},
+            buffer={"capacity": 4000, "strategy": "reservoir", "seed": 2},
+            adapt={"mode": "full_head", "epochs": 1},
+            intermediate_evals=list(range(2, 21, 2)),
+        ))
+        train, _ = cfg.data.resolve()
+        schedule = build_schedule(cfg.schedule, train.labels)
+        tracemalloc.start()
+        try:
+            state, buffer, snapshots = _stream(cfg, train, schedule, set(cfg.intermediate_evals))
+            held = tracemalloc.get_traced_memory()[0]
+            assert sorted(snapshots) == list(cfg.intermediate_evals)
+            del snapshots
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert buffer.total_stored() == 4000
+        statistics = state.cov.nbytes + state.class_sums.nbytes + RIDGE_BLOCK_ROWS * d * 8
+        stored_rows = 4000 * d * 8
+        assert freed < 10 * (statistics + stored_rows // 4)
+
+    @pytest.mark.parametrize("strategy", ["exemplar", "reservoir", "nearest", "outlier"])
+    def test_checkpoint_content_matches_a_buffer_copy(self, strategy):
+        cfg = small_config(
+            schedule={"kind": "random_iid", "batch_size": 7, "seed": 3},
+            buffer={"capacity": 30, "strategy": strategy, "seed": 2},
+        )
+        train, _ = cfg.data.resolve()
+        schedule = build_schedule(cfg.schedule, train.labels)
+        _, buffer, snapshots = _stream(cfg, train, schedule, {3}, stop=3)
+        stored = snapshots[3][1]
+        rows, labels = stored.training_arrays()
+        want_rows, want_labels = buffer.copy().training_arrays()
+        assert rows.tobytes() == want_rows.tobytes()
+        assert labels.tobytes() == want_labels.tobytes()
+        assert stored.total_stored() == buffer.total_stored()
+        assert stored.content_digest() == buffer.content_digest()
+
+    @pytest.mark.parametrize("kind", ["ncc", "ridge"])
+    def test_stage_one_is_scored_on_the_state_at_the_checkpoint(self, kind):
+        # Single-class batches: after two of four batches the stage-one
+        # predictor knows two classes, the final one all four.
+        cfg = small_config(
+            schedule={"kind": "class_split", "classes_per_batch": 1, "seed": 3},
+            classifier={"kind": kind}, intermediate_evals=[2],
+        )
+        outcome = execute(cfg)
+        (entry,) = outcome.report.intermediate
+        schedule = build_schedule(cfg.schedule, outcome.train.labels)
+        state, _, _ = _stream(cfg, outcome.train, schedule, (), stop=2)
+        preds = _stage_one(cfg, state)[0](outcome.test.vectors)
+        assert entry["stage_one_accuracy"] == float(np.mean(preds == outcome.test.labels))
+        assert entry["stage_one_accuracy"] < outcome.report.accuracy["stage_one"]
 
 
 class TestIntermediatePredictor:

@@ -284,6 +284,46 @@ class TestRidgeUpdate:
         assert np.abs(a.class_sums - b.class_sums).max() <= 1e-12
 
 
+class TestOneRowUpdates:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_match_the_add_at_path_bit_for_bit(self, seed):
+        # Oracle: the np.add.at and np.bincount updates every batch took
+        # before one-row ridge batches got a plain in-place add.
+        rng = np.random.default_rng(seed)
+        k, d, n = int(rng.integers(1, 6)), int(rng.integers(1, 9)), int(rng.integers(1, 60))
+        grid = np.array([-0.0, 0.0, -1.0, 0.1, 3.0, 1e300, -1e300])
+        rows = np.where(rng.random((n, d)) < 0.5, grid[rng.integers(0, 7, (n, d))],
+                        rng.standard_normal((n, d)))
+        labels = rng.integers(0, k, n)
+        ncc, ridge = NccState(k, d), RidgeState(k, d)
+        sums, counts = np.zeros((k, d)), np.zeros(k, dtype=np.int64)
+        with np.errstate(over="ignore", invalid="ignore"):  # +-1e300 rows may overflow
+            for x, y in zip(rows, labels):
+                one = rng.choice(["array", "list", "vector"])
+                if one == "vector":
+                    ncc.update(x, y)
+                    ridge.update(x, y)
+                else:
+                    ys = [int(y)] if one == "list" else np.array([y])
+                    ncc.update_batch(x[None, :], ys)
+                    ridge.update_batch(x[None, :], ys)
+                np.add.at(sums, np.array([y]), x[None, :])
+                counts += np.bincount([y], minlength=k)
+                assert ncc.class_sums.tobytes() == sums.tobytes()
+                assert ridge.class_sums.tobytes() == sums.tobytes()
+                assert ncc.counts.tobytes() == counts.tobytes()
+        assert ridge.seen == n
+
+    @pytest.mark.parametrize("kind", [NccState, RidgeState])
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_one_row_class_id_out_of_range(self, kind, label):
+        state = kind(3, 2)
+        with pytest.raises(ClassIdError, match=f"class id {label} outside"):
+            state.update_batch(np.ones((1, 2)), [label])
+        assert not state.class_sums.any()
+
+
 class TestRidgeSolve:
     def test_single_sample_closed_form(self):
         # (e1 e1^T + I) w = e1  =>  w = e1 / 2

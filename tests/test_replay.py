@@ -467,6 +467,16 @@ class TestMomentDistance:
         buf.update(table.vectors[idx], table.labels[idx], idx)
         assert set(buf.moment_distances(table)) == {3}
 
+    def test_stored_class_absent_from_the_table_is_class_id_error(self):
+        # Capacity 4, stored classes 0 and 5, a table of classes 0-2: the
+        # distance of class 5 used to be a silent nan ("Mean of empty slice").
+        rng = np.random.default_rng(19)
+        buf = ReplayBuffer(4, "exemplar", seed=19)
+        buf.update(rng.standard_normal((4, 3)), np.array([0, 5, 0, 5]), np.arange(4))
+        table = SimpleNamespace(vectors=rng.standard_normal((6, 3)), labels=np.arange(6) % 3)
+        with pytest.raises(ClassIdError, match="class 5 "):
+            buf.moment_distances(table)
+
 
 @st.composite
 def streams(draw):
@@ -706,3 +716,215 @@ class TestBufferCheckpoint:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "class,strategy,seed,distance"
         assert lines[1] == "0,exemplar,1,0.25"
+
+
+class ParentBuffer(ReplayBuffer):
+    """Every batch through the grouped path, and reservoir draws one per row.
+
+    The update as it was before one-row batches got their own path and the
+    reservoir drew a batch's slots in one call: a stable argsort groups the
+    labels, running sums are ``sum(axis=0)`` of the class rows, the pool is
+    concatenated and argsorted, the herded prefix is gathered through a list,
+    and algorithm R draws and writes one row at a time. Oracle for both.
+    """
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.stats = SummedMeans()
+
+    @staticmethod
+    def _arrivals(labels):
+        order = np.argsort(labels, kind="stable")
+        ys = labels[order]
+        if len(ys) and (ys[0] < 0 or ys[-1] > 2**32 - 1):
+            raise ClassIdError(f"class id {int(ys[0] if ys[0] < 0 else ys[-1])} outside")
+        bounds = [0, *((ys[1:] != ys[:-1]).nonzero()[0] + 1).tolist(), len(ys)]
+        return {int(ys[a]): order[a:b] for a, b in zip(bounds, bounds[1:]) if b > a}
+
+    def _pooled(self, y, new_idx, new_rows):
+        idx = np.concatenate([self._indices[y], new_idx])
+        order = np.argsort(idx, kind="stable")
+        return idx[order], np.concatenate([self._rows[y], new_rows])[order]
+
+    def _update_exemplar(self, y, new_idx, new_rows, quota):
+        if len(new_idx) == 0:
+            self._truncate(y, quota)
+            return
+        idx, rows = self._pooled(y, new_idx, new_rows)
+        if len(idx) <= quota:
+            self._keep(y, idx, rows)
+            self._unordered.add(y)
+            return
+        keep = list(islice(_herd(rows, self.stats.mean(y)), quota))
+        self._keep(y, idx[keep], rows[keep])
+
+    def _update_reservoir(self, y, new_idx, new_rows, quota):
+        seen = self._reservoir_seen.get(y, 0)
+        fill = max(0, min(quota - len(self._indices[y]), len(new_idx)))
+        if fill:
+            self._keep(
+                y,
+                np.concatenate([self._indices[y], new_idx[:fill]]),
+                np.concatenate([self._rows[y], new_rows[:fill]]),
+            )
+            seen += fill
+        idx, rows = self._indices[y], self._rows[y]
+        for i in range(fill, len(new_idx)):
+            seen += 1
+            j = int(self._rng.integers(0, seen))
+            if j < quota:
+                idx[j] = new_idx[i]
+                rows[j] = new_rows[i]
+        self._reservoir_seen[y] = seen
+        keep = list(range(len(idx)))
+        while len(keep) > quota:
+            del keep[int(self._rng.integers(0, len(keep)))]
+        if len(keep) < len(idx):
+            self._keep(y, idx[keep], rows[keep])
+
+
+class SummedMeans(RunningClassMean):
+    """Running sums that always add ``sum(axis=0)`` of the class rows."""
+
+    def add_batch(self, vectors, groups):
+        for y, pos in groups.items():
+            batch_sum = vectors[pos].sum(axis=0)
+            if y in self._sums:
+                self._sums[y] = self._sums[y] + batch_sum
+                self._counts[y] += len(pos)
+            else:
+                self._sums[y] = batch_sum
+                self._counts[y] = len(pos)
+                self.dim = len(batch_sum)
+
+
+def assert_same_state(buf, ref):
+    """Equal internals, bit for bit (a -0.0 differs from +0.0), and RNG state."""
+    assert buf._classes == ref._classes
+    assert buf._unordered == ref._unordered
+    assert buf._reservoir_seen == ref._reservoir_seen
+    assert buf.warnings == ref.warnings
+    assert buf._rng.bit_generator.state == ref._rng.bit_generator.state
+    assert buf.stats._counts == ref.stats._counts
+    assert buf.stats.dim == ref.stats.dim
+    for mine, theirs in ((buf.stats._sums, ref.stats._sums), (buf._indices, ref._indices),
+                         (buf._rows, ref._rows)):
+        assert mine.keys() == theirs.keys()
+        for y in mine:
+            assert mine[y].dtype == theirs[y].dtype and mine[y].shape == theirs[y].shape
+            assert mine[y].tobytes() == theirs[y].tobytes(), y
+
+
+@st.composite
+def one_row_streams(draw):
+    """Streams of one-row batches over every strategy.
+
+    Rows come from a small grid that holds -0.0, so some sums meet signed
+    zeros; dataset indices repeat, with their row or with another one; class
+    ids include 0 and 2**32 - 1; capacities include 0 and fewer slots than
+    classes. Shapes come from a drawn seed, as in ``exemplar_streams``.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ids = np.array([0, 1, 2, 7, 2**32 - 1])[: int(rng.integers(1, 6))]
+    n, d = int(rng.integers(1, 41)), int(rng.integers(1, 5))
+    grid = np.array([-0.0, 0.0, -1.0, 0.5, 2.0])
+    vectors = np.where(rng.random((n, d)) < 0.5, grid[rng.integers(0, 5, (n, d))],
+                       rng.standard_normal((n, d)))
+    labels = ids[rng.integers(0, len(ids), n)]
+    indices = rng.permutation(n)
+    repeats = rng.random(n) < 0.2
+    indices[repeats] = rng.integers(0, n, repeats.sum())
+    for i in np.flatnonzero(repeats & (rng.random(n) < 0.5)):
+        vectors[i] = vectors[np.flatnonzero(indices == indices[i])[0]]  # a repeat with its row
+    capacity = [0, int(rng.integers(0, len(ids))), int(rng.integers(len(ids), n + 8))][
+        rng.choice(3, p=[0.1, 0.3, 0.6])
+    ]
+    strategy = replay.STRATEGIES[int(rng.integers(0, 4))]
+    reads = draw(st.sampled_from(["every", "end"]))
+    return vectors, labels, indices, capacity, strategy, reads
+
+
+class TestOneRowPath:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(one_row_streams())
+    def test_matches_the_grouped_path(self, stream):
+        vectors, labels, indices, capacity, strategy, reads = stream
+        buf = ReplayBuffer(capacity, strategy, 3)
+        ref = ParentBuffer(capacity, strategy, 3)
+        classes = sorted(set(labels.tolist()))
+        for i in range(len(labels)):
+            batch = slice(i, i + 1)
+            buf.update(vectors[batch], labels[batch], indices[batch])
+            ref.update(vectors[batch], labels[batch], indices[batch])
+            assert_same_state(buf, ref)
+            if reads == "every" or i == len(labels) - 1:
+                assert [buf.stored_indices(y) for y in classes] == [
+                    ref.stored_indices(y) for y in classes
+                ]
+                assert buf.content_digest() == ref.content_digest()
+                assert_same_state(buf, ref)
+
+    @pytest.mark.parametrize("label", [-1, 2**32])
+    def test_one_row_class_id_outside_the_checkpoint_range(self, label):
+        buf = ReplayBuffer(4, "exemplar", seed=4)
+        with pytest.raises(ClassIdError, match=f"class id {label} "):
+            buf.update(np.ones((1, 3)), np.array([label]), np.array([0]))
+        assert buf.total_stored() == 0 and buf.stats.dim is None
+
+    def test_signed_zero_row_sums_to_positive_zero(self):
+        buf = ReplayBuffer(4, "exemplar", seed=4)
+        buf.update(np.array([[-0.0, 1.0]]), np.array([0]), np.array([0]))
+        assert buf.stats._sums[0].tobytes() == np.array([0.0, 1.0]).tobytes()
+
+    def test_width_survives_copy_and_checkpoint(self, tmp_path):
+        buf = ReplayBuffer(4, "exemplar", seed=4)
+        assert buf.stats.dim is None
+        buf.update(np.ones((1, 3)), np.array([0]), np.array([0]))
+        save_buffer(buf, tmp_path / "buffer.bin")
+        for other in (buf.copy(), load_buffer(tmp_path / "buffer.bin")):
+            assert other.stats.dim == 3
+            with pytest.raises(ShapeError, match="dimension 3"):
+                other.update(np.ones((1, 5)), np.array([0]), np.array([1]))
+
+
+@st.composite
+def reservoir_streams(draw):
+    """Batches of 1-12 rows into reservoirs that fill, overflow and shrink.
+
+    New classes keep arriving, so quotas shrink mid-stream and whole
+    batches land past a class's fill.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_classes, n = int(rng.integers(1, 7)), int(rng.integers(1, 120))
+    labels = np.sort(rng.integers(0, n_classes, n)) if rng.random() < 0.5 else (
+        rng.integers(0, n_classes, n)
+    )
+    vectors = rng.standard_normal((n, int(rng.integers(1, 4))))
+    cuts = np.cumsum(rng.integers(1, 13, n))
+    batches = np.split(np.arange(n), cuts[cuts < n])
+    capacity = int(rng.integers(0, 3 * n_classes + 4))
+    return vectors, labels, batches, capacity, int(rng.integers(0, 1000))
+
+
+class TestReservoirDraws:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(reservoir_streams())
+    def test_one_call_per_batch_equals_algorithm_r_row_by_row(self, stream):
+        vectors, labels, batches, capacity, seed = stream
+        buf = ReplayBuffer(capacity, "reservoir", seed)
+        ref = ParentBuffer(capacity, "reservoir", seed)
+        for batch in batches:
+            buf.update(vectors[batch], labels[batch], batch)
+            ref.update(vectors[batch], labels[batch], batch)
+            assert_same_state(buf, ref)
+
+    def test_a_slot_drawn_twice_keeps_the_later_row(self):
+        # Capacity 1 and 40 rows in one batch: most draws past the first
+        # row miss, and any later hit must overwrite an earlier one.
+        for seed in range(20):
+            buf = ReplayBuffer(1, "reservoir", seed)
+            ref = ParentBuffer(1, "reservoir", seed)
+            rows = np.arange(80.0).reshape(40, 2)
+            buf.update(rows, np.zeros(40, dtype=int), np.arange(40))
+            ref.update(rows, np.zeros(40, dtype=int), np.arange(40))
+            assert_same_state(buf, ref)
