@@ -9,6 +9,13 @@ function-identical to the stage-one predictor. ``full_head`` trains the
 head alone on the raw embeddings; no adapter is built. Every adaptation
 call restarts from the stage-one head; nothing is warm-started from a
 previous adapted model.
+
+A call checks its buffer arrays once, then runs every minibatch through
+one private step that writes its logits and gradients into arrays
+allocated once per call. Rows are gathered a few whole minibatches at a
+time, so memory stays at O(256 (d + K)) beyond the buffer and O(n)
+vectors; the epoch loss is summed from per-row terms at the end of the
+epoch, in the order the per-batch means would have been added.
 """
 
 from __future__ import annotations
@@ -112,6 +119,8 @@ class AdapterParams:
             raise ShapeError(
                 f"head expects dim {head.dim}, adapter works on dim {down.shape[1]}"
             )
+        if not (all_finite(down) and all_finite(up)):
+            raise DataError("adapter parameters contain non-finite values")
         self.down = down
         self.up = up
         self.head = head
@@ -175,8 +184,8 @@ def init_head(
 def forward(params: AdapterParams, zs) -> tuple[np.ndarray, dict]:
     """Adapter + head forward pass.
 
-    Returns the logits and the intermediate activations needed by
-    :func:`loss_and_grads`. Accepts a single row or a batch.
+    Returns the logits and the intermediate activations (``zs``, ``act``,
+    ``feat``). Accepts a single row or a batch.
     """
     zs = np.asarray(zs, dtype=np.float64)
     single = zs.ndim == 1
@@ -194,6 +203,73 @@ def forward(params: AdapterParams, zs) -> tuple[np.ndarray, dict]:
     return (logits[0] if single else logits), cache
 
 
+def _checked(params: AdapterParams | LinearHead, zs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """``zs`` as float64 rows and ``ys`` as int64 labels that ``params`` can train on.
+
+    A single row is read as a batch of one. Non-integer labels, or labels
+    outside ``[0, K)``, raise :class:`ClassIdError`; rows of the wrong
+    width, or a row count that is not the label count, raise
+    :class:`ShapeError`.
+    """
+    ys = as_int_ids(ys, "labels")
+    if ys.ndim != 1 or ys.shape[0] == 0:
+        raise ConfigError("batch must contain at least one sample")
+    zs = np.asarray(zs, dtype=np.float64)
+    if zs.ndim == 1:
+        zs = zs[None, :]
+    bare = isinstance(params, LinearHead)
+    if zs.ndim != 2 or zs.shape[1] != params.dim:
+        if bare:
+            raise ShapeError(f"queries of dimension {params.dim} required, got shape {zs.shape}")
+        raise ShapeError(f"expected rows of dimension {params.dim}, got {zs.shape}")
+    if ys.shape[0] != zs.shape[0]:
+        raise ShapeError("labels and batch rows disagree in length")
+    classes = (params if bare else params.head).class_count
+    if ys.min() < 0 or ys.max() >= classes:
+        raise ClassIdError(f"labels must lie in [0, {classes})")
+    return zs, ys
+
+
+def _step(params, zs, label_pos, temperature, logits, log_z, dlogits, grads) -> None:
+    """Forward and backward pass of one checked minibatch, into given arrays.
+
+    ``label_pos[i]`` is the flat position of row ``i``'s label logit in a
+    ``(rows, K)`` array. ``logits`` receives the temperature-scaled logits
+    less their row maximum and ``log_z`` each row's log-normalizer, so the
+    loss of row ``i`` is ``log_z[i] - logits.flat[label_pos[i]]``.
+    ``dlogits`` is scratch shaped like ``logits``; ``grads`` maps every
+    gradient name to the array that receives it.
+    """
+    if isinstance(params, LinearHead):
+        head, feat = params, zs
+        np.matmul(zs, head.weights.T, out=logits)
+    else:
+        head = params.head
+        act = np.matmul(zs, params.down.T)
+        np.maximum(act, 0.0, out=act)
+        feat = np.matmul(act, params.up.T)
+        feat += zs
+        np.matmul(feat, head.weights.T, out=logits)
+    logits += head.biases
+    logits /= temperature
+    logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
+    np.exp(logits, out=dlogits)
+    np.add.reduce(dlogits, axis=1, out=log_z)
+    np.log(log_z, out=log_z)
+
+    np.subtract(logits, log_z[:, None], out=dlogits)
+    np.exp(dlogits, out=dlogits)
+    dlogits.ravel()[label_pos] -= 1.0
+    dlogits /= len(zs) * temperature
+    np.matmul(dlogits.T, feat, out=grads["weights"])
+    np.add.reduce(dlogits, axis=0, out=grads["biases"])
+    if head is not params:
+        d_feat = dlogits @ head.weights
+        np.matmul(d_feat.T, act, out=grads["up"])
+        d_pre = (d_feat @ params.up) * (act > 0.0)
+        np.matmul(d_pre.T, zs, out=grads["down"])
+
+
 def loss_and_grads(
     params: AdapterParams | LinearHead, zs, ys, temperature: float, out=None
 ) -> tuple[float, dict[str, np.ndarray]]:
@@ -201,55 +277,23 @@ def loss_and_grads(
 
     The loss is ``mean(-log softmax(logits / temperature)[y])`` over the
     batch. Gradients are returned for the head (``weights``, ``biases``)
-    and, when ``params`` is an adapter, for its projections (``down``,
-    ``up``). A bare :class:`LinearHead` scores the raw embeddings.
+    and, when ``params`` is an adapter, for its projections (``up``,
+    ``down``). A bare :class:`LinearHead` scores the raw embeddings.
     ``out`` optionally maps gradient names to arrays of the gradients'
     shapes; those gradients are written into them and returned there.
     """
-    ys = as_int_ids(ys, "labels")
-    if ys.ndim != 1 or ys.shape[0] == 0:
-        raise ConfigError("batch must contain at least one sample")
-    if isinstance(params, LinearHead):
-        head, cache = params, None
-        feat = np.atleast_2d(np.asarray(zs, dtype=np.float64))
-        logits = head.scores(feat)
-    else:
-        head = params.head
-        logits, cache = forward(params, zs)
-        logits, feat = np.atleast_2d(logits), cache["feat"]
-    if ys.shape[0] != logits.shape[0]:
-        raise ShapeError("labels and batch rows disagree in length")
-    batch = len(ys)
-    try:
-        # Flat positions of the label logits, so one index gathers them.
-        label_pos = np.ravel_multi_index((np.arange(batch), ys), logits.shape)
-    except ValueError:
-        raise ClassIdError(f"labels must lie in [0, {logits.shape[1]})") from None
-    # The logits are a fresh array, so they are scaled in place; one more
-    # fresh array holds the exponentials, then the probabilities.
-    scaled = logits
-    scaled /= temperature
-    scaled -= scaled.max(axis=1, keepdims=True)
-    dlogits = np.exp(scaled)
-    log_z = np.log(dlogits.sum(axis=1))
-    loss = float(np.add.reduce(log_z - scaled.ravel()[label_pos]) / batch)
-
-    np.subtract(scaled, log_z[:, None], out=dlogits)
-    np.exp(dlogits, out=dlogits)
-    dlogits.ravel()[label_pos] -= 1.0
-    dlogits /= batch * temperature
-
+    zs, ys = _checked(params, zs, ys)
+    head = params if isinstance(params, LinearHead) else params.head
+    shapes = {"weights": head.weights.shape, "biases": head.biases.shape}
+    if head is not params:
+        shapes.update(up=params.up.shape, down=params.down.shape)
     out = {} if out is None else out
-    grads = {
-        "weights": np.matmul(dlogits.T, feat, out=out.get("weights")),
-        "biases": np.add.reduce(dlogits, axis=0, out=out.get("biases")),
-    }
-    if cache is not None:
-        d_feat = dlogits @ head.weights
-        grads["up"] = np.matmul(d_feat.T, cache["act"], out=out.get("up"))
-        d_pre = (d_feat @ params.up) * (cache["act"] > 0.0)
-        grads["down"] = np.matmul(d_pre.T, cache["zs"], out=out.get("down"))
-    return loss, grads
+    grads = {name: out[name] if name in out else np.empty(shape) for name, shape in shapes.items()}
+    batch = len(ys)
+    label_pos = np.arange(batch) * head.class_count + ys
+    logits, log_z = np.empty((batch, head.class_count)), np.empty(batch)
+    _step(params, zs, label_pos, temperature, logits, log_z, np.empty_like(logits), grads)
+    return float(np.add.reduce(log_z - logits.ravel()[label_pos]) / batch), grads
 
 
 def adadelta_step(
@@ -270,43 +314,44 @@ def adadelta_step(
     """
     if not 0 < rho < 1:
         raise ConfigError(f"rho must lie in (0, 1), got {rho}")
-    param, grad_sq, step_sq = (
-        np.array(a, dtype=np.float64) for a in (param, accum_grad_sq, accum_step_sq)
-    )
+    param = np.array(param, dtype=np.float64)
+    accums = np.array([accum_grad_sq, accum_step_sq], dtype=np.float64)
     _adadelta_update(
-        param, np.asarray(grad, dtype=np.float64), grad_sq, step_sq,
-        np.empty_like(param), np.empty_like(param), rho, eps, lr,
+        param, np.asarray(grad, dtype=np.float64), accums,
+        np.empty_like(param), np.empty_like(accums), rho, eps, lr,
     )
-    return param, grad_sq, step_sq
+    return param, accums[0], accums[1]
 
 
-def _adadelta_update(param, grad, grad_sq, step_sq, tmp, tmp2, rho, eps, lr) -> None:
-    """:func:`adadelta_step` in place: ``param`` and both accumulators are overwritten.
+def _adadelta_update(param, grad, accums, tmp, roots, rho, eps, lr) -> None:
+    """:func:`adadelta_step` in place: ``param`` and ``accums`` are overwritten.
 
-    ``tmp`` and ``tmp2`` are scratch arrays shaped like ``param``. The
-    operations and their order are those of the textbook form
+    ``accums`` stacks the squared-gradient and squared-step averages, so
+    one add and one square root give both roots; ``tmp`` is scratch shaped
+    like ``param`` and ``roots`` like ``accums``. The operations and their
+    order are those of the textbook form
     ``grad_sq = rho*grad_sq + (1-rho)*grad*grad``,
     ``step = -sqrt(step_sq + eps) / sqrt(grad_sq + eps) * grad``,
     ``step_sq = rho*step_sq + (1-rho)*step*step``, ``param + lr*step``,
-    so the results are bit-identical to evaluating it with temporaries.
+    except that ``tmp`` holds ``-step`` and is subtracted. Rounding is
+    symmetric in sign, so the results are bit-identical to that form.
     """
+    grad_sq, step_sq = accums
     np.multiply(1.0 - rho, grad, out=tmp)
     tmp *= grad
     np.multiply(rho, grad_sq, out=grad_sq)
     grad_sq += tmp
-    np.add(step_sq, eps, out=tmp)
-    np.sqrt(tmp, out=tmp)
-    np.negative(tmp, out=tmp)
-    np.add(grad_sq, eps, out=tmp2)
-    np.sqrt(tmp2, out=tmp2)
-    tmp /= tmp2
+    np.add(accums, eps, out=roots)
+    np.sqrt(roots, out=roots)
+    np.divide(roots[1], roots[0], out=tmp)
     tmp *= grad
-    np.multiply(1.0 - rho, tmp, out=tmp2)
-    tmp2 *= tmp
+    step_term = roots[0]
+    np.multiply(1.0 - rho, tmp, out=step_term)
+    step_term *= tmp
     np.multiply(rho, step_sq, out=step_sq)
-    step_sq += tmp2
+    step_sq += step_term
     np.multiply(lr, tmp, out=tmp)
-    param += tmp
+    param -= tmp
 
 
 class AdaptedPredictor:
@@ -351,6 +396,13 @@ def adapt(
     bottleneck and the head with separate learning rates; ``full_head``
     trains the head only. Minibatches are drawn without replacement with
     seeded shuffling, so the result is a pure function of its inputs.
+
+    The buffer arrays are checked once, with the errors
+    :func:`loss_and_grads` raises. Each epoch then gathers its rows into
+    one preallocated block of whole minibatches (at most
+    ``PREDICT_BLOCK_ROWS`` rows, or one larger minibatch) at a time and
+    runs each minibatch through the step :func:`loss_and_grads` uses, so
+    results are those of a per-batch ``loss_and_grads`` loop bit for bit.
     """
     zs, ys = buffer.training_arrays()
     if zs.shape[0] == 0:
@@ -386,23 +438,37 @@ def adapt(
     if adapter is not None:
         adapter = AdapterParams(*projections, head)
     params = adapter or head
+    zs, ys = _checked(params, zs, ys)
     flat_grad = np.empty_like(flat)
     grads_out = dict(zip(("weights", "biases", "down", "up"), _views(flat_grad, shapes)))
     split = init.weights.size + init.biases.size
     rates = [(slice(0, split), cfg.lr_head)]
     if adapter is not None:
         rates.append((slice(split, None), cfg.lr_adapter))
-    # Per group: parameters, gradients, both AdaDelta accumulators, two
-    # scratch arrays, then the learning rate.
-    buffers = (flat, flat_grad, np.zeros_like(flat), np.zeros_like(flat),
-               np.empty_like(flat), np.empty_like(flat))
-    groups = [tuple(b[part] for b in buffers) + (rate,) for part, rate in rates]
+    # Per group: parameters, gradients, both AdaDelta accumulators (stacked),
+    # scratch shaped like the parameters, then like the accumulators, then
+    # the learning rate.
+    buffers = (flat, flat_grad, np.zeros((2, flat.size)), np.empty_like(flat),
+               np.empty((2, flat.size)))
+    groups = [tuple(b[..., part] for b in buffers) + (rate,) for part, rate in rates]
 
     # The per-epoch buffer check scores in slices whose largest product
     # (d x max(K, h) per row) stays on one OpenBLAS thread; a woken second
     # thread would spin through the small training steps that follow.
     widest = max(init.class_count, adapter.width if adapter is not None else 0)
     check_rows = min(PREDICT_BLOCK_ROWS, max(1, ONE_THREAD_MULADDS // (init.dim * widest)))
+
+    # An epoch's rows are gathered one chunk of whole minibatches at a time.
+    # Row i of an epoch sits at flat position (i % batch) * K + label of its
+    # minibatch's logits and (i % chunk) * K + label of its chunk's.
+    classes, batch = init.class_count, min(cfg.batch_size, stored)
+    chunk = min(stored, batch * max(1, PREDICT_BLOCK_ROWS // batch))
+    rows, logits = np.empty((chunk, init.dim)), np.empty((chunk, classes))
+    dlogits = np.empty((batch, classes))
+    positions = np.arange(stored)
+    batch_offsets, chunk_offsets = positions % batch * classes, positions % chunk * classes
+    log_z, label_logits = np.empty(stored), np.empty(stored)
+    whole = stored - stored % batch
     rng = seeded_rng(cfg.seed, 33)
     curve: list[tuple[int, float, float]] = []
     # A diverging run overflows into inf and nan; the per-epoch checks of
@@ -411,18 +477,37 @@ def adapt(
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, cfg.epochs + 1):
             order = rng.permutation(stored)
+            labels = ys[order]
+            batch_pos, chunk_pos = batch_offsets + labels, chunk_offsets + labels
+            for start in range(0, stored, chunk):
+                stop = min(start + chunk, stored)
+                # mode="clip" writes straight into the block: the indices
+                # are in range, and "raise" would go through a copy.
+                block = np.take(zs, order[start:stop], axis=0, out=rows[:stop - start],
+                                mode="clip")
+                for lo in range(start, stop, batch):
+                    hi = min(lo + batch, stop)
+                    _step(params, block[lo - start:hi - start], batch_pos[lo:hi],
+                          cfg.temperature, logits[lo - start:hi - start], log_z[lo:hi],
+                          dlogits[:hi - lo], grads_out)
+                    for param, grad, accums, tmp, roots, rate in groups:
+                        if cfg.optimizer == "sgd":
+                            param -= rate * grad
+                        else:
+                            _adadelta_update(
+                                param, grad, accums, tmp, roots, cfg.rho, cfg.eps, rate
+                            )
+                np.take(logits[:stop - start].ravel(), chunk_pos[start:stop],
+                        out=label_logits[start:stop], mode="clip")
+            # Each minibatch's mean loss, reduced as loss_and_grads reduces
+            # it, then weighted and added in batch order.
+            terms = log_z - label_logits
             epoch_loss = 0.0
-            for lo in range(0, stored, cfg.batch_size):
-                sel = order[lo:lo + cfg.batch_size]
-                loss, _ = loss_and_grads(params, zs[sel], ys[sel], cfg.temperature, grads_out)
-                epoch_loss += loss * len(sel)
-                for param, grad, grad_sq, step_sq, tmp, tmp2, rate in groups:
-                    if cfg.optimizer == "sgd":
-                        param -= rate * grad
-                    else:
-                        _adadelta_update(
-                            param, grad, grad_sq, step_sq, tmp, tmp2, cfg.rho, cfg.eps, rate
-                        )
+            for loss in (np.add.reduce(terms[:whole].reshape(-1, batch), axis=1) / batch).tolist():
+                epoch_loss += loss * batch
+            if whole < stored:
+                rest = stored - whole
+                epoch_loss += float(np.add.reduce(terms[whole:]) / rest) * rest
             # Re-validating the head here raises DataError once training diverges.
             predictor = AdaptedPredictor(LinearHead(head.weights, head.biases), adapter)
             if not all_finite(flat[split:]):
@@ -482,6 +567,8 @@ def load_predictor(path) -> AdaptedPredictor:
     version, has_adapter, k, d, h = r.unpack("HBIII", "predictor header")
     if version != PREDICTOR_VERSION:
         raise FormatError(f"unsupported predictor version {version}")
+    if has_adapter not in (0, 1):
+        raise FormatError(f"predictor adapter flag must be 0 or 1, got {has_adapter}")
     weights = r.array("<f8", k * d, "head weights").reshape(k, d).copy()
     biases = r.array("<f8", k, "head biases").copy()
     head = LinearHead(weights, biases)

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .adapt import save_predictor
+from .adapt import save_predictor, write_training_curve
 from .embeddings import SyntheticSpec, save_embeddings, synthesize
 from .errors import ConfigError, ScrollError
 from .harness import (
@@ -61,6 +61,8 @@ def _cmd_run(args) -> int:
         if outcome.buffer is not None:
             save_buffer(outcome.buffer, args.checkpoint + ".buffer")
         save_predictor(outcome.predictor, args.checkpoint + ".predictor")
+        if outcome.predictor.curve:
+            write_training_curve(outcome.predictor.curve, args.checkpoint + ".curve")
         print(f"checkpoint written to {args.checkpoint}")
     return 0
 
@@ -119,7 +121,9 @@ def _build_parser() -> _Parser:
     p_run = sub.add_parser("run", help="run one experiment from a JSON config")
     p_run.add_argument("--config", required=True, help="experiment config JSON")
     p_run.add_argument("--report", help="write the run report JSON here")
-    p_run.add_argument("--checkpoint", help="write classifier/buffer/predictor checkpoints")
+    p_run.add_argument(
+        "--checkpoint", help="write classifier/buffer/predictor checkpoints and the training curve"
+    )
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="rerun one config under many schedules")

@@ -111,9 +111,15 @@ def require_float(value, name: str):
 def all_finite(values: np.ndarray) -> bool:
     """Whether every entry of ``values`` is finite, with no temporary as large as it.
 
-    A NaN entry makes the minimum NaN and an infinite one makes the minimum
-    or maximum infinite, so two reductions decide what ``np.isfinite``
-    would without its array of flags. ``math.isfinite`` reads each numpy
-    scalar without the per-call cost of a ufunc.
+    A NaN or infinite entry makes the sum NaN or infinite, so a finite sum
+    decides in one reduction. A sum that is not finite may also be the
+    overflow of finite entries; then the minimum and maximum decide, since
+    a NaN entry makes the minimum NaN and an infinite one makes the minimum
+    or maximum infinite. The sum runs with overflow and invalid-value
+    warnings off, which ``[1e308, 1e308]`` and ``[inf, -inf]`` would raise.
+    ``math.isfinite`` reads each numpy scalar without the per-call cost of
+    a ufunc.
     """
-    return values.size == 0 or (math.isfinite(values.min()) and math.isfinite(values.max()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.add.reduce(values, axis=None)
+    return math.isfinite(total) or (math.isfinite(values.min()) and math.isfinite(values.max()))

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from scroll import (
     ClassIdError,
     ConfigError,
     DataError,
+    FormatError,
     LinearHead,
     NccState,
     ReplayBuffer,
@@ -31,7 +33,7 @@ from scroll import (
     write_training_curve,
 )
 from scroll._seeding import seeded_rng
-from scroll.learners import ONE_THREAD_MULADDS
+from scroll.learners import ONE_THREAD_MULADDS, PREDICT_BLOCK_ROWS
 
 
 def unit_rows(rng, n, d):
@@ -203,6 +205,32 @@ class TestLossAndGrads:
             for name, grad in grads.items():
                 assert out_grads[name] is out[name]
                 np.testing.assert_array_equal(out[name], grad)
+
+    def test_matches_the_textbook_formula_bit_for_bit(self):
+        # Oracle: every quantity as one expression over fresh temporaries.
+        rng = np.random.default_rng(60)
+        adapter = random_params(rng, d=7, h=3, k=5)
+        w = adapter.head.weights
+        for n in (1, 9, 50):
+            zs, ys = rng.standard_normal((n, 7)), rng.integers(0, 5, n)
+            act = np.maximum(zs @ adapter.down.T, 0.0)
+            for params, feat in ((adapter.head, zs), (adapter, act @ adapter.up.T + zs)):
+                scaled = (feat @ w.T + adapter.head.biases) / 1.5
+                scaled = scaled - scaled.max(axis=1, keepdims=True)
+                log_z = np.log(np.exp(scaled).sum(axis=1))
+                probs = np.exp(scaled - log_z[:, None])
+                probs[np.arange(n), ys] -= 1.0
+                dlogits = probs / (n * 1.5)
+                expected = {"weights": dlogits.T @ feat, "biases": dlogits.sum(axis=0)}
+                if params is adapter:
+                    d_feat = dlogits @ w
+                    expected["up"] = d_feat.T @ act
+                    expected["down"] = ((d_feat @ adapter.up) * (act > 0.0)).T @ zs
+                loss, grads = loss_and_grads(params, zs, ys, 1.5)
+                assert loss == float(np.add.reduce(log_z - scaled[np.arange(n), ys]) / n)
+                assert grads.keys() == expected.keys()
+                for name, grad in expected.items():
+                    np.testing.assert_array_equal(grads[name], grad)
 
     def test_label_outside_the_classes_is_class_id_error(self):
         rng = np.random.default_rng(58)
@@ -384,6 +412,84 @@ class TestAdapt:
         head = LinearHead(rng.standard_normal((3, 6)), np.zeros(3))
         pred = adapt(head, buf, AdaptConfig(mode="full_head", epochs=1, seed=5))
         assert any("threshold" in w for w in pred.warnings)
+
+
+class ArrayBuffer:
+    """A replay buffer reduced to what ``adapt`` reads, over given arrays.
+
+    ``training_arrays`` returns copies, as ``ReplayBuffer`` builds its arrays.
+    """
+
+    def __init__(self, zs, ys):
+        self.zs, self.ys = zs, ys
+
+    def training_arrays(self):
+        return self.zs.copy(), self.ys.copy()
+
+    def content_digest(self):
+        return "arrays"
+
+
+class TestBufferChecks:
+    @pytest.fixture()
+    def no_steps(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the buffer must be checked before the first step")
+
+        monkeypatch.setattr(importlib.import_module("scroll.adapt"), "_step", refuse)
+
+    @pytest.mark.parametrize("mode", ["full_head", "adapter"])
+    def test_class_beyond_the_head_fails_before_the_first_step(self, mode, no_steps):
+        rng = np.random.default_rng(61)
+        buf = filled_buffer(rng, k=4, per_class=6, capacity=24)
+        head = LinearHead(rng.standard_normal((3, 6)), np.zeros(3))
+        with pytest.raises(ClassIdError, match=r"labels must lie in \[0, 3\)"):
+            adapt(head, buf, AdaptConfig(mode=mode, epochs=1, seed=1))
+
+    @pytest.mark.parametrize("mode", ["full_head", "adapter"])
+    def test_row_width_mismatch_fails_before_the_first_step(self, mode, no_steps):
+        rng = np.random.default_rng(62)
+        buf = filled_buffer(rng, d=7)
+        head = LinearHead(rng.standard_normal((3, 6)), np.zeros(3))
+        with pytest.raises(ShapeError, match="dimension 6"):
+            adapt(head, buf, AdaptConfig(mode=mode, epochs=1, seed=1))
+
+    @pytest.mark.parametrize("mode", ["full_head", "adapter"])
+    def test_row_and_label_counts_must_agree(self, mode, no_steps):
+        rng = np.random.default_rng(63)
+        head = LinearHead(rng.standard_normal((3, 6)), np.zeros(3))
+        buf = ArrayBuffer(rng.standard_normal((9, 6)), np.arange(8) % 3)
+        with pytest.raises(ShapeError, match="disagree in length"):
+            adapt(head, buf, AdaptConfig(mode=mode, epochs=1, seed=1))
+
+    def test_float_labels_are_class_id_error(self, no_steps):
+        # Truncated to int64, labels 0.5 and 1.5 would train classes 0 and 1.
+        rng = np.random.default_rng(64)
+        head = LinearHead(rng.standard_normal((3, 6)), np.zeros(3))
+        buf = ArrayBuffer(rng.standard_normal((4, 6)), np.array([0.0, 0.5, 1.0, 1.5]))
+        with pytest.raises(ClassIdError, match="integer dtype"):
+            adapt(head, buf, AdaptConfig(mode="full_head", epochs=1, seed=1))
+
+    @pytest.mark.parametrize("mode", ["full_head", "adapter"])
+    def test_memory_beyond_the_buffer_arrays_stays_in_blocks(self, mode):
+        # A gather of a whole epoch's rows would add n x d floats (8.2 MB).
+        rng = np.random.default_rng(65)
+        n, d, k, h = 4000, 256, 100, 8
+        buf = ArrayBuffer(rng.standard_normal((n, d)), np.arange(n) % k)
+        head = LinearHead(0.01 * rng.standard_normal((k, d)), np.zeros(k))
+        cfg = AdaptConfig(mode=mode, epochs=1, bottleneck=h, seed=1)
+        tracemalloc.start()
+        try:
+            adapt(head, buf, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        params = k * d + k + 2 * h * d
+        budget = (buf.zs.nbytes + buf.ys.nbytes  # the arrays training_arrays returns
+                  + 4 * PREDICT_BLOCK_ROWS * (d + k) * 8  # row, logit and score blocks
+                  + 16 * n * 8  # per-row vectors
+                  + 10 * params * 8)  # parameters, gradients, optimizer state
+        assert peak <= budget
 
 
 def frozen_adapter_reference(head, buf, cfg, rng):
@@ -622,7 +728,7 @@ class TestInPlaceUpdates:
     def test_products_stay_in_blocks_and_one_step_per_batch(self, monkeypatch):
         module = importlib.import_module("scroll.adapt")
         rows, steps = [], []
-        scores, fwd, step = LinearHead.scores, module.forward, module.loss_and_grads
+        scores, fwd, step = LinearHead.scores, module.forward, module._step
 
         def scores_rows(self, xs):
             rows.append(np.atleast_2d(xs).shape[0])
@@ -638,7 +744,7 @@ class TestInPlaceUpdates:
 
         monkeypatch.setattr(LinearHead, "scores", scores_rows)
         monkeypatch.setattr(module, "forward", forward_rows)
-        monkeypatch.setattr(module, "loss_and_grads", counted)
+        monkeypatch.setattr(module, "_step", counted)
         rng = np.random.default_rng(55)
         buf = large_buffer(rng)
         head = LinearHead(rng.standard_normal((4, 8)), np.zeros(4))
@@ -771,6 +877,44 @@ class TestPredictorCheckpoint:
         np.testing.assert_array_equal(
             loaded.predict_batch(queries), pred.predict_batch(queries)
         )
+
+    @pytest.mark.parametrize("name", ["down", "up"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_projection_is_a_data_error(self, name, bad):
+        rng = np.random.default_rng(68)
+        head = LinearHead(rng.standard_normal((3, 6)), np.zeros(3))
+        arrays = {"down": rng.standard_normal((2, 6)), "up": rng.standard_normal((6, 2))}
+        arrays[name][1, 1] = bad
+        with pytest.raises(DataError, match="adapter parameters contain non-finite"):
+            AdapterParams(arrays["down"], arrays["up"], head)
+
+    def test_saved_file_with_a_nan_projection_does_not_load(self, tmp_path):
+        # Loaded anyway, a NaN in down made every query predict class 0.
+        rng = np.random.default_rng(69)
+        buf = filled_buffer(rng)
+        head = LinearHead(rng.standard_normal((3, 6)), np.zeros(3))
+        pred = adapt(head, buf, AdaptConfig(mode="adapter", epochs=1, seed=6))
+        path = tmp_path / "pred.bin"
+        save_predictor(pred, path)
+        data = bytearray(path.read_bytes())
+        down_at = 4 + 15 + (3 * 6 + 3) * 8  # magic, header, head weights and biases
+        data[down_at:down_at + 8] = np.float64(np.nan).tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataError, match="non-finite"):
+            load_predictor(path)
+
+    @pytest.mark.parametrize("flag", [2, 255])
+    def test_adapter_flag_other_than_zero_or_one_is_a_format_error(self, tmp_path, flag):
+        rng = np.random.default_rng(70)
+        pred = AdaptedPredictor(LinearHead(rng.standard_normal((3, 6)), np.zeros(3)))
+        path = tmp_path / "pred.bin"
+        save_predictor(pred, path)
+        data = bytearray(path.read_bytes())
+        assert data[6] == 0  # after the magic and the two-byte version
+        data[6] = flag
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="adapter flag"):
+            load_predictor(path)
 
     def test_curve_csv(self, tmp_path):
         path = tmp_path / "curve.csv"

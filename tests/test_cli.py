@@ -59,6 +59,27 @@ class TestRunCommand:
         preds = predictor.predict_batch(train.vectors)
         assert preds.shape == (80,)
 
+    def test_checkpoint_writes_the_training_curve(self, workspace):
+        tmp_path, cfg_path = workspace
+        ck = str(tmp_path / "ck.bin")
+        assert main(["run", "--config", str(cfg_path), "--checkpoint", ck]) == 0
+        lines = Path(ck + ".curve").read_text().splitlines()
+        assert lines[0] == "epoch,loss,buffer_acc"
+        assert [int(line.split(",")[0]) for line in lines[1:]] == [1, 2]  # "epochs": 2
+        for line in lines[1:]:
+            _, loss, acc = map(float, line.split(","))
+            assert loss > 0.0 and 0.0 <= acc <= 1.0
+
+    def test_checkpoint_without_adaptation_writes_no_curve(self, workspace):
+        tmp_path, cfg_path = workspace
+        cfg = json.loads(cfg_path.read_text())
+        cfg["adapt"]["mode"] = "none"
+        cfg_path.write_text(json.dumps(cfg))
+        ck = str(tmp_path / "ck.bin")
+        assert main(["run", "--config", str(cfg_path), "--checkpoint", ck]) == 0
+        assert Path(ck + ".predictor").exists()
+        assert not Path(ck + ".curve").exists()
+
     def test_identical_runs_identical_reports_minus_timing(self, workspace):
         tmp_path, cfg_path = workspace
         outs = []

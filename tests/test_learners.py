@@ -24,6 +24,7 @@ from scroll import (
     load_state,
     save_state,
 )
+from scroll.errors import all_finite
 
 
 def unit_rows(rng, n, d):
@@ -710,3 +711,37 @@ class TestCheckpoints:
         np.testing.assert_array_equal(loaded.cov, s.cov)
         np.testing.assert_array_equal(loaded.class_sums, s.class_sums)
         np.testing.assert_array_equal(loaded.solve().weights, s.solve().weights)
+
+
+class TestAllFinite:
+    # No errstate here: tier-1 turns every warning into an error, so an
+    # overflow or inf - inf warning from the sum would fail the test.
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_overflowing_sum_of_finite_entries_is_finite(self, dtype):
+        top = np.finfo(dtype).max
+        assert all_finite(np.array([top, top], dtype=dtype))
+        assert all_finite(np.full((40, 30), top, dtype=dtype))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("bad", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]])
+    def test_any_nan_or_infinity_is_not_finite(self, dtype, bad):
+        rng = np.random.default_rng(68)
+        table = rng.standard_normal((50, 16)).astype(dtype)
+        for flat_index, value in zip((3, 16 * 37 + 6), bad):  # columns 3 and 6
+            table.flat[flat_index] = value
+        assert not all_finite(table)
+        assert not all_finite(table[:, ::3])
+
+    def test_empty_is_finite(self):
+        assert all_finite(np.zeros(0))
+        assert all_finite(np.zeros((0, 5), dtype=np.float32))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_agrees_with_isfinite_on_random_tables(self, dtype):
+        rng = np.random.default_rng(69)
+        for _ in range(50):
+            # Scales up to 1e37 make float32 sums overflow without a cast overflowing.
+            table = (rng.standard_normal((20, 8)) * 10.0 ** rng.integers(-5, 38)).astype(dtype)
+            if rng.random() < 0.5:
+                table.flat[rng.integers(table.size)] = rng.choice([np.nan, np.inf, -np.inf])
+            assert all_finite(table) == bool(np.isfinite(table).all())
