@@ -38,7 +38,7 @@ from .errors import (
 )
 
 STATE_MAGIC = b"SCST"
-STATE_VERSION = 2
+STATE_VERSION = 3
 _KIND_NCC = 0
 _KIND_RIDGE = 1
 
@@ -285,7 +285,8 @@ class RidgeState:
     ``cov``'s bits do not depend on how the samples were batched. Reading
     ``cov`` with rows pending returns the sums plus the partial block's
     product, the bits a flush would give, and leaves the block pending, so
-    reads, solves, copies and checkpoints change no later bit. ``cov`` is
+    reads, solves, copies and checkpoints change no later bit: an ``SCST``
+    checkpoint stores the flushed sums and the pending rows apart. ``cov`` is
     read-only: a read-only view of the sums when no rows are pending, and
     a read-only new array when some are; only ``update``, ``update_batch``
     and ``load_state`` change the statistics.
@@ -401,9 +402,10 @@ def save_state(state: NccState | RidgeState, path) -> None:
         w.array(state.counts, "<i8")
     elif isinstance(state, RidgeState):
         w.pack("HBII", STATE_VERSION, _KIND_RIDGE, state.class_count, state.dim)
-        w.pack("dd", state.lam, float(state.seen))
-        w.array(state.cov, "<f8")
+        w.pack("ddI", state.lam, float(state.seen), state._pending)
+        w.array(state._cov, "<f8")
         w.array(state.class_sums, "<f8")
+        w.array(state._block[: state._pending], "<f8")
     else:
         raise ConfigError(f"cannot checkpoint object of type {type(state).__name__}")
     with open(path, "wb") as fh:
@@ -425,10 +427,14 @@ def load_state(path) -> NccState | RidgeState:
         r.expect_end()
         return state
     if kind == _KIND_RIDGE:
-        lam, seen = r.unpack("dd", "ridge scalars")
+        lam, seen, pending = r.unpack("ddI", "ridge scalars")
         state = RidgeState(k, d, lam)
+        if pending >= len(state._block):
+            raise FormatError(f"{pending} pending rows do not fit a {len(state._block)}-row block")
         state._cov = r.array("<f8", d * d, "second-moment matrix").reshape(d, d).copy()
         state.class_sums = r.array("<f8", k * d, "class sums").reshape(k, d).copy()
+        state._block[:pending] = r.array("<f8", pending * d, "pending rows").reshape(pending, d)
+        state._pending = pending
         state.seen = int(seen)
         r.expect_end()
         return state

@@ -151,10 +151,9 @@ def _herd(pool: np.ndarray, target: np.ndarray):
     overflow and negligible underflow: when ``||t|| + max ||c||`` lies
     outside ``[1e-100, 1e100]``, or is not finite, every step computes the
     distance of every remaining row. Memory stays O(n d): the screen
-    matrix, one trial buffer and a few n-vectors.
+    matrix, the rows' squares, the rows in the margin and a few n-vectors.
     """
     n, d = pool.shape
-    trial_buf, dist_buf = np.empty(pool.shape), np.empty(n)
     # [pool | pool @ target | ||row||**2] @ [S, -k, 1/2] is r / 2, so the
     # margin below is half of _SCREEN_SAFETY times 8 (d + 4) u scale.
     screen = np.empty((n, d + 2))
@@ -170,7 +169,7 @@ def _herd(pool: np.ndarray, target: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in starts:
             np.matmul(pool[lo : lo + rows], target, out=screen[lo : lo + rows, d])
-        np.add.reduce(np.multiply(pool, pool, out=trial_buf), axis=1, out=closed)
+        np.add.reduce(np.multiply(pool, pool), axis=1, out=closed)
         # ||t|| + max ||c||; NaN and inf fail the range test.
         root = math.sqrt(target @ target) + math.sqrt(closed[closed.argmax()])
     coef = np.zeros(d + 2)
@@ -182,24 +181,7 @@ def _herd(pool: np.ndarray, target: np.ndarray):
     else:
         closed = np.zeros(n)
     # Looked up once: at ~10 rows a pick is mostly per-call overhead.
-    take, add, divide, subtract = pool.take, np.add, np.divide, np.subtract
-    multiply, add_reduce, sqrt = np.multiply, np.add.reduce, np.sqrt
-    dot, less_equal = np.dot, np.less_equal
-
-    def exact(near, step):
-        """The first row of ``near`` (ascending) at the smallest distance."""
-        m = len(near)
-        trial, dists = trial_buf[:m], dist_buf[:m]
-        # mode="clip" takes straight into ``trial``; "raise" would buffer.
-        take(near, axis=0, out=trial, mode="clip")
-        add(chosen_sum, trial, out=trial)
-        divide(trial, step, out=trial)
-        subtract(target, trial, out=trial)
-        multiply(trial, trial, out=trial)
-        add_reduce(trial, axis=1, out=dists)
-        sqrt(dists, out=dists)
-        return int(near[dists.argmin()])
-
+    add, dot, less_equal = np.add, np.dot, np.less_equal
     for step in range(1, n + 1):
         if screened:
             coef[d] = -step
@@ -210,12 +192,144 @@ def _herd(pool: np.ndarray, target: np.ndarray):
             r[pick] = np.inf
             if r[r.argmin()] <= bound:  # another row lies within the margin
                 r[pick] = bound
-                pick = exact(less_equal(r, bound).nonzero()[0], step)
+                pick = _closest(pool, less_equal(r, bound).nonzero()[0], chosen_sum, step, target)
         else:
-            pick = exact((closed == 0.0).nonzero()[0], step)
+            pick = _closest(pool, (closed == 0.0).nonzero()[0], chosen_sum, step, target)
         yield pick
         add(chosen_sum, pool[pick], out=chosen_sum)
         closed[pick] = np.inf
+
+
+def _closest(pool, near, chosen_sum, step, target) -> int:
+    """The first row of ``near`` (ascending) at the smallest herding distance.
+
+    The distance is ``||target - (chosen_sum + row) / step||`` with the
+    operations of ``np.linalg.norm(..., axis=1)``, so it has its bits.
+    """
+    trial = pool.take(near, axis=0)
+    np.add(chosen_sum, trial, out=trial)
+    np.divide(trial, step, out=trial)
+    np.subtract(target, trial, out=trial)
+    np.multiply(trial, trial, out=trial)
+    dists = np.sqrt(np.add.reduce(trial, axis=1))
+    return int(near[dists.argmin()])
+
+
+def _in_lockstep(rows: int, dim: int) -> bool:
+    """Whether :func:`_herd_lanes` herds a pool of this shape in :func:`_lockstep`.
+
+    Up to ``d + 2`` rows, the pool's Gram matrix is no larger than the
+    ``(n, d + 2)`` screen of :func:`_herd`.
+    """
+    return rows <= dim + 2
+
+
+def _herd_lanes(lanes) -> list[np.ndarray]:
+    """The first ``picks`` of :func:`herding_order` for every ``(pool, target, picks)``.
+
+    Small pools (:func:`_in_lockstep`) are herded together by
+    :func:`_lockstep`, the others one at a time by :func:`_herd`.
+    """
+    small = [i for i, (pool, _, _) in enumerate(lanes) if _in_lockstep(*pool.shape)]
+    out: list = [None] * len(lanes)
+    if small:
+        for i, picked in zip(small, _lockstep([lanes[i] for i in small])):
+            out[i] = picked
+    for i, (pool, target, picks) in enumerate(lanes):
+        if out[i] is None:
+            out[i] = np.fromiter(islice(_herd(pool, target), picks), np.intp, picks)
+    return out
+
+
+def _lockstep(lanes) -> list:
+    """:func:`_herd_lanes` for small pools (:func:`_in_lockstep`), in lockstep.
+
+    Each lane is one pool ``P`` with target ``t``. The half-screen ``h(c)
+    = ||c||**2 / 2 + S.c - k t.c`` is :func:`_herd`'s ``r / 2``. It starts
+    at ``||c||**2 / 2 - P t``, and picking row ``p`` adds ``H[p]``, the row
+    ``p`` of ``H = P P^T - 1 (P t)^T``. One step of every lane is an
+    ``argmin`` of ``h``, a second minimum, and the test whether that lies
+    within ``k**2 * margin`` of the first, with :func:`_herd`'s margin.
+    A lane with a second row in the margin gets the distances of its rows
+    in the margin from :func:`_closest`, with the chosen sum rebuilt by
+    adds from zero in pick order: the bits :func:`_herd` computes. Taken
+    rows and the padding of short lanes hold ``+inf``. Lanes are ordered
+    by picks, most first, so the lanes still picking are a prefix.
+
+    Why the picks are exact: with ``u``, ``scale`` and the range test of
+    :func:`_herd`, each entry of ``H`` and of the first ``h`` errs by at
+    most ``(d + 1) u scale``, and the exact ``h`` at step ``k`` is at most
+    ``k scale`` in size. So after ``k - 1`` adds the computed ``h`` errs by
+    at most ``k (d + 1) u scale`` from its inputs plus ``k (k + 1) / 2 u
+    scale`` from the adds, together at most ``k (d + k + 2) u scale``. The
+    full computation's pick has an exact ``h`` within ``(d + 9) u k**2
+    scale`` of the minimum (:func:`_herd`'s bound, halved), so a computed
+    ``h`` within ``(d + 9) k**2 + 2 k (d + k + 2) <= (3d + 15) k**2`` times
+    ``u scale`` of the computed minimum. The margin, ``4 (d + 4) k**2 u
+    scale`` times ``_SCREEN_SAFETY``, is more than 10**4 times that.
+    A lane outside the range test takes no step and comes back as
+    ``None``.
+
+    Memory: a pool of ``n <= d + 2`` rows keeps its ``n`` rows of ``H``,
+    each as wide as the widest pool, so O(n d) per lane.
+    """
+    sizes = np.array([len(pool) for pool, _, _ in lanes])
+    starts = np.zeros(len(lanes) + 1, dtype=np.intp)
+    np.cumsum(sizes, out=starts[1:])
+    rows = np.concatenate([pool for pool, _, _ in lanes])
+    targets = np.array([target for _, target, _ in lanes])
+    lane_of = np.repeat(np.arange(len(lanes)), sizes)
+    col = np.arange(len(rows)) - starts[lane_of]
+    n_lanes, width, d = len(lanes), int(sizes.max()), rows.shape[1]
+    # Lanes the range test rejects may overflow here, harmlessly: they take no step.
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.einsum("ij,ij->i", rows, rows)
+        root = np.sqrt(np.einsum("ij,ij->i", targets, targets))
+        root += np.sqrt(np.maximum.reduceat(norms, starts[:-1]))
+        screened = (1 / _SCREEN_RANGE <= root) & (root <= _SCREEN_RANGE)
+        moments = np.einsum("ij,ij->i", rows, targets.take(lane_of, axis=0))
+        gram = np.zeros((len(rows), width))
+        bounds = starts.tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            np.matmul(rows[lo:hi], rows[lo:hi].T, out=gram[lo:hi, : hi - lo])
+        padded = np.zeros((n_lanes, width))
+        padded[lane_of, col] = moments
+        gram -= padded.take(lane_of, axis=0)  # H, one row per pool row
+        quotas = np.where(screened, [picks for _, _, picks in lanes], 0)
+        order = np.argsort(-quotas, kind="stable")
+        rank = order.argsort()
+        h = np.full((n_lanes, width), np.inf)
+        h[rank[lane_of], col] = 0.5 * norms - moments
+        steps = np.arange(1, quotas.max() + 1)
+        # Row k - 1 holds each lane's margin at step k.
+        margins = (_SCREEN_SAFETY * 4 * (d + 4) * 2.0**-53) * np.outer(steps**2, root[order] ** 2)
+    flat, first_row = h.reshape(-1), starts[order]
+    # The lanes still picking at step k: those with at least k picks.
+    active = np.searchsorted(-quotas[order], -steps, side="right")
+    base = np.arange(n_lanes) * width
+    picked = np.empty((n_lanes, len(steps)), dtype=np.intp)
+    minimum = np.minimum.reduce
+    for step, m in enumerate(active.tolist(), start=1):
+        hm = h[:m]
+        pick = hm.argmin(axis=1)
+        at = base[:m] + pick
+        best = flat.take(at)
+        flat.put(at, np.inf)
+        bound = best + margins[step - 1, :m]
+        close = (minimum(hm, axis=1) <= bound).nonzero()[0]  # a second row in the margin
+        if len(close):
+            for j in close.tolist():
+                pool, target, _ = lanes[order[j]]
+                row, first = h[j], pick[j]
+                row[first] = bound[j]
+                chosen_sum = np.zeros(d)
+                for p in picked[j, : step - 1].tolist():
+                    np.add(chosen_sum, pool[p], out=chosen_sum)
+                p = _closest(pool, (row <= bound[j]).nonzero()[0], chosen_sum, step, target)
+                row[first], row[p], pick[j] = best[j], np.inf, p
+        picked[:m, step - 1] = pick
+        hm += gram.take(first_row[:m] + pick, axis=0)
+    return [picked[j, :q] if ok else None for j, q, ok in zip(rank, quotas, screened)]
 
 
 class ReplayBuffer:
@@ -231,11 +345,26 @@ class ReplayBuffer:
 
     Each class's stored samples are two arrays, in selection order once
     read: int64 dataset indices in ``_indices`` and float64 rows in
-    ``_rows``. A class with nothing stored has no entry in either. An
-    exemplar class whose whole pool fits its quota keeps every row, so it
-    is stored in dataset-index order and herded only when something reads
-    its order or its quota drops rows. That is exact: a class's running
-    mean moves only when the class gets arrivals, and arrivals re-pool it.
+    ``_rows``. A class with nothing stored has no entry in either.
+
+    The ``exemplar`` strategy chooses its rows late. Every update keeps the
+    running means, quotas, warnings and each class's stored count
+    (``min(pool, quota)``) current. The choice is an event of the class:
+    an arrival, or a quota shrink that drops rows, with the running mean
+    of that moment when it needs a herd. An event runs at once when
+    nothing of its class waits and it herds no pool of ``d + 2`` rows or
+    fewer; otherwise it waits, with a copy of its arrival. Waiting events
+    are walked when more than ``capacity`` arrival rows wait, which keeps
+    memory O(capacity d), and before anything reads order or rows. The
+    walk runs each class's events in stream order, in rounds, and every
+    round herds the next pending pool of every class together in one
+    lockstep kernel (:func:`_lockstep`). A class whose whole pool fits its
+    quota keeps every row in dataset-index order, and is herded only when
+    something reads its order or its quota drops rows. All of this is
+    exact: a class's running mean moves only when the class gets arrivals,
+    arrivals re-pool it, and each herd gets the pool and target it had in
+    the stream, so every result is the one a herd at each update gives,
+    bit for bit.
 
     A one-row batch, the unit of a per-sample stream, is not grouped by
     class: the row is its class's whole arrival, taken as a view of the
@@ -256,19 +385,37 @@ class ReplayBuffer:
         self.stats = RunningClassMean()
         self._classes: list[int] = []  # sorted ids of every class seen
         self.warnings: list[str] = []
-        self._indices: dict[int, np.ndarray] = {}
-        self._rows: dict[int, np.ndarray] = {}
+        self._stored_idx: dict[int, np.ndarray] = {}
+        self._stored_rows: dict[int, np.ndarray] = {}
+        self._count: dict[int, int] = {}  # stored rows, waiting events applied
         self._reservoir_seen: dict[int, int] = {}
-        self._unordered: set[int] = set()  # exemplar classes not yet herded
+        # Exemplar classes whose rows, waiting events applied, are not herded.
+        self._unordered: set[int] = set()
+        # Per class, events (new indices, new rows, rows kept, herd target)
+        # in stream order, and the arrival rows they hold.
+        self._waiting: dict[int, list] = {}
+        self._waiting_rows = 0
         self._rng = seeded_rng(seed, 77)
+
+    @property
+    def _indices(self) -> dict[int, np.ndarray]:
+        """Each class's stored dataset indices, every waiting event applied."""
+        self._settle()
+        return self._stored_idx
+
+    @property
+    def _rows(self) -> dict[int, np.ndarray]:
+        """Each class's stored rows, every waiting event applied."""
+        self._settle()
+        return self._stored_rows
 
     # -- content views -------------------------------------------------
 
     def total_stored(self) -> int:
-        return sum(len(idx) for idx in self._indices.values())
+        return sum(self._count.values())
 
     def per_class_counts(self) -> dict[int, int]:
-        return {y: len(idx) for y, idx in sorted(self._indices.items())}
+        return dict(sorted(self._count.items()))
 
     def stored_indices(self, y: int) -> list[int]:
         self._order(y)
@@ -364,11 +511,9 @@ class ReplayBuffer:
                     self.warnings.append(
                         f"class {y} exceeds the capacity budget and holds no samples"
                     )
-                self._indices.pop(y, None)
-                self._rows.pop(y, None)
-                self._unordered.discard(y)
+                self._drop(y)
                 continue
-            if y not in self._indices:
+            if y not in self._count:
                 self._keep(y, np.zeros(0, dtype=np.int64), np.zeros((0, vectors.shape[1])))
             # A slice gives views of the batch; every strategy copies what it stores.
             pos = arrivals.get(y, _NO_ROWS)
@@ -379,6 +524,8 @@ class ReplayBuffer:
                 self._update_reservoir(y, new_idx, new_rows, quota)
             else:
                 self._update_by_distance(y, new_idx, new_rows, quota)
+        if self._waiting_rows > self.capacity:
+            self._settle()
         return self
 
     @staticmethod
@@ -401,62 +548,133 @@ class ReplayBuffer:
         return {int(ys[a]): order[a:b] for a, b in zip(bounds, bounds[1:]) if b > a}
 
     def _keep(self, y: int, idx: np.ndarray, rows: np.ndarray) -> None:
-        self._indices[y] = idx
-        self._rows[y] = rows
+        self._stored_idx[y] = idx
+        self._stored_rows[y] = rows
+        self._count[y] = len(idx)
         self._unordered.discard(y)
 
-    def _order(self, *classes: int) -> None:
-        """Herd the named classes stored unordered, or all of them.
+    def _drop(self, y: int) -> None:
+        """Forget class ``y``'s rows and waiting events: its quota is zero for good."""
+        for new_idx, _, _, _ in self._waiting.pop(y, ()):
+            self._waiting_rows -= 0 if new_idx is None else len(new_idx)
+        for stored in (self._stored_idx, self._stored_rows, self._count):
+            stored.pop(y, None)
+        self._unordered.discard(y)
 
-        The call is the one :meth:`_update_exemplar` would have made when
+    def _queue(self, y: int, new_idx, new_rows, n: int, target) -> None:
+        """An event of class ``y``: ``n`` rows stay, herded toward ``target`` if given.
+
+        When nothing of the class waits, the event runs at once, unless it
+        herds a pool small enough to share :func:`_lockstep` with other
+        classes' pools. Any other event waits, with a copy of its arrival.
+        """
+        self._count[y] = n
+        if y not in self._waiting:
+            pool = len(self._stored_idx[y]) + (0 if new_idx is None else len(new_idx))
+            if target is None or not _in_lockstep(pool, self.stats.dim):
+                self._step(y, new_idx, new_rows, n, target)
+                return
+        if new_idx is not None:
+            new_idx, new_rows = new_idx.copy(), new_rows.copy()
+            self._waiting_rows += len(new_idx)
+        self._waiting.setdefault(y, []).append((new_idx, new_rows, n, target))
+
+    def _step(self, y: int, new_idx, new_rows, n: int, target) -> None:
+        """Run one event of class ``y`` on its own."""
+        idx, rows = self._stored_idx[y], self._stored_rows[y]
+        if new_idx is not None:
+            idx, rows = self._pooled(y, new_idx, new_rows)
+        if target is not None:
+            (picks,) = _herd_lanes([(rows, target, n)])
+            idx, rows = idx.take(picks), rows.take(picks, axis=0)
+        elif new_idx is None:
+            # Copies, so a shrunken class does not keep its longer rows alive.
+            idx, rows = idx[:n].copy(), rows[:n].copy()
+        self._stored_idx[y], self._stored_rows[y] = idx, rows
+
+    def _order(self, *classes: int) -> None:
+        """Settle, and herd the named classes stored unordered, or all of them.
+
+        The herd is the one :meth:`_update_exemplar` would have queued when
         it stored the pool, so the order is the same.
         """
         for y in classes or list(self._unordered):
             if y in self._unordered:
-                rows = self._rows[y]
-                order = np.fromiter(_herd(rows, self.stats.mean(y)), np.intp, len(rows))
-                self._keep(y, self._indices[y].take(order), rows.take(order, axis=0))
+                self._unordered.discard(y)
+                self._queue(y, None, None, self._count[y], self.stats.mean(y))
+        self._settle()
+
+    def _settle(self) -> None:
+        """Walk every waiting event, each class in stream order, herding in rounds.
+
+        Events without a herd run as the walk meets them; each class stops
+        at its next herd, and one round runs the herds every class stopped
+        at through :func:`_herd_lanes`.
+        """
+        if not self._waiting:
+            return
+        queues = [(y, iter(events)) for y, events in self._waiting.items()]
+        self._waiting, self._waiting_rows = {}, 0
+        idx_of, rows_of = self._stored_idx, self._stored_rows
+        while queues:
+            lanes, stopped = [], []
+            for y, events in queues:
+                for new_idx, new_rows, n, target in events:
+                    if target is None:
+                        self._step(y, new_idx, new_rows, n, None)
+                        continue
+                    idx, rows = idx_of[y], rows_of[y]
+                    if new_idx is not None:
+                        idx, rows = self._pooled(y, new_idx, new_rows)
+                    lanes.append((rows, target, n))
+                    stopped.append((y, events, idx, rows))
+                    break
+            for (y, _, idx, rows), picks in zip(stopped, _herd_lanes(lanes)):
+                idx_of[y], rows_of[y] = idx.take(picks), rows.take(picks, axis=0)
+            queues = [(y, events) for y, events, _, _ in stopped]
 
     def _truncate(self, y: int, n: int) -> None:
-        if len(self._indices[y]) <= n:
+        """Cut class ``y`` to the first ``n`` rows of its order, through :meth:`_queue`."""
+        if self._count[y] <= n:
             return
-        self._order(y)
-        # Copies, so a shrunken class does not keep its longer rows alive.
-        self._keep(y, self._indices[y][:n].copy(), self._rows[y][:n].copy())
+        target = self.stats.mean(y) if y in self._unordered else None
+        self._unordered.discard(y)
+        self._queue(y, None, None, n, target)
 
     def _pooled(self, y, new_idx, new_rows):
         # Pool ordered by original dataset index, so tie-breaking inside the
         # selection rules cannot depend on arrival order. At a few rows this
         # is per-call overhead, hence methods and take over fancy indexing.
-        idx = np.concatenate((self._indices[y], new_idx))
+        idx = np.concatenate((self._stored_idx[y], new_idx))
         order = idx.argsort(kind="stable")
-        return idx.take(order), np.concatenate((self._rows[y], new_rows)).take(order, axis=0)
+        rows = np.concatenate((self._stored_rows[y], new_rows))
+        return idx.take(order), rows.take(order, axis=0)
 
     def _update_exemplar(self, y, new_idx, new_rows, quota) -> None:
         if len(new_idx) == 0:
             self._truncate(y, quota)
             return
-        idx, rows = self._pooled(y, new_idx, new_rows)
-        if len(idx) <= quota:
+        pool = self._count[y] + len(new_idx)
+        if pool <= quota:
             # Every row stays; nothing reads their order before the next
             # arrival re-pools the class, so herd them only when read.
-            self._keep(y, idx, rows)
+            self._queue(y, new_idx, new_rows, pool, None)
             self._unordered.add(y)
-            return
-        keep = np.fromiter(islice(_herd(rows, self.stats.mean(y)), quota), np.intp, quota)
-        self._keep(y, idx.take(keep), rows.take(keep, axis=0))
+        else:
+            self._queue(y, new_idx, new_rows, quota, self.stats.mean(y))
+            self._unordered.discard(y)
 
     def _update_reservoir(self, y, new_idx, new_rows, quota) -> None:
         seen = self._reservoir_seen.get(y, 0)
-        fill = max(0, min(quota - len(self._indices[y]), len(new_idx)))
+        fill = max(0, min(quota - len(self._stored_idx[y]), len(new_idx)))
         if fill:
             self._keep(
                 y,
-                np.concatenate([self._indices[y], new_idx[:fill]]),
-                np.concatenate([self._rows[y], new_rows[:fill]]),
+                np.concatenate([self._stored_idx[y], new_idx[:fill]]),
+                np.concatenate([self._stored_rows[y], new_rows[:fill]]),
             )
             seen += fill
-        idx, rows = self._indices[y], self._rows[y]
+        idx, rows = self._stored_idx[y], self._stored_rows[y]
         # Algorithm R: the i-th row past the fill (i from 1) draws a slot in
         # [0, seen + i) and replaces it if it is below the quota. One call
         # draws every slot: with an array of bounds, numpy draws them in
@@ -496,8 +714,8 @@ class ReplayBuffer:
         out.stats = self.stats.copy()
         out._classes = list(self._classes)
         out.warnings = list(self.warnings)
-        out._indices = {y: idx.copy() for y, idx in self._indices.items()}
-        out._rows = {y: rows.copy() for y, rows in self._rows.items()}
+        for y, idx in self._indices.items():
+            out._keep(y, idx.copy(), self._rows[y].copy())
         out._reservoir_seen = dict(self._reservoir_seen)
         out._rng = np.random.default_rng()
         out._rng.bit_generator.state = self._rng.bit_generator.state

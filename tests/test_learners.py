@@ -487,7 +487,7 @@ class TestRidgePendingBlock:
                     save_state(state, path)
                     loaded = load_state(path)
                     assert loaded.cov.tobytes() == state.cov.tobytes()
-                    assert loaded._pending == 0
+                    assert loaded._pending == state._pending
         expected = blocked_cov(xs, size)
         assert state.cov.tobytes() == expected.tobytes()
         for twin in copies:
@@ -696,6 +696,31 @@ class TestCheckpoints:
         data[4:6] = struct.pack("<H", 1)
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError, match="version 1"):
+            load_state(path)
+
+    @pytest.mark.parametrize("kind", ["ncc", "ridge"])
+    def test_version_two_rejected(self, kind, tmp_path):
+        # Version 2 stored a ridge cov with the pending rows folded in, so a
+        # resumed stream flushed its blocks at other rows.
+        s = (NccState(2, 3) if kind == "ncc" else RidgeState(2, 3)).update(np.ones(3), 0)
+        path = tmp_path / "state.bin"
+        save_state(s, path)
+        data = bytearray(path.read_bytes())
+        data[4:6] = struct.pack("<H", 2)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="version 2"):
+            load_state(path)
+
+    def test_ridge_pending_rows_beyond_the_block_are_a_format_error(self, tmp_path):
+        s = RidgeState(2, 3).update(np.ones(3), 0)
+        path = tmp_path / "state.bin"
+        save_state(s, path)
+        data = bytearray(path.read_bytes())
+        # Header: magic, u16 version, u8 kind, u32 K, u32 d; then lam, seen, pending.
+        at = 4 + 2 + 1 + 4 + 4 + 8 + 8
+        data[at : at + 4] = struct.pack("<I", len(s._block))
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="pending rows"):
             load_state(path)
 
     def test_ridge_round_trip(self, tmp_path):

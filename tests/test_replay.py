@@ -24,7 +24,7 @@ from scroll import (
     write_moment_csv,
 )
 from scroll import replay
-from scroll.replay import _herd
+from scroll.replay import _herd, _herd_lanes, _lockstep
 
 
 def unit_rows(rng, n, d):
@@ -634,7 +634,12 @@ class TestDeferredOrder:
             calls.append(len(pool))
             return _herd(pool, target)
 
+        def counted_lanes(lanes):
+            calls.extend(len(pool) for pool, _, _ in lanes)
+            return _lockstep(lanes)
+
         monkeypatch.setattr(replay, "_herd", counted)
+        monkeypatch.setattr(replay, "_lockstep", counted_lanes)
         # Room for every row, so no class ever overflows its quota.
         buf = ReplayBuffer(table.n_samples, "exemplar", seed=16)
         feed(buf, table, np.random.default_rng(16).permutation(table.n_samples), 7)
@@ -928,3 +933,120 @@ class TestReservoirDraws:
             buf.update(rows, np.zeros(40, dtype=int), np.arange(40))
             ref.update(rows, np.zeros(40, dtype=int), np.arange(40))
             assert_same_state(buf, ref)
+
+
+def refuse_herds(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("herded")
+
+    monkeypatch.setattr(replay, "_herd", refuse)
+    monkeypatch.setattr(replay, "_lockstep", refuse)
+
+
+class TestLateSelection:
+    @pytest.mark.parametrize("batch", [1, 3], ids=["one-row", "grouped"])
+    def test_counts_warnings_and_means_run_no_herd(self, table, batch, monkeypatch):
+        # Class 0 fills, new classes shrink its quota from 12 to 3 (a
+        # pending herd of its unordered rows), then one more class-0 row
+        # overflows (a pending herd of the pool): 10 rows wait, fewer than
+        # the capacity, so nothing settles.
+        order = [0, 1, 2, 3, 4, 5, 30, 60, 90, 6]
+        ref = feed(EagerBuffer(12, "exemplar", seed=20), table, order, batch)
+        buf = ReplayBuffer(12, "exemplar", seed=20)
+        refuse_herds(monkeypatch)
+        feed(buf, table, order, batch)
+        assert sum(target is not None for _, _, _, target in buf._waiting[0]) == 2
+        assert buf.total_stored() == ref.total_stored() == 10 - 3 - 1
+        assert buf.per_class_counts() == ref.per_class_counts()
+        assert buf.warnings == ref.warnings
+        for y in range(table.class_count):
+            assert buf.stats.mean(y).tobytes() == ref.stats.mean(y).tobytes()
+        monkeypatch.undo()
+        assert [buf.stored_indices(y) for y in range(4)] == [
+            ref.stored_indices(y) for y in range(4)
+        ]
+
+    def test_waiting_rows_never_exceed_the_capacity(self, table):
+        buf = ReplayBuffer(13, "exemplar", seed=21)
+        ref = EagerBuffer(13, "exemplar", seed=21)
+        order = np.random.default_rng(21).permutation(table.n_samples)
+        settles = 0
+        for i in order.tolist():
+            before = buf._waiting_rows
+            buf.update(table.vectors[i : i + 1], table.labels[i : i + 1], [i])
+            ref.update(table.vectors[i : i + 1], table.labels[i : i + 1], [i])
+            held = sum(len(idx) for events in buf._waiting.values()
+                       for idx, _, _, _ in events if idx is not None)
+            assert held == buf._waiting_rows <= 13
+            settles += buf._waiting_rows < before
+        assert settles > 0
+        assert scbf_bytes(buf) == scbf_bytes(ref)
+
+
+@st.composite
+def lockstep_lanes(draw):
+    """Lanes of one width: pools of 1 to ``d + 4`` rows, quotas of 1 to all.
+
+    Small-integer grids and duplicated rows tie exactly, rows 1 ulp apart
+    and mirrored rows tie to within rounding and take the exact fallback,
+    scaled and non-finite pools fail the range test, and pools past ``d +
+    2`` rows go to :func:`_herd`. Shapes come from a drawn seed, as in
+    :func:`exemplar_streams`.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = int(rng.choice([1, 2, 3, 5, 8, 64, 128]))
+    lanes = []
+    for _ in range(int(rng.integers(1, 13))):
+        n = int(rng.integers(1, d + 5))
+        values = rng.choice(["normal", "grid", "duplicates", "ulp", "mirrored", "scaled",
+                             "nonfinite"], p=[0.3, 0.15, 0.15, 0.15, 0.15, 0.05, 0.05])
+        if values == "grid":
+            pool = rng.integers(-2, 3, (n, d)).astype(np.float64)
+        else:
+            pool = rng.standard_normal((n, d))
+        if values in ("duplicates", "ulp"):
+            pool = pool[rng.integers(0, max(1, n // 3), n)]
+        if values == "ulp":
+            pool += rng.integers(-1, 2, pool.shape) * np.spacing(pool)
+        elif values == "mirrored" and n > 1:
+            pool[n // 2 :] = -pool[: n - n // 2]
+        elif values == "scaled":
+            pool *= 10.0 ** int(rng.choice([-160, -150, 101, 150]))
+        elif values == "nonfinite":
+            pool.flat[rng.integers(0, pool.size)] = rng.choice([np.inf, -np.inf, np.nan])
+        with np.errstate(all="ignore"):
+            target = [pool.mean(axis=0), pool[0].copy(), np.zeros(d),
+                      rng.standard_normal(d)][int(rng.integers(0, 4))]
+        lanes.append((pool, target, int(rng.integers(1, n + 1))))
+    return lanes
+
+
+class TestLockstepKernel:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(lockstep_lanes())
+    def test_matches_reference_pick_for_pick(self, lanes):
+        with np.errstate(all="ignore"):
+            picks = _herd_lanes(lanes)
+            for (pool, target, quota), picked in zip(lanes, picks):
+                assert picked.tolist() == list(islice(reference_herd(pool, target), quota))
+
+    def test_near_ties_take_the_exact_distances(self, monkeypatch):
+        # Mirrored rows around the target tie at every odd step, and rows
+        # 1 ulp apart tie to within rounding, in lanes of different sizes.
+        calls = []
+
+        def counted(pool, near, *args):
+            calls.append(len(near))
+            return closest(pool, near, *args)
+
+        closest = replay._closest
+        monkeypatch.setattr(replay, "_closest", counted)
+        rng = np.random.default_rng(22)
+        rows = rng.standard_normal((3, 4))
+        mirrored = np.concatenate([rows, -rows])
+        ulp = np.repeat(rows[:1], 3, axis=0) + [[0.0], [1.0], [-1.0]] * np.spacing(rows[:1])
+        lanes = [(mirrored, np.zeros(4), 6), (ulp, rows[0].copy(), 2), (rows, rows[1], 1)]
+        picks = _herd_lanes(lanes)
+        assert calls and max(calls) >= 2
+        for (pool, target, quota), picked in zip(lanes, picks):
+            assert picked.tolist() == list(islice(reference_herd(pool, target), quota))
