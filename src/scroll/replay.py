@@ -215,26 +215,29 @@ def _closest(pool, near, chosen_sum, step, target) -> int:
     return int(near[dists.argmin()])
 
 
-def _in_lockstep(rows: int, dim: int) -> bool:
-    """Whether :func:`_herd_lanes` herds a pool of this shape in :func:`_lockstep`.
-
-    Up to ``d + 2`` rows, the pool's Gram matrix is no larger than the
-    ``(n, d + 2)`` screen of :func:`_herd`.
-    """
-    return rows <= dim + 2
-
-
 def _herd_lanes(lanes) -> list[np.ndarray]:
     """The first ``picks`` of :func:`herding_order` for every ``(pool, target, picks)``.
 
-    Small pools (:func:`_in_lockstep`) are herded together by
-    :func:`_lockstep`, the others one at a time by :func:`_herd`.
+    The lanes are herded together by :func:`_lockstep`, in groups: all
+    pools of at most ``d + 2`` rows in one, and larger pools by size, one
+    group per size, so no group pads a pool past ``d + 2`` columns. A group
+    of one lane, a lane the range test rejects, and a pool of more than
+    ``d + 2`` rows whose product with one vector passes
+    ``ONE_THREAD_MULADDS`` go to :func:`_herd`, whose screen runs in row
+    blocks that stay on one BLAS thread.
     """
-    small = [i for i, (pool, _, _) in enumerate(lanes) if _in_lockstep(*pool.shape)]
+    groups: dict[int, list[int]] = {}
+    for i, (pool, _, _) in enumerate(lanes):
+        n, d = pool.shape
+        if n <= d + 2:
+            groups.setdefault(0, []).append(i)
+        elif n * d <= ONE_THREAD_MULADDS:
+            groups.setdefault(n, []).append(i)
     out: list = [None] * len(lanes)
-    if small:
-        for i, picked in zip(small, _lockstep([lanes[i] for i in small])):
-            out[i] = picked
+    for group in groups.values():
+        if len(group) > 1:
+            for i, picked in zip(group, _lockstep([lanes[i] for i in group])):
+                out[i] = picked
     for i, (pool, target, picks) in enumerate(lanes):
         if out[i] is None:
             out[i] = np.fromiter(islice(_herd(pool, target), picks), np.intp, picks)
@@ -242,42 +245,56 @@ def _herd_lanes(lanes) -> list[np.ndarray]:
 
 
 def _lockstep(lanes) -> list:
-    """:func:`_herd_lanes` for small pools (:func:`_in_lockstep`), in lockstep.
+    """:func:`_herd_lanes` for many pools at once, in lockstep.
 
     Each lane is one pool ``P`` with target ``t``. The half-screen ``h(c)
     = ||c||**2 / 2 + S.c - k t.c`` is :func:`_herd`'s ``r / 2``. It starts
-    at ``||c||**2 / 2 - P t``, and picking row ``p`` adds ``H[p]``, the row
-    ``p`` of ``H = P P^T - 1 (P t)^T``. One step of every lane is an
-    ``argmin`` of ``h``, a second minimum, and the test whether that lies
-    within ``k**2 * margin`` of the first, with :func:`_herd`'s margin.
-    A lane with a second row in the margin gets the distances of its rows
-    in the margin from :func:`_closest`, with the chosen sum rebuilt by
-    adds from zero in pick order: the bits :func:`_herd` computes. Taken
-    rows and the padding of short lanes hold ``+inf``. Lanes are ordered
-    by picks, most first, so the lanes still picking are a prefix.
+    at ``||c||**2 / 2 - P t``, and picking row ``p`` adds ``P p - P t``.
+    When no pool has more than ``d + 2`` rows, that update is row ``p`` of
+    ``H = P P^T - 1 (P t)^T``, computed once. Otherwise every pool has one
+    size, and each step computes the update for every lane still picking,
+    minus the ``P t`` of the first ``h``, in one product of the stacked
+    pools with their picks. One step of every lane is an ``argmin`` of
+    ``h``, a second minimum, and the test whether that lies within ``k**2
+    * margin`` of the first, with :func:`_herd`'s margin. A lane with a
+    second row in the margin gets the distances of its rows in the margin
+    from :func:`_closest`, with the chosen sum rebuilt by adds from zero in
+    pick order: the bits :func:`_herd` computes. Taken rows and the padding
+    of short lanes hold ``+inf``. Lanes are ordered by picks, most first,
+    so the lanes still picking are a prefix, and so are their rows.
 
-    Why the picks are exact: with ``u``, ``scale`` and the range test of
-    :func:`_herd`, each entry of ``H`` and of the first ``h`` errs by at
-    most ``(d + 1) u scale``, and the exact ``h`` at step ``k`` is at most
-    ``k scale`` in size. So after ``k - 1`` adds the computed ``h`` errs by
-    at most ``k (d + 1) u scale`` from its inputs plus ``k (k + 1) / 2 u
-    scale`` from the adds, together at most ``k (d + k + 2) u scale``. The
-    full computation's pick has an exact ``h`` within ``(d + 9) u k**2
-    scale`` of the minimum (:func:`_herd`'s bound, halved), so a computed
-    ``h`` within ``(d + 9) k**2 + 2 k (d + k + 2) <= (3d + 15) k**2`` times
-    ``u scale`` of the computed minimum. The margin, ``4 (d + 4) k**2 u
-    scale`` times ``_SCREEN_SAFETY``, is more than 10**4 times that.
-    A lane outside the range test takes no step and comes back as
-    ``None``.
+    Why the picks are exact: take ``u``, ``scale`` and the range test of
+    :func:`_herd`, and let ``a = max ||c||`` and ``b = ||t||``. An update
+    entry is ``fl(fl(c.p) - fl(c.t))``, whether ``H`` holds it or a step
+    computes it. A ``d``-term dot product errs by at most ``d u`` times
+    the sum of its terms' magnitudes (to first order, in any order of
+    summation), and that sum is at most ``||c|| ||p|| <= a**2`` for
+    ``c.p`` and ``a b`` for ``c.t``; the subtraction adds at most ``u (a**2
+    + a b)``. So each entry errs by at most ``(d + 1) u (a**2 + a b) <= (d
+    + 1) u scale``, and the first ``h`` by at most as much. The exact
+    ``h`` at step ``k`` is at most ``k scale`` in size, so after ``k - 1``
+    adds the computed ``h`` errs by at most ``k (d + 1) u scale`` from its
+    inputs plus ``k (k + 1) / 2 u scale`` from the adds, together at most
+    ``k (d + k + 2) u scale``. The full computation's pick has an exact
+    ``h`` within ``(d + 9) u k**2 scale`` of the minimum (:func:`_herd`'s
+    bound, halved), so a computed ``h`` within ``(d + 9) k**2 + 2 k (d + k
+    + 2) <= (3d + 15) k**2`` times ``u scale`` of the computed minimum.
+    The margin, ``4 (d + 4) k**2 u scale`` times ``_SCREEN_SAFETY``, is
+    more than 10**4 times that. A lane outside the range test takes no
+    step and comes back as ``None``.
 
-    Memory: a pool of ``n <= d + 2`` rows keeps its ``n`` rows of ``H``,
-    each as wide as the widest pool, so O(n d) per lane.
+    Memory: the pools' rows once more, ``h`` and the picks, lanes by the
+    widest pool, and for pools of at most ``d + 2`` rows their rows of
+    ``H``, as wide. Larger pools share one size, so ``h`` holds one entry
+    per pool row, and at most ``d + 2`` otherwise: O(n d) per lane of
+    ``n`` rows.
     """
-    sizes = np.array([len(pool) for pool, _, _ in lanes])
+    order = sorted(range(len(lanes)), key=lambda i: -lanes[i][2])
+    sizes = np.array([len(lanes[i][0]) for i in order])
     starts = np.zeros(len(lanes) + 1, dtype=np.intp)
     np.cumsum(sizes, out=starts[1:])
-    rows = np.concatenate([pool for pool, _, _ in lanes])
-    targets = np.array([target for _, target, _ in lanes])
+    rows = np.concatenate([lanes[i][0] for i in order])
+    targets = np.array([lanes[i][1] for i in order])
     lane_of = np.repeat(np.arange(len(lanes)), sizes)
     col = np.arange(len(rows)) - starts[lane_of]
     n_lanes, width, d = len(lanes), int(sizes.max()), rows.shape[1]
@@ -286,27 +303,36 @@ def _lockstep(lanes) -> list:
         norms = np.einsum("ij,ij->i", rows, rows)
         root = np.sqrt(np.einsum("ij,ij->i", targets, targets))
         root += np.sqrt(np.maximum.reduceat(norms, starts[:-1]))
-        screened = (1 / _SCREEN_RANGE <= root) & (root <= _SCREEN_RANGE)
-        moments = np.einsum("ij,ij->i", rows, targets.take(lane_of, axis=0))
+    screened = (1 / _SCREEN_RANGE <= root) & (root <= _SCREEN_RANGE)
+    out: list = [None] * n_lanes
+    if not screened.all():
+        kept = [i for i, ok in zip(order, screened.tolist()) if ok]
+        for i, picked in zip(kept, _lockstep([lanes[i] for i in kept]) if kept else ()):
+            out[i] = picked
+        return out
+    moments, bounds = np.empty(len(rows)), starts.tolist()
+    for lo, hi, target in zip(bounds, bounds[1:], targets):
+        np.matmul(rows[lo:hi], target, out=moments[lo:hi])
+    h = np.full((n_lanes, width), np.inf)
+    flat, slots = h.reshape(-1), lane_of * width + col  # slots: each row's place in h
+    flat[slots] = 0.5 * norms - moments
+    if width <= d + 2:
         gram = np.zeros((len(rows), width))
-        bounds = starts.tolist()
         for lo, hi in zip(bounds, bounds[1:]):
             np.matmul(rows[lo:hi], rows[lo:hi].T, out=gram[lo:hi, : hi - lo])
         padded = np.zeros((n_lanes, width))
         padded[lane_of, col] = moments
         gram -= padded.take(lane_of, axis=0)  # H, one row per pool row
-        quotas = np.where(screened, [picks for _, _, picks in lanes], 0)
-        order = np.argsort(-quotas, kind="stable")
-        rank = order.argsort()
-        h = np.full((n_lanes, width), np.inf)
-        h[rank[lane_of], col] = 0.5 * norms - moments
-        steps = np.arange(1, quotas.max() + 1)
-        # Row k - 1 holds each lane's margin at step k.
-        margins = (_SCREEN_SAFETY * 4 * (d + 4) * 2.0**-53) * np.outer(steps**2, root[order] ** 2)
-    flat, first_row = h.reshape(-1), starts[order]
+    else:
+        # Pools of one size: no padding, so each lane's rows and P t stack.
+        gram, stack, lane_moments = None, rows.reshape(n_lanes, width, d), moments.reshape(h.shape)
+    quotas = np.array([lanes[i][2] for i in order])
+    steps = np.arange(1, quotas[0] + 1)
+    # Row k - 1 holds each lane's margin at step k.
+    margins = (_SCREEN_SAFETY * 4 * (d + 4) * 2.0**-53) * np.outer(steps**2, root**2)
     # The lanes still picking at step k: those with at least k picks.
-    active = np.searchsorted(-quotas[order], -steps, side="right")
-    base = np.arange(n_lanes) * width
+    active = np.searchsorted(-quotas, -steps, side="right")
+    base, first_row = np.arange(n_lanes) * width, starts[:-1]
     picked = np.empty((n_lanes, len(steps)), dtype=np.intp)
     minimum = np.minimum.reduce
     for step, m in enumerate(active.tolist(), start=1):
@@ -328,8 +354,15 @@ def _lockstep(lanes) -> list:
                 p = _closest(pool, (row <= bound[j]).nonzero()[0], chosen_sum, step, target)
                 row[first], row[p], pick[j] = best[j], np.inf, p
         picked[:m, step - 1] = pick
-        hm += gram.take(first_row[:m] + pick, axis=0)
-    return [picked[j, :q] if ok else None for j, q, ok in zip(rank, quotas, screened)]
+        if gram is not None:
+            hm += gram.take(first_row[:m] + pick, axis=0)
+            continue
+        update = np.matmul(stack[:m], rows.take(first_row[:m] + pick, axis=0)[:, :, None])[..., 0]
+        update -= lane_moments[:m]
+        hm += update
+    for j, (i, q) in enumerate(zip(order, quotas.tolist())):
+        out[i] = picked[j, :q]
+    return out
 
 
 class ReplayBuffer:
@@ -351,20 +384,21 @@ class ReplayBuffer:
     running means, quotas, warnings and each class's stored count
     (``min(pool, quota)``) current. The choice is an event of the class:
     an arrival, or a quota shrink that drops rows, with the running mean
-    of that moment when it needs a herd. An event runs at once when
-    nothing of its class waits and it herds no pool of ``d + 2`` rows or
-    fewer; otherwise it waits, with a copy of its arrival. Waiting events
-    are walked when more than ``capacity`` arrival rows wait, which keeps
-    memory O(capacity d), and before anything reads order or rows. The
-    walk runs each class's events in stream order, in rounds, and every
-    round herds the next pending pool of every class together in one
-    lockstep kernel (:func:`_lockstep`). A class whose whole pool fits its
-    quota keeps every row in dataset-index order, and is herded only when
-    something reads its order or its quota drops rows. All of this is
-    exact: a class's running mean moves only when the class gets arrivals,
-    arrivals re-pool it, and each herd gets the pool and target it had in
-    the stream, so every result is the one a herd at each update gives,
-    bit for bit.
+    of that moment when it needs a herd. A herd waits, with a copy of its
+    arrival, and so does every event of a class with events waiting; an
+    event without a herd runs at once. Waiting events are walked before an
+    arrival would bring more than ``capacity`` rows waiting, even within
+    one update, so memory stays O(capacity d) however many classes a batch
+    holds, and before anything reads order or rows; an arrival of more
+    than ``capacity`` rows then runs at once. The walk runs each class's
+    events in stream order, in rounds, and every round herds the next
+    pending pool of every class together (:func:`_herd_lanes`). A class
+    whose whole pool fits its quota keeps every row in dataset-index
+    order, and is herded only when something reads its order or its quota
+    drops rows. All of this is exact: a class's running mean moves only
+    when the class gets arrivals, arrivals re-pool it, and each herd gets
+    the pool and target it had in the stream, so every result is the one a
+    herd at each update gives, bit for bit.
 
     A one-row batch, the unit of a per-sample stream, is not grouped by
     class: the row is its class's whole arrival, taken as a view of the
@@ -524,8 +558,6 @@ class ReplayBuffer:
                 self._update_reservoir(y, new_idx, new_rows, quota)
             else:
                 self._update_by_distance(y, new_idx, new_rows, quota)
-        if self._waiting_rows > self.capacity:
-            self._settle()
         return self
 
     @staticmethod
@@ -564,16 +596,19 @@ class ReplayBuffer:
     def _queue(self, y: int, new_idx, new_rows, n: int, target) -> None:
         """An event of class ``y``: ``n`` rows stay, herded toward ``target`` if given.
 
-        When nothing of the class waits, the event runs at once, unless it
-        herds a pool small enough to share :func:`_lockstep` with other
-        classes' pools. Any other event waits, with a copy of its arrival.
+        A herd waits, with a copy of its arrival, to share a round of
+        :func:`_herd_lanes` with other classes' herds; so does any event of a
+        class with events waiting. The others run at once. An arrival that
+        would bring more than ``capacity`` rows waiting first settles the
+        waiting events, and runs at once if it alone holds that many.
         """
         self._count[y] = n
-        if y not in self._waiting:
-            pool = len(self._stored_idx[y]) + (0 if new_idx is None else len(new_idx))
-            if target is None or not _in_lockstep(pool, self.stats.dim):
-                self._step(y, new_idx, new_rows, n, target)
-                return
+        arrived = 0 if new_idx is None else len(new_idx)
+        if self._waiting_rows + arrived > self.capacity:
+            self._settle()
+        if y not in self._waiting and (target is None or arrived > self.capacity):
+            self._step(y, new_idx, new_rows, n, target)
+            return
         if new_idx is not None:
             new_idx, new_rows = new_idx.copy(), new_rows.copy()
             self._waiting_rows += len(new_idx)

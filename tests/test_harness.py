@@ -24,10 +24,13 @@ from scroll import (
     save_embeddings,
     write_study_summary,
 )
+from scroll import harness
+from scroll._seeding import seeded_rng
 from scroll.harness import (
     DataConfig, _evaluate, _stage_one, _state_deviation, _stream, _sweep_schedule_specs,
 )
 from scroll.learners import RIDGE_BLOCK_ROWS
+from scroll.replay import STRATEGIES, ReplayBuffer
 from scroll.schedules import build_schedule
 
 
@@ -468,7 +471,75 @@ class TestStateDeviation:
         assert _state_deviation(states) == 0.0
 
 
+def per_stream_study(cfg, shuffles, scenarios, strategies):
+    """The buffering study with one buffer per stream, read by ``moment_distances``."""
+    train, _ = cfg.data.resolve()
+    rows = []
+    for shuffle in range(shuffles):
+        for y in range(train.class_count):
+            class_idx = np.flatnonzero(train.labels == y)
+            order = seeded_rng(cfg.seed, 500, shuffle, y).permutation(len(class_idx))
+            shuffled = class_idx[order]
+            for s_i, (b1, b2) in enumerate(scenarios):
+                for strat_i, strategy in enumerate(strategies):
+                    seed = (cfg.seed + 9_000_000 + shuffle * 1_000_000 + y * 1000
+                            + s_i * 10 + strat_i)
+                    buf = ReplayBuffer(b1, strategy, seed=seed)
+                    for lo in range(0, len(shuffled), b2):
+                        idx = shuffled[lo : lo + b2]
+                        buf.update(train.vectors[idx], train.labels[idx], idx)
+                    rows.append({"b1": b1, "b2": b2, "strategy": strategy, "class": y,
+                                 "seed": shuffle, "distance": buf.moment_distances(train)[y]})
+    summary = []
+    for b1, b2 in scenarios:
+        for strategy in strategies:
+            values = np.array([r["distance"] for r in rows
+                               if (r["b1"], r["b2"], r["strategy"]) == (b1, b2, strategy)])
+            summary.append({"b1": b1, "b2": b2, "strategy": strategy,
+                            "mean_distance": float(values.mean()),
+                            "var_distance": float(values.var())})
+    return rows, summary
+
+
+def assert_same_study(cfg, shuffles, scenarios):
+    """``buffer_study`` gives the per-stream study's records, floats compared by bits."""
+    def bits(records):
+        return [{k: v.hex() if isinstance(v, float) else v for k, v in r.items()}
+                for r in records]
+
+    got = buffer_study(cfg, shuffles, scenarios, STRATEGIES)
+    want = per_stream_study(cfg, shuffles, scenarios, STRATEGIES)
+    for got_records, want_records in zip(got, want):
+        assert bits(got_records) == bits(want_records)
+
+
 class TestBufferStudy:
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_shared_buffers_match_one_buffer_per_stream(self, seed):
+        # 25 rows per class: b2 = 4 and 6 do not divide them, b1 = 30 and
+        # 25 hold a whole class, and b1 = 1 and b2 = 1 are the extremes.
+        # The streams make one full shared buffer and a partial one.
+        shuffles = harness._STUDY_STREAMS // 4 + 2
+        scenarios = ((7, 4), (30, 6), (1, 3), (5, 1), (25, 25), (1, 1))
+        assert_same_study(small_config(seed=seed), shuffles, scenarios)
+
+    def test_streams_of_different_lengths_match_one_buffer_per_stream(self, tmp_path):
+        # Classes of 1 to 23 rows: the streams sharing a buffer run out at
+        # different batch positions, and a one-row class is whole at once.
+        rng = np.random.default_rng(63)
+        labels = np.repeat(np.arange(5), [9, 1, 23, 4, 14])
+        table = EmbeddingTable(rng.standard_normal((len(labels), 8)), labels, 5)
+        for split in ("train", "test"):
+            save_embeddings(table, tmp_path / f"{split}.bin")
+        cfg = ExperimentConfig.from_dict({
+            "seed": 7,
+            "data": {"train_path": str(tmp_path / "train.bin"),
+                     "test_path": str(tmp_path / "test.bin")},
+            "schedule": {"kind": "single_batch"},
+        })
+        shuffles = harness._STUDY_STREAMS // 5 + 2
+        assert_same_study(cfg, shuffles, ((4, 3), (2, 5), (30, 1), (9, 9)))
+
     def test_full_capacity_scenario_has_zero_exemplar_distance(self):
         cfg = small_config()
         rows, summary = buffer_study(

@@ -966,6 +966,54 @@ class TestLateSelection:
             ref.stored_indices(y) for y in range(4)
         ]
 
+    def test_an_arrival_past_the_capacity_is_not_copied(self, table, monkeypatch):
+        # Rows 6 and 7 of class 0 each leave a herd waiting (quota 6); then
+        # 22 rows arrive at once. They run after the waiting events, and
+        # never wait themselves: a copy would pass the bound on waiting rows.
+        held = []
+        settle = ReplayBuffer._settle
+
+        def watched(self):
+            held.extend(len(idx) for events in self._waiting.values()
+                        for idx, _, _, _ in events if idx is not None)
+            settle(self)
+
+        monkeypatch.setattr(ReplayBuffer, "_settle", watched)
+        buf, ref = ReplayBuffer(6, "exemplar", seed=22), EagerBuffer(6, "exemplar", seed=22)
+        for b in (buf, ref):
+            feed(b, table, range(8), 1)
+            feed(b, table, range(8, 30), 22)
+        assert held == [1, 1]
+        assert scbf_bytes(buf) == scbf_bytes(ref)
+
+    def test_a_batch_of_many_classes_waits_within_the_capacity(self, monkeypatch):
+        # 50 classes of 20 rows in one 1000-row batch, 2 slots each: every
+        # class arrival fits the capacity of 100 rows, but the batch does
+        # not, so the herds settle in rounds and no copy of it is held.
+        rng = np.random.default_rng(25)
+        vectors = rng.standard_normal((1000, 64))
+        labels, indices = np.repeat(np.arange(50), 20), np.arange(1000)
+        waiting = []
+        settle = ReplayBuffer._settle
+
+        def watched(self):
+            waiting.append(self._waiting_rows)
+            settle(self)
+
+        monkeypatch.setattr(ReplayBuffer, "_settle", watched)
+        buf = ReplayBuffer(100, "exemplar", seed=25)
+        tracemalloc.start()
+        try:
+            buf.update(vectors, labels, indices)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(waiting) > 1 and max(waiting) <= 100
+        assert buf._waiting_rows <= 100
+        assert peak < vectors.nbytes
+        ref = EagerBuffer(100, "exemplar", seed=25).update(vectors, labels, indices)
+        assert scbf_bytes(buf) == scbf_bytes(ref)
+
     def test_waiting_rows_never_exceed_the_capacity(self, table):
         buf = ReplayBuffer(13, "exemplar", seed=21)
         ref = EagerBuffer(13, "exemplar", seed=21)
@@ -985,19 +1033,23 @@ class TestLateSelection:
 
 @st.composite
 def lockstep_lanes(draw):
-    """Lanes of one width: pools of 1 to ``d + 4`` rows, quotas of 1 to all.
+    """Lanes of one width: pools of 1 to ``3d + 40`` rows, quotas of 1 to all.
 
     Small-integer grids and duplicated rows tie exactly, rows 1 ulp apart
     and mirrored rows tie to within rounding and take the exact fallback,
-    scaled and non-finite pools fail the range test, and pools past ``d +
-    2`` rows go to :func:`_herd`. Shapes come from a drawn seed, as in
-    :func:`exemplar_streams`.
+    and scaled and non-finite pools fail the range test. A pool has 1 to
+    ``d + 4`` rows, 1 to ``3d + 40``, or one of two sizes past ``d + 2``
+    that the call's other pools may share, so one call mixes pools that
+    take Gram rows, pools of one size past ``d + 2`` rows whose screen
+    updates are computed per step, and pools herded alone. Shapes come
+    from a drawn seed, as in :func:`exemplar_streams`.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     d = int(rng.choice([1, 2, 3, 5, 8, 64, 128]))
+    shared = rng.integers(d + 3, 3 * d + 41, 2)
     lanes = []
     for _ in range(int(rng.integers(1, 13))):
-        n = int(rng.integers(1, d + 5))
+        n = int(rng.choice([rng.integers(1, d + 5), rng.integers(1, 3 * d + 41), *shared]))
         values = rng.choice(["normal", "grid", "duplicates", "ulp", "mirrored", "scaled",
                              "nonfinite"], p=[0.3, 0.15, 0.15, 0.15, 0.15, 0.05, 0.05])
         if values == "grid":
@@ -1029,6 +1081,45 @@ class TestLockstepKernel:
             picks = _herd_lanes(lanes)
             for (pool, target, quota), picked in zip(lanes, picks):
                 assert picked.tolist() == list(islice(reference_herd(pool, target), quota))
+
+    @pytest.mark.parametrize("large", [1, 2])
+    def test_memory_stays_linear_in_the_pools(self, large):
+        # 1000-row pools beside 40 pools of 5 rows: padding every lane to
+        # the widest pool would hold 41 x 1000 screen entries and picks, and
+        # 41 x 1000 x 8 floats of rows for the products.
+        rng = np.random.default_rng(23)
+        pools = [rng.standard_normal((n, 8)) for n in [1000] * large + [5] * 40]
+        lanes = [(pool, pool.mean(axis=0), min(len(pool), 100)) for pool in pools]
+        tracemalloc.start()
+        try:
+            picks = _herd_lanes(lanes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for (pool, target, quota), picked in zip(lanes, picks):
+            assert picked.tolist() == list(islice(reference_herd(pool, target), quota))
+        assert peak < 4 * sum(pool.nbytes for pool in pools)
+
+    def test_pools_past_one_thread_products_are_herded_alone(self, monkeypatch):
+        # 2100 x 128 = 268,800 multiply-adds per product with one vector, past
+        # ONE_THREAD_MULADDS. On a 2-vCPU VM, numpy 2.4's OpenBLAS threads such
+        # products from 460,800 multiply-adds on and leaves a thread spinning
+        # through the small work after them.
+        calls = []
+
+        def counted(lanes):
+            calls.append(len(lanes))
+            return lockstep(lanes)
+
+        lockstep = replay._lockstep
+        monkeypatch.setattr(replay, "_lockstep", counted)
+        rng = np.random.default_rng(24)
+        pools = [rng.standard_normal((n, 128)) for n in (2100, 2100, 2000, 2000)]
+        lanes = [(pool, pool.mean(axis=0), 3) for pool in pools]
+        picks = _herd_lanes(lanes)
+        assert calls == [2]
+        for (pool, target, quota), picked in zip(lanes, picks):
+            assert picked.tolist() == list(islice(reference_herd(pool, target), quota))
 
     def test_near_ties_take_the_exact_distances(self, monkeypatch):
         # Mirrored rows around the target tie at every odd step, and rows
