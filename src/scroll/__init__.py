@@ -36,14 +36,12 @@ from .errors import (
     StreamReuseError,
 )
 from .harness import (
-    ConsumeOnceStream,
     DataConfig,
     ExperimentConfig,
     RobustnessReport,
     RunReport,
     buffer_study,
     execute,
-    intermediate_predictor,
     robustness_sweep,
     run,
     write_study_summary,
@@ -51,7 +49,6 @@ from .harness import (
 from .learners import LinearHead, NccState, RidgeState, load_state, save_state
 from .replay import (
     ReplayBuffer,
-    RunningClassMean,
     herding_order,
     load_buffer,
     save_buffer,

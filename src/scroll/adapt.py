@@ -133,9 +133,6 @@ class AdapterParams:
     def dim(self) -> int:
         return self.down.shape[1]
 
-    def copy(self) -> "AdapterParams":
-        return AdapterParams(self.down.copy(), self.up.copy(), self.head.copy())
-
 
 def init_adapter(head: LinearHead, width: int | None, seed: int) -> AdapterParams:
     """Fresh adapter around a head: small random down projection, zero up.
@@ -181,16 +178,9 @@ def init_head(
     raise ConfigError(f"unknown head initialization {kind!r}")
 
 
-def forward(params: AdapterParams, zs) -> tuple[np.ndarray, dict]:
-    """Adapter + head forward pass.
-
-    Returns the logits and the intermediate activations (``zs``, ``act``,
-    ``feat``). Accepts a single row or a batch.
-    """
+def forward(params: AdapterParams, zs) -> np.ndarray:
+    """Adapter + head forward pass: the logits of a 2-d batch of rows."""
     zs = np.asarray(zs, dtype=np.float64)
-    single = zs.ndim == 1
-    if single:
-        zs = zs[None, :]
     if zs.ndim != 2 or zs.shape[1] != params.dim:
         raise ShapeError(f"expected rows of dimension {params.dim}, got {zs.shape}")
     act = np.maximum(zs @ params.down.T, 0.0)
@@ -199,15 +189,14 @@ def forward(params: AdapterParams, zs) -> tuple[np.ndarray, dict]:
     feat += zs
     logits = feat @ params.head.weights.T
     logits += params.head.biases
-    cache = {"zs": zs, "act": act, "feat": feat}
-    return (logits[0] if single else logits), cache
+    return logits
 
 
 def _checked(params: AdapterParams | LinearHead, zs, ys) -> tuple[np.ndarray, np.ndarray]:
     """``zs`` as float64 rows and ``ys`` as int64 labels that ``params`` can train on.
 
-    A single row is read as a batch of one. Non-integer labels, or labels
-    outside ``[0, K)``, raise :class:`ClassIdError`; rows of the wrong
+    Non-integer labels, or labels outside ``[0, K)``, raise
+    :class:`ClassIdError`; rows that are not a 2-d batch of the model's
     width, or a row count that is not the label count, raise
     :class:`ShapeError`.
     """
@@ -215,8 +204,6 @@ def _checked(params: AdapterParams | LinearHead, zs, ys) -> tuple[np.ndarray, np
     if ys.ndim != 1 or ys.shape[0] == 0:
         raise ConfigError("batch must contain at least one sample")
     zs = np.asarray(zs, dtype=np.float64)
-    if zs.ndim == 1:
-        zs = zs[None, :]
     bare = isinstance(params, LinearHead)
     if zs.ndim != 2 or zs.shape[1] != params.dim:
         if bare:
@@ -271,7 +258,7 @@ def _step(params, zs, label_pos, temperature, logits, log_z, dlogits, grads) -> 
 
 
 def loss_and_grads(
-    params: AdapterParams | LinearHead, zs, ys, temperature: float, out=None
+    params: AdapterParams | LinearHead, zs, ys, temperature: float
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean temperature-scaled cross-entropy and its exact gradients.
 
@@ -279,16 +266,13 @@ def loss_and_grads(
     batch. Gradients are returned for the head (``weights``, ``biases``)
     and, when ``params`` is an adapter, for its projections (``up``,
     ``down``). A bare :class:`LinearHead` scores the raw embeddings.
-    ``out`` optionally maps gradient names to arrays of the gradients'
-    shapes; those gradients are written into them and returned there.
     """
     zs, ys = _checked(params, zs, ys)
     head = params if isinstance(params, LinearHead) else params.head
     shapes = {"weights": head.weights.shape, "biases": head.biases.shape}
     if head is not params:
         shapes.update(up=params.up.shape, down=params.down.shape)
-    out = {} if out is None else out
-    grads = {name: out[name] if name in out else np.empty(shape) for name, shape in shapes.items()}
+    grads = {name: np.empty(shape) for name, shape in shapes.items()}
     batch = len(ys)
     label_pos = np.arange(batch) * head.class_count + ys
     logits, log_z = np.empty((batch, head.class_count)), np.empty(batch)
@@ -381,10 +365,7 @@ class AdaptedPredictor:
     def _scores(self, zs: np.ndarray) -> np.ndarray:
         if self.adapter is None:
             return self.head.scores(zs)
-        return forward(self.adapter, zs)[0]
-
-    def predict(self, z) -> int:
-        return int(self.predict_batch(np.asarray(z, dtype=np.float64)[None, :])[0])
+        return forward(self.adapter, zs)
 
 
 def adapt(

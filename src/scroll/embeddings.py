@@ -94,9 +94,6 @@ class EmbeddingTable:
     def dim(self) -> int:
         return self.vectors.shape[1]
 
-    def class_sizes(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.class_count)
-
 
 def normalize(table: EmbeddingTable) -> EmbeddingTable:
     """Scale every row to unit Euclidean norm.

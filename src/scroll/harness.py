@@ -23,8 +23,7 @@ from .embeddings import (
     FORMATS, EmbeddingTable, SyntheticSpec, load_embeddings, normalize, synthesize,
 )
 from .errors import (
-    ConfigError, DataError, NoClassError, StreamReuseError, require_fields, require_float,
-    require_int,
+    ConfigError, DataError, StreamReuseError, require_fields, require_float, require_int,
 )
 from .learners import LinearHead, NccState, RidgeState
 from .replay import ReplayBuffer, STRATEGIES
@@ -273,8 +272,8 @@ class _StoredRows:
         return self._digest
 
 
-def _stream(cfg: ExperimentConfig, train, schedule, checkpoints, stop=None):
-    """Stream once into fresh statistics and buffer, ending after batch ``stop``.
+def _stream(cfg: ExperimentConfig, train, schedule, checkpoints):
+    """Stream once into fresh statistics and buffer.
 
     Returns both plus, for each batch in ``checkpoints``, a copy of the
     statistics and the buffer's content as :class:`_StoredRows`, taken
@@ -296,8 +295,6 @@ def _stream(cfg: ExperimentConfig, train, schedule, checkpoints, stop=None):
         state.update_batch(batch.vectors, batch.labels)
         if t in checkpoints:
             snapshots[t] = (state.copy(), _StoredRows(buffer, train) if buffer else None)
-        if t == stop:
-            break
     return state, buffer, snapshots
 
 
@@ -317,11 +314,6 @@ def _adapted(cfg: ExperimentConfig, head: LinearHead, buffer) -> AdaptedPredicto
         )
         return adapt(head, buffer, cfg.adapt, init_kind="random")
     return adapt(head, buffer, cfg.adapt, init_kind=cfg.classifier)
-
-
-def _unadapted(cfg: ExperimentConfig, head: LinearHead) -> AdaptedPredictor:
-    """The stage-one head as the final predictor, when stage two is skipped."""
-    return AdaptedPredictor(head, provenance={"init": cfg.classifier})
 
 
 @dataclass
@@ -396,7 +388,7 @@ def _execute_on(cfg: ExperimentConfig, train, test, t_start: float) -> RunOutcom
     if predictor is None:
         if cfg.adapt.mode != "none":
             warnings.append("no replay data available; adaptation skipped")
-        predictor = _unadapted(cfg, head)
+        predictor = AdaptedPredictor(head, provenance={"init": cfg.classifier})
     warnings.extend(predictor.warnings)
     adapt_s = time.perf_counter() - t_adapt
 
@@ -454,26 +446,6 @@ def _execute_on(cfg: ExperimentConfig, train, test, t_start: float) -> RunOutcom
 def run(cfg: ExperimentConfig) -> RunReport:
     """Run one experiment and return its report."""
     return execute(cfg).report
-
-
-def intermediate_predictor(cfg: ExperimentConfig, t: int) -> AdaptedPredictor:
-    """The predictor available after ``t`` stream batches.
-
-    Statistics and buffer are taken at position ``t``; the head is solved
-    from them and adaptation restarts from scratch, exactly as a full run
-    ending at ``t`` would do.
-    """
-    if require_int(t, "stream position") == 0:
-        raise NoClassError("no data observed at stream position 0")
-    train, _ = cfg.data.resolve()
-    schedule = build_schedule(cfg.schedule, train.labels)
-    if t < 0 or t > schedule.n_batches:
-        raise ConfigError(
-            f"stream position {t} outside the {schedule.n_batches}-batch stream"
-        )
-    state, buffer, _ = _stream(cfg, train, schedule, (), stop=t)
-    head = init_head(cfg.classifier, state)
-    return _adapted(cfg, head, buffer) or _unadapted(cfg, head)
 
 
 @dataclass

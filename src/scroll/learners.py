@@ -21,6 +21,8 @@ the per-call cost, so both paths give the same bits.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ._binio import Reader, Writer
@@ -77,15 +79,6 @@ def _ridge_block_rows(dim: int) -> int:
     """
     rows = ONE_THREAD_MULADDS // (dim * dim)
     return min(RIDGE_BLOCK_ROWS, rows) if rows >= _MIN_ONE_THREAD_ROWS else RIDGE_BLOCK_ROWS
-
-
-def _check_vector(x, dim: int) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (dim,):
-        raise ShapeError(f"expected a vector of shape ({dim},), got {x.shape}")
-    if not np.isfinite(x).all():
-        raise DataError("vector contains non-finite values")
-    return x
 
 
 def _check_matrix(xs, dim: int) -> np.ndarray:
@@ -169,19 +162,13 @@ class LinearHead:
 
     def scores(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.float64)
-        single = xs.ndim == 1
-        if single:
-            xs = xs[None, :]
         if xs.ndim != 2 or xs.shape[1] != self.dim:
             raise ShapeError(
                 f"queries of dimension {self.dim} required, got shape {xs.shape}"
             )
         out = xs @ self.weights.T
         out += self.biases
-        return out[0] if single else out
-
-    def predict(self, x) -> int:
-        return int(np.argmax(self.scores(x)))
+        return out
 
     def predict_batch(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.float64)
@@ -219,11 +206,8 @@ class NccState:
     def prototypes(self) -> np.ndarray:
         return self.class_sums / np.maximum(self.counts, 1)[:, None]
 
-    def update(self, x, y: int) -> "NccState":
-        """Add one sample to its class sum; other rows are untouched."""
-        return self.update_batch(_check_vector(x, self.dim)[None, :], [y])
-
     def update_batch(self, xs, ys) -> "NccState":
+        """Add each row to its class sum; other classes' rows are untouched."""
         xs = _check_matrix(xs, self.dim)
         ys = _check_labels(ys, self.class_count)
         if xs.shape[0] != ys.shape[0]:
@@ -232,11 +216,8 @@ class NccState:
         self.counts += np.bincount(ys, minlength=self.class_count)
         return self
 
-    def predict(self, x) -> int:
-        """Nearest seen prototype by squared distance; ties to smallest id."""
-        return int(self.predict_batch(_check_vector(x, self.dim)[None, :])[0])
-
     def predict_batch(self, xs) -> np.ndarray:
+        """Nearest seen prototype of every row by squared distance; ties to smallest id."""
         xs = _check_matrix(xs, self.dim)
         unseen = self.counts == 0
         if unseen.all():
@@ -288,8 +269,8 @@ class RidgeState:
     reads, solves, copies and checkpoints change no later bit: an ``SCST``
     checkpoint stores the flushed sums and the pending rows apart. ``cov`` is
     read-only: a read-only view of the sums when no rows are pending, and
-    a read-only new array when some are; only ``update``, ``update_batch``
-    and ``load_state`` change the statistics.
+    a read-only new array when some are; only ``update_batch`` and
+    ``load_state`` change the statistics.
     """
 
     def __init__(self, class_count: int, dim: int, lam: float = 1.0):
@@ -340,11 +321,8 @@ class RidgeState:
                     self._cov += block.T @ block
                 self._pending = 0
 
-    def update(self, x, y: int) -> "RidgeState":
-        """Accumulate one sample: cov gains x x^T, row y gains x."""
-        return self.update_batch(_check_vector(x, self.dim)[None, :], [y])
-
     def update_batch(self, xs, ys) -> "RidgeState":
+        """Accumulate each row: cov gains x x^T, class row y gains x."""
         xs = _check_matrix(xs, self.dim)
         ys = _check_labels(ys, self.class_count)
         if xs.shape[0] != ys.shape[0]:
@@ -428,6 +406,10 @@ def load_state(path) -> NccState | RidgeState:
         return state
     if kind == _KIND_RIDGE:
         lam, seen, pending = r.unpack("ddI", "ridge scalars")
+        if not 0 < lam < math.inf:
+            raise FormatError(f"ridge lam must be positive and finite, got {lam!r}")
+        if not (seen >= 0 and seen.is_integer()):
+            raise FormatError(f"ridge sample count must be a non-negative integer, got {seen!r}")
         state = RidgeState(k, d, lam)
         if pending >= len(state._block):
             raise FormatError(f"{pending} pending rows do not fit a {len(state._block)}-row block")

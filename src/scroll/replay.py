@@ -215,21 +215,30 @@ def _closest(pool, near, chosen_sum, step, target) -> int:
     return int(near[dists.argmin()])
 
 
+def _takes_gram(n: int, d: int) -> bool:
+    """Whether a pool of ``n`` rows of width ``d`` takes :func:`_lockstep`'s Gram rows.
+
+    Its Gram row must be no wider than the screen's ``d + 2`` columns, and
+    its Gram product, ``n**2 d`` multiply-adds, must stay on one BLAS thread.
+    """
+    return n <= d + 2 and n * n * d <= ONE_THREAD_MULADDS
+
+
 def _herd_lanes(lanes) -> list[np.ndarray]:
     """The first ``picks`` of :func:`herding_order` for every ``(pool, target, picks)``.
 
     The lanes are herded together by :func:`_lockstep`, in groups: all
-    pools of at most ``d + 2`` rows in one, and larger pools by size, one
-    group per size, so no group pads a pool past ``d + 2`` columns. A group
-    of one lane, a lane the range test rejects, and a pool of more than
-    ``d + 2`` rows whose product with one vector passes
+    pools that take Gram rows (:func:`_takes_gram`) in one, and the others
+    by size, one group per size, so no group pads a pool past ``d + 2``
+    columns. A group of one lane, a lane the range test rejects, and a
+    pool outside the Gram group whose product with one vector passes
     ``ONE_THREAD_MULADDS`` go to :func:`_herd`, whose screen runs in row
     blocks that stay on one BLAS thread.
     """
     groups: dict[int, list[int]] = {}
     for i, (pool, _, _) in enumerate(lanes):
         n, d = pool.shape
-        if n <= d + 2:
+        if _takes_gram(n, d):
             groups.setdefault(0, []).append(i)
         elif n * d <= ONE_THREAD_MULADDS:
             groups.setdefault(n, []).append(i)
@@ -250,18 +259,19 @@ def _lockstep(lanes) -> list:
     Each lane is one pool ``P`` with target ``t``. The half-screen ``h(c)
     = ||c||**2 / 2 + S.c - k t.c`` is :func:`_herd`'s ``r / 2``. It starts
     at ``||c||**2 / 2 - P t``, and picking row ``p`` adds ``P p - P t``.
-    When no pool has more than ``d + 2`` rows, that update is row ``p`` of
-    ``H = P P^T - 1 (P t)^T``, computed once. Otherwise every pool has one
-    size, and each step computes the update for every lane still picking,
-    minus the ``P t`` of the first ``h``, in one product of the stacked
-    pools with their picks. One step of every lane is an ``argmin`` of
-    ``h``, a second minimum, and the test whether that lies within ``k**2
-    * margin`` of the first, with :func:`_herd`'s margin. A lane with a
-    second row in the margin gets the distances of its rows in the margin
-    from :func:`_closest`, with the chosen sum rebuilt by adds from zero in
-    pick order: the bits :func:`_herd` computes. Taken rows and the padding
-    of short lanes hold ``+inf``. Lanes are ordered by picks, most first,
-    so the lanes still picking are a prefix, and so are their rows.
+    When every pool takes Gram rows (:func:`_takes_gram`), that update is
+    row ``p`` of ``H = P P^T - 1 (P t)^T``, computed once. Otherwise every
+    pool has one size, and each step computes the update for every lane
+    still picking, minus the ``P t`` of the first ``h``, in one product of
+    the stacked pools with their picks. One step of every lane is an
+    ``argmin`` of ``h``, a second minimum, and the test whether that lies
+    within ``k**2 * margin`` of the first, with :func:`_herd`'s margin. A
+    lane with a second row in the margin gets the distances of its rows in
+    the margin from :func:`_closest`, with the chosen sum rebuilt by adds
+    from zero in pick order: the bits :func:`_herd` computes. Taken rows
+    and the padding of short lanes hold ``+inf``. Lanes are ordered by
+    picks, most first, so the lanes still picking are a prefix, and so are
+    their rows.
 
     Why the picks are exact: take ``u``, ``scale`` and the range test of
     :func:`_herd`, and let ``a = max ||c||`` and ``b = ||t||``. An update
@@ -284,10 +294,9 @@ def _lockstep(lanes) -> list:
     step and comes back as ``None``.
 
     Memory: the pools' rows once more, ``h`` and the picks, lanes by the
-    widest pool, and for pools of at most ``d + 2`` rows their rows of
-    ``H``, as wide. Larger pools share one size, so ``h`` holds one entry
-    per pool row, and at most ``d + 2`` otherwise: O(n d) per lane of
-    ``n`` rows.
+    widest pool, and for pools that take Gram rows their rows of ``H``,
+    as wide. Other pools share one size, so ``h`` holds one entry per pool
+    row, and at most ``d + 2`` otherwise: O(n d) per lane of ``n`` rows.
     """
     order = sorted(range(len(lanes)), key=lambda i: -lanes[i][2])
     sizes = np.array([len(lanes[i][0]) for i in order])
@@ -316,7 +325,7 @@ def _lockstep(lanes) -> list:
     h = np.full((n_lanes, width), np.inf)
     flat, slots = h.reshape(-1), lane_of * width + col  # slots: each row's place in h
     flat[slots] = 0.5 * norms - moments
-    if width <= d + 2:
+    if _takes_gram(width, d):
         gram = np.zeros((len(rows), width))
         for lo, hi in zip(bounds, bounds[1:]):
             np.matmul(rows[lo:hi], rows[lo:hi].T, out=gram[lo:hi, : hi - lo])
@@ -800,9 +809,15 @@ def load_buffer(path) -> ReplayBuffer:
         raise FormatError(f"unknown strategy tag {strategy_tag}")
     (dim,) = r.unpack("I", "vector dimension")
     buf = ReplayBuffer(int(capacity), STRATEGIES[strategy_tag], int(seed))
+    last = -1
     for _ in range(n_classes):
         y, stored, seen, reservoir_seen = r.unpack("IIQQ", "class header")
         y = int(y)
+        if y <= last:
+            raise FormatError(f"class ids must ascend strictly, got {y} after {last}")
+        if seen == 0 or seen < stored:
+            raise FormatError(f"class {y} stores {stored} rows but counts {seen} seen")
+        last = y
         buf.stats._sums[y] = r.array("<f8", dim, "class sum").copy()
         buf.stats._counts[y] = int(seen)
         if reservoir_seen:
@@ -812,6 +827,10 @@ def load_buffer(path) -> ReplayBuffer:
         if stored:
             buf._keep(y, idx, rows)
     buf._classes = buf.stats.classes()
+    for y, idx in buf._stored_idx.items():
+        quota = buf._quota(y, buf._classes)
+        if len(idx) > quota:
+            raise FormatError(f"class {y} stores {len(idx)} rows, past its quota of {quota}")
     buf.stats.dim = dim if n_classes else None
     (rng_len,) = r.unpack("I", "rng state length")
     buf._rng.bit_generator.state = json.loads(r.take(rng_len, "rng state"))

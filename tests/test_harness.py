@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import tracemalloc
+from itertools import islice
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,17 +9,14 @@ import pytest
 
 from scroll import (
     ConfigError,
-    ConsumeOnceStream,
     DataError,
     EmbeddingTable,
     ExperimentConfig,
     NccState,
-    NoClassError,
     RidgeState,
     StreamReuseError,
     buffer_study,
     execute,
-    intermediate_predictor,
     robustness_sweep,
     run,
     save_embeddings,
@@ -27,11 +25,12 @@ from scroll import (
 from scroll import harness
 from scroll._seeding import seeded_rng
 from scroll.harness import (
-    DataConfig, _evaluate, _stage_one, _state_deviation, _stream, _sweep_schedule_specs,
+    ConsumeOnceStream, DataConfig, _adapted, _evaluate, _stage_one, _state_deviation, _stream,
+    _sweep_schedule_specs,
 )
 from scroll.learners import RIDGE_BLOCK_ROWS
 from scroll.replay import STRATEGIES, ReplayBuffer
-from scroll.schedules import build_schedule
+from scroll.schedules import build_schedule, iter_batches
 
 
 def config_dict(**overrides):
@@ -55,6 +54,24 @@ def small_config(**overrides):
     d = config_dict(**overrides)
     d["data"]["synthetic"].update({"class_count": 4, "dim": 16, "samples_per_class": 25})
     return ExperimentConfig.from_dict(d)
+
+
+def stream_prefix(cfg, train, t):
+    """Oracle: the first ``t`` batches of the schedule streamed into a fresh
+    state and buffer, as a run that ended there would hold them."""
+    if cfg.classifier == "ncc":
+        state = NccState(train.class_count, train.dim)
+    else:
+        state = RidgeState(train.class_count, train.dim, cfg.ridge_lambda)
+    buffer = None
+    if cfg.buffer_capacity:
+        buffer = ReplayBuffer(cfg.buffer_capacity, cfg.buffer_strategy, cfg.buffer_seed)
+    schedule = build_schedule(cfg.schedule, train.labels)
+    for batch in islice(iter_batches(schedule, train), t):
+        if buffer is not None:
+            buffer.update(batch.vectors, batch.labels, batch.indices)
+        state.update_batch(batch.vectors, batch.labels)
+    return state, buffer
 
 
 class TestConfig:
@@ -272,7 +289,8 @@ class TestCheckpoints:
         )
         train, _ = cfg.data.resolve()
         schedule = build_schedule(cfg.schedule, train.labels)
-        _, buffer, snapshots = _stream(cfg, train, schedule, {3}, stop=3)
+        _, _, snapshots = _stream(cfg, train, schedule, {3})
+        _, buffer = stream_prefix(cfg, train, 3)
         stored = snapshots[3][1]
         rows, labels = stored.training_arrays()
         want_rows, want_labels = buffer.copy().training_arrays()
@@ -291,40 +309,56 @@ class TestCheckpoints:
         )
         outcome = execute(cfg)
         (entry,) = outcome.report.intermediate
-        schedule = build_schedule(cfg.schedule, outcome.train.labels)
-        state, _, _ = _stream(cfg, outcome.train, schedule, (), stop=2)
+        state, _ = stream_prefix(cfg, outcome.train, 2)
         preds = _stage_one(cfg, state)[0](outcome.test.vectors)
         assert entry["stage_one_accuracy"] == float(np.mean(preds == outcome.test.labels))
         assert entry["stage_one_accuracy"] < outcome.report.accuracy["stage_one"]
 
 
 class TestIntermediatePredictor:
+    """The predictors ``intermediate_evals`` scores at stream positions."""
+
+    @staticmethod
+    def accuracies_at(cfg, train, test, t):
+        """Oracle: the stage-one and adapted accuracies of a run that ended after batch t."""
+        state, buffer = stream_prefix(cfg, train, t)
+        stage_one, head = _stage_one(cfg, state)
+        stage_one_acc = float(np.mean(stage_one(test.vectors) == test.labels))
+        adapted = _adapted(cfg, head, buffer)
+        if adapted is None:
+            return stage_one_acc, stage_one_acc
+        return stage_one_acc, float(np.mean(adapted.predict_batch(test.vectors) == test.labels))
+
     def test_final_position_matches_run(self):
-        cfg = small_config(buffer={"capacity": 16}, adapt={"mode": "adapter", "epochs": 2})
-        outcome = execute(dataclasses.replace(cfg))
-        schedule_batches = 2  # class_split c=2 over 4 classes
-        pred = intermediate_predictor(cfg, schedule_batches)
-        queries = outcome.test.vectors
-        np.testing.assert_array_equal(
-            pred.predict_batch(queries), outcome.predictor.predict_batch(queries)
-        )
+        cfg = small_config(buffer={"capacity": 16}, adapt={"mode": "adapter", "epochs": 2},
+                           intermediate_evals=[2])  # class_split c=2 over 4 classes
+        report = run(cfg)
+        (entry,) = report.intermediate
+        assert entry["stage_one_accuracy"] == report.accuracy["stage_one"]
+        assert entry["adapted_accuracy"] == report.accuracy["adapted"]
 
     def test_mid_stream_position_matches_run(self):
-        cfg = small_config(
-            schedule={"kind": "class_split", "classes_per_batch": 1, "seed": 3},
-            buffer={"capacity": 16}, adapt={"mode": "adapter", "epochs": 2},
-            intermediate_evals=[2],
-        )
-        outcome = execute(cfg)
-        (entry,) = outcome.report.intermediate
-        assert entry["t"] == 2
-        pred = intermediate_predictor(cfg, 2)  # 2 of the 4 single-class batches
-        preds = pred.predict_batch(outcome.test.vectors)
-        assert float(np.mean(preds == outcome.test.labels)) == entry["adapted_accuracy"]
-
-    def test_position_zero_is_no_class_error(self):
-        with pytest.raises(NoClassError):
-            intermediate_predictor(small_config(), 0)
+        # Every position, the last included, for both classifiers with and
+        # without adaptation. Mixed-class batches of 30 rows: 4 batches, the
+        # last of 10 rows; at this spread the accuracies change along the stream.
+        for kind in ("ncc", "ridge"):
+            for adapt in ({"mode": "none"}, {"mode": "adapter", "epochs": 2}):
+                d = config_dict(
+                    schedule={"kind": "random_iid", "batch_size": 30, "seed": 3},
+                    classifier={"kind": kind}, buffer={"capacity": 16, "seed": 2},
+                    adapt=adapt, intermediate_evals=[1, 2, 3, 4],
+                )
+                d["data"]["synthetic"].update(
+                    {"class_count": 4, "dim": 16, "samples_per_class": 25, "cluster_spread": 0.6}
+                )
+                cfg = ExperimentConfig.from_dict(d)
+                outcome = execute(cfg)
+                entries = outcome.report.intermediate
+                assert [entry["t"] for entry in entries] == [1, 2, 3, 4]
+                for entry in entries:
+                    want = self.accuracies_at(cfg, outcome.train, outcome.test, entry["t"])
+                    got = (entry["stage_one_accuracy"], entry["adapted_accuracy"])
+                    assert got == want, (kind, adapt["mode"], entry["t"])
 
     @pytest.mark.parametrize("adapt", [{"mode": "none"}, {"mode": "full_head", "epochs": 1}])
     def test_each_ridge_state_is_solved_once(self, monkeypatch, adapt):
@@ -341,19 +375,18 @@ class TestIntermediatePredictor:
         )
         execute(cfg)
         assert solved == [100, 50]  # the final state, then the snapshot at t=1
-        solved.clear()
-        intermediate_predictor(cfg, 1)
-        assert solved == [50]
 
     @pytest.mark.parametrize("t", [1.5, True])
     def test_non_integer_position_is_config_error(self, t):
-        # 1.5 once streamed the whole schedule, and True acted as position 1.
-        with pytest.raises(ConfigError, match="^stream position must be an integer"):
-            intermediate_predictor(small_config(), t)
+        # True would act as position 1.
+        with pytest.raises(ConfigError, match="^intermediate_evals entry must be an integer"):
+            ExperimentConfig.from_dict(config_dict(intermediate_evals=[1, t]))
 
     def test_position_out_of_range(self):
-        with pytest.raises(ConfigError):
-            intermediate_predictor(small_config(), 99)
+        # class_split c=2 over 4 classes: 2 batches.
+        assert len(run(small_config(intermediate_evals=[2])).intermediate) == 1
+        with pytest.raises(ConfigError, match="position 3 exceeds the 2-batch stream"):
+            run(small_config(intermediate_evals=[3]))
 
     def test_accuracy_grows_with_observed_classes(self):
         cfg = ExperimentConfig.from_dict(config_dict(

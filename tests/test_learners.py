@@ -64,7 +64,7 @@ def brute_force_linear(head, x):
 class TestNccUpdate:
     def test_first_sample_becomes_prototype(self):
         s = NccState(2, 2)
-        s.update(np.array([1.0, 0.0]), 0)
+        s.update_batch([[1.0, 0.0]], [0])
         np.testing.assert_array_equal(s.prototypes[0], [1.0, 0.0])
         assert s.counts[0] == 1
 
@@ -73,16 +73,16 @@ class TestNccUpdate:
         xs = unit_rows(rng, 3, 4)
         s = NccState(1, 4)
         for x in xs:
-            s.update(x, 0)
+            s.update_batch(x[None, :], [0])
         assert np.abs(s.prototypes[0] - xs.mean(axis=0)).max() <= 1e-12
 
     def test_no_cross_class_interference(self):
         rng = np.random.default_rng(2)
         s = NccState(2, 3)
-        s.update(unit_rows(rng, 1, 3)[0], 1)
+        s.update_batch(unit_rows(rng, 1, 3), [1])
         before = s.prototypes[1].copy()
         for x in unit_rows(rng, 5, 3):
-            s.update(x, 0)
+            s.update_batch(x[None, :], [0])
         np.testing.assert_array_equal(s.prototypes[1], before)
 
     def test_batch_update_matches_sequential(self):
@@ -92,20 +92,20 @@ class TestNccUpdate:
         a = NccState(4, 6).update_batch(xs, ys)
         b = NccState(4, 6)
         for x, y in zip(xs, ys):
-            b.update(x, y)
+            b.update_batch(x[None, :], [y])
         # Both add the rows of each class in stream order.
         np.testing.assert_array_equal(a.class_sums, b.class_sums)
         np.testing.assert_array_equal(a.counts, b.counts)
 
     def test_class_id_out_of_range(self):
         with pytest.raises(ClassIdError):
-            NccState(2, 2).update(np.array([1.0, 0.0]), 2)
+            NccState(2, 2).update_batch([[1.0, 0.0]], [2])
 
     def test_non_integer_class_id_is_class_id_error(self):
         # int(1.9) would count the sample as class 1.
         state = NccState(3, 2)
         with pytest.raises(ClassIdError, match="integer dtype"):
-            state.update(np.array([1.0, 0.0]), 1.9)
+            state.update_batch([[1.0, 0.0]], [1.9])
         assert state.counts.sum() == 0
 
     def test_non_integer_sizes_are_config_errors(self):
@@ -127,16 +127,16 @@ class TestNccUpdate:
 class TestNccPredict:
     def test_exact_prototype_hit(self):
         s = NccState(2, 2)
-        s.update(np.array([1.0, 0.0]), 0)
-        s.update(np.array([0.0, 1.0]), 1)
-        assert s.predict(np.array([1.0, 0.0])) == 0
+        s.update_batch([[1.0, 0.0]], [0])
+        s.update_batch([[0.0, 1.0]], [1])
+        assert s.predict_batch([[1.0, 0.0]])[0] == 0
 
     def test_tie_goes_to_smaller_id(self):
         s = NccState(2, 2)
-        s.update(np.array([1.0, 0.0]), 0)
-        s.update(np.array([0.0, 1.0]), 1)
+        s.update_batch([[1.0, 0.0]], [0])
+        s.update_batch([[0.0, 1.0]], [1])
         q = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        assert s.predict(q) == 0
+        assert s.predict_batch(q[None, :])[0] == 0
 
     def test_agrees_with_brute_force(self):
         rng = np.random.default_rng(4)
@@ -149,13 +149,13 @@ class TestNccPredict:
 
     def test_unseen_class_excluded(self):
         s = NccState(3, 2)
-        s.update(np.array([0.0, 1.0]), 2)
+        s.update_batch([[0.0, 1.0]], [2])
         # class 0 prototype is the zero vector but unseen; nearest must be 2
-        assert s.predict(np.array([0.1, 0.1])) == 2
+        assert s.predict_batch([[0.1, 0.1]])[0] == 2
 
     def test_empty_state_raises(self):
         with pytest.raises(NoClassError):
-            NccState(3, 2).predict(np.array([1.0, 0.0]))
+            NccState(3, 2).predict_batch([[1.0, 0.0]])
 
     def test_prediction_memory_is_linear_in_queries_and_prototypes(self):
         # The distance-tensor rule needs n * K * d floats, about 0.5 GB here.
@@ -244,7 +244,7 @@ class TestRidgeUpdate:
 
     def test_single_sample_statistics(self):
         s = RidgeState(2, 2, lam=1.0)
-        s.update(np.array([1.0, 0.0]), 0)
+        s.update_batch([[1.0, 0.0]], [0])
         np.testing.assert_array_equal(s.cov, [[1.0, 0.0], [0.0, 0.0]])
         np.testing.assert_array_equal(s.class_sums[0], [1.0, 0.0])
         np.testing.assert_array_equal(s.class_sums[1], [0.0, 0.0])
@@ -253,8 +253,8 @@ class TestRidgeUpdate:
     def test_update_order_commutes(self):
         rng = np.random.default_rng(5)
         x1, x2 = unit_rows(rng, 2, 3)
-        a = RidgeState(2, 3).update(x1, 0).update(x2, 1)
-        b = RidgeState(2, 3).update(x2, 1).update(x1, 0)
+        a = RidgeState(2, 3).update_batch(x1[None, :], [0]).update_batch(x2[None, :], [1])
+        b = RidgeState(2, 3).update_batch(x2[None, :], [1]).update_batch(x1[None, :], [0])
         assert np.abs(a.cov - b.cov).max() <= 1e-12
         assert np.abs(a.class_sums - b.class_sums).max() <= 1e-12
 
@@ -264,13 +264,13 @@ class TestRidgeUpdate:
         ys = rng.integers(0, 3, 50)
         s = RidgeState(3, 7)
         for x, y in zip(xs, ys):
-            s.update(x, y)
+            s.update_batch(x[None, :], [y])
         assert np.abs(s.cov - xs.T @ xs).max() <= 1e-10
 
     def test_non_integer_class_id_is_class_id_error(self):
         state = RidgeState(3, 2)
         with pytest.raises(ClassIdError, match="integer dtype"):
-            state.update(np.array([1.0, 0.0]), 1.9)
+            state.update_batch([[1.0, 0.0]], [1.9])
         assert state.seen == 0
 
     def test_batch_update_matches_sequential(self):
@@ -280,7 +280,7 @@ class TestRidgeUpdate:
         a = RidgeState(2, 5).update_batch(xs, ys)
         b = RidgeState(2, 5)
         for x, y in zip(xs, ys):
-            b.update(x, y)
+            b.update_batch(x[None, :], [y])
         assert np.abs(a.cov - b.cov).max() <= 1e-12
         assert np.abs(a.class_sums - b.class_sums).max() <= 1e-12
 
@@ -301,14 +301,9 @@ class TestOneRowUpdates:
         sums, counts = np.zeros((k, d)), np.zeros(k, dtype=np.int64)
         with np.errstate(over="ignore", invalid="ignore"):  # +-1e300 rows may overflow
             for x, y in zip(rows, labels):
-                one = rng.choice(["array", "list", "vector"])
-                if one == "vector":
-                    ncc.update(x, y)
-                    ridge.update(x, y)
-                else:
-                    ys = [int(y)] if one == "list" else np.array([y])
-                    ncc.update_batch(x[None, :], ys)
-                    ridge.update_batch(x[None, :], ys)
+                ys = [int(y)] if rng.choice(["array", "list"]) == "list" else np.array([y])
+                ncc.update_batch(x[None, :], ys)
+                ridge.update_batch(x[None, :], ys)
                 np.add.at(sums, np.array([y]), x[None, :])
                 counts += np.bincount([y], minlength=k)
                 assert ncc.class_sums.tobytes() == sums.tobytes()
@@ -328,7 +323,7 @@ class TestOneRowUpdates:
 class TestRidgeSolve:
     def test_single_sample_closed_form(self):
         # (e1 e1^T + I) w = e1  =>  w = e1 / 2
-        s = RidgeState(1, 2, lam=1.0).update(np.array([1.0, 0.0]), 0)
+        s = RidgeState(1, 2, lam=1.0).update_batch([[1.0, 0.0]], [0])
         head = s.solve()
         np.testing.assert_allclose(head.weights[0], [0.5, 0.0], atol=1e-15)
         np.testing.assert_array_equal(head.biases, [0.0])
@@ -466,10 +461,7 @@ class TestRidgePendingBlock:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "state.bin"
             for batch, op in zip(batches, ops):
-                if len(batch) == 1 and op == "none":
-                    state.update(xs[batch[0]], ys[batch[0]])
-                else:
-                    state.update_batch(xs[batch], ys[batch])
+                state.update_batch(xs[batch], ys[batch])
                 for twin in copies:
                     twin.update_batch(xs[batch], ys[batch])
                 assert state._block.shape == (size, d)
@@ -518,15 +510,15 @@ class TestRidgePendingBlock:
 class TestNccToLinear:
     def test_unit_prototypes(self):
         s = NccState(2, 2)
-        s.update(np.array([1.0, 0.0]), 0)
-        s.update(np.array([0.0, 1.0]), 1)
+        s.update_batch([[1.0, 0.0]], [0])
+        s.update_batch([[0.0, 1.0]], [1])
         head = s.to_linear_head()
         np.testing.assert_array_equal(head.weights, [[1.0, 0.0], [0.0, 1.0]])
         np.testing.assert_allclose(head.biases, [-0.5, -0.5])
 
     def test_zero_prototype_maps_to_zero(self):
         s = NccState(2, 3)
-        s.update(np.array([0.0, 1.0, 0.0]), 1)
+        s.update_batch([[0.0, 1.0, 0.0]], [1])
         head = s.to_linear_head()
         np.testing.assert_array_equal(head.weights[0], np.zeros(3))
         assert head.biases[0] == 0.0
@@ -546,22 +538,22 @@ class TestNccToLinear:
 class TestLinearPredict:
     def test_identity_head(self):
         head = LinearHead(np.eye(3), np.zeros(3))
-        assert head.predict(np.array([0.0, 1.0, 0.0])) == 1
+        assert head.predict_batch([[0.0, 1.0, 0.0]])[0] == 1
 
     def test_all_zero_head_ties_to_class_zero(self):
         head = LinearHead(np.zeros((4, 2)), np.zeros(4))
-        assert head.predict(np.array([0.3, -0.2])) == 0
+        assert head.predict_batch([[0.3, -0.2]])[0] == 0
 
     def test_agrees_with_brute_force(self):
         rng = np.random.default_rng(11)
         head = LinearHead(rng.standard_normal((5, 6)), rng.standard_normal(5))
         for x in rng.standard_normal((50, 6)):
-            assert head.predict(x) == brute_force_linear(head, x)
+            assert head.predict_batch(x[None, :])[0] == brute_force_linear(head, x)
 
     def test_shape_mismatch(self):
         head = LinearHead(np.eye(3), np.zeros(3))
         with pytest.raises(ShapeError):
-            head.predict(np.array([1.0, 2.0]))
+            head.predict_batch([[1.0, 2.0]])
 
     def test_batch_prediction_rejects_a_single_row(self):
         head = LinearHead(np.eye(3), np.zeros(3))
@@ -655,13 +647,13 @@ class TestPermutationInvariance:
         ncc_a = NccState(5, 10).update_batch(xs, ys)
         ncc_b = NccState(5, 10)
         for i in perm:
-            ncc_b.update(xs[i], ys[i])
+            ncc_b.update_batch(xs[i : i + 1], ys[i : i + 1])
         assert np.abs(ncc_a.prototypes - ncc_b.prototypes).max() < 1e-9
 
         ridge_a = RidgeState(5, 10).update_batch(xs, ys)
         ridge_b = RidgeState(5, 10)
         for i in perm:
-            ridge_b.update(xs[i], ys[i])
+            ridge_b.update_batch(xs[i : i + 1], ys[i : i + 1])
         assert np.abs(ridge_a.cov - ridge_b.cov).max() < 1e-9
         assert np.abs(ridge_a.class_sums - ridge_b.class_sums).max() < 1e-9
 
@@ -689,7 +681,7 @@ class TestCheckpoints:
         np.testing.assert_array_equal(loaded.counts, s.counts)
 
     def test_version_one_rejected(self, tmp_path):
-        s = NccState(2, 3).update(np.ones(3), 0)
+        s = NccState(2, 3).update_batch(np.ones((1, 3)), [0])
         path = tmp_path / "state.bin"
         save_state(s, path)
         data = bytearray(path.read_bytes())
@@ -702,7 +694,8 @@ class TestCheckpoints:
     def test_version_two_rejected(self, kind, tmp_path):
         # Version 2 stored a ridge cov with the pending rows folded in, so a
         # resumed stream flushed its blocks at other rows.
-        s = (NccState(2, 3) if kind == "ncc" else RidgeState(2, 3)).update(np.ones(3), 0)
+        s = NccState(2, 3) if kind == "ncc" else RidgeState(2, 3)
+        s.update_batch(np.ones((1, 3)), [0])
         path = tmp_path / "state.bin"
         save_state(s, path)
         data = bytearray(path.read_bytes())
@@ -712,7 +705,7 @@ class TestCheckpoints:
             load_state(path)
 
     def test_ridge_pending_rows_beyond_the_block_are_a_format_error(self, tmp_path):
-        s = RidgeState(2, 3).update(np.ones(3), 0)
+        s = RidgeState(2, 3).update_batch(np.ones((1, 3)), [0])
         path = tmp_path / "state.bin"
         save_state(s, path)
         data = bytearray(path.read_bytes())
@@ -721,6 +714,25 @@ class TestCheckpoints:
         data[at : at + 4] = struct.pack("<I", len(s._block))
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError, match="pending rows"):
+            load_state(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("seen", np.nan), ("seen", np.inf), ("seen", -5.0), ("seen", 2.5),
+        ("lam", np.nan), ("lam", np.inf), ("lam", 0.0), ("lam", -1.0),
+    ])
+    def test_bad_ridge_scalars_are_format_errors(self, tmp_path, field, value):
+        # A NaN or infinite count once escaped as ValueError or OverflowError,
+        # -5.0 and 2.5 loaded as -5 and 2, and a NaN lam raised ConfigError.
+        s = RidgeState(2, 3).update_batch(np.ones((1, 3)), [0])
+        path = tmp_path / "state.bin"
+        save_state(s, path)
+        data = bytearray(path.read_bytes())
+        # Header: magic, u16 version, u8 kind, u32 K, u32 d; then lam, seen.
+        at = 4 + 2 + 1 + 4 + 4 + (8 if field == "seen" else 0)
+        data[at : at + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(data))
+        message = "sample count must be" if field == "seen" else "lam must be positive"
+        with pytest.raises(FormatError, match=message):
             load_state(path)
 
     def test_ridge_round_trip(self, tmp_path):

@@ -1,3 +1,4 @@
+import struct
 import tempfile
 import tracemalloc
 from bisect import bisect_left
@@ -13,8 +14,8 @@ from hypothesis import strategies as st
 from scroll import (
     ClassIdError,
     ConfigError,
+    FormatError,
     ReplayBuffer,
-    RunningClassMean,
     ShapeError,
     SyntheticSpec,
     herding_order,
@@ -24,7 +25,7 @@ from scroll import (
     write_moment_csv,
 )
 from scroll import replay
-from scroll.replay import _herd, _herd_lanes, _lockstep
+from scroll.replay import RunningClassMean, _herd, _herd_lanes, _lockstep
 
 
 def unit_rows(rng, n, d):
@@ -711,6 +712,54 @@ class TestBufferCheckpoint:
                     assert loaded.warnings == buf.warnings, case
                     assert loaded._rng.bit_generator.state == buf._rng.bit_generator.state, case
 
+    @staticmethod
+    def _two_class_file(tmp_path):
+        """An ``SCBF`` file of two classes, each storing 2 of 3 rows, and
+        the byte offset of each class header."""
+        buf = ReplayBuffer(4, "exemplar", seed=3)
+        rows = np.random.default_rng(16).standard_normal((6, 3))
+        buf.update(rows, np.array([0, 0, 0, 1, 1, 1]), np.arange(6))
+        path = tmp_path / "buffer.bin"
+        save_buffer(buf, path)
+        data = bytearray(path.read_bytes())
+        # Magic, u16 version, u8 strategy, u64 capacity, i64 seed, u32
+        # classes, u32 d; then per class u32 id, u32 stored, u64 seen, u64
+        # reservoir count, the d-float sum, stored indices and stored rows.
+        headers, at = [], 31
+        for _ in range(2):
+            headers.append(at)
+            at += 24 + 8 * (3 + 2 + 2 * 3)
+        assert [struct.unpack_from("<II", data, at) for at in headers] == [(0, 2), (1, 2)]
+        return path, data, headers
+
+    def test_class_ids_that_do_not_ascend_are_a_format_error(self, tmp_path):
+        path, data, (first, second) = self._two_class_file(tmp_path)
+        for at, y in ((second, 0), (first, 2)):  # ids [0, 0], then [2, 1]
+            edited = bytearray(data)
+            edited[at : at + 4] = struct.pack("<I", y)
+            path.write_bytes(bytes(edited))
+            with pytest.raises(FormatError, match="ascend strictly"):
+                load_buffer(path)
+
+    def test_seen_count_of_zero_or_below_the_stored_rows_is_a_format_error(self, tmp_path):
+        # A class loaded with seen 0 was listed twice once the next update
+        # met it as a new class, and the four slots split three ways.
+        path, data, (first, _) = self._two_class_file(tmp_path)
+        for seen in (0, 1):
+            edited = bytearray(data)
+            edited[first + 8 : first + 16] = struct.pack("<Q", seen)
+            path.write_bytes(bytes(edited))
+            with pytest.raises(FormatError, match=f"class 0 stores 2 rows but counts {seen}"):
+                load_buffer(path)
+
+    def test_rows_past_the_quota_are_a_format_error(self, tmp_path):
+        # Capacity 1 over two classes gives class 0 one slot and class 1 none.
+        path, data, _ = self._two_class_file(tmp_path)
+        data[7:15] = struct.pack("<Q", 1)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="class 0 stores 2 rows, past its quota of 1"):
+            load_buffer(path)
+
     def test_moment_csv_columns(self, tmp_path):
         rows = [
             {"class": 0, "strategy": "exemplar", "seed": 1, "distance": 0.25},
@@ -1040,8 +1089,9 @@ def lockstep_lanes(draw):
     and scaled and non-finite pools fail the range test. A pool has 1 to
     ``d + 4`` rows, 1 to ``3d + 40``, or one of two sizes past ``d + 2``
     that the call's other pools may share, so one call mixes pools that
-    take Gram rows, pools of one size past ``d + 2`` rows whose screen
-    updates are computed per step, and pools herded alone. Shapes come
+    take Gram rows, pools of one size past the Gram bound (``d + 2`` rows,
+    or 45 rows at d=128) whose screen updates are computed per step, and
+    pools herded alone. Shapes come
     from a drawn seed, as in :func:`exemplar_streams`.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -1116,6 +1166,27 @@ class TestLockstepKernel:
         rng = np.random.default_rng(24)
         pools = [rng.standard_normal((n, 128)) for n in (2100, 2100, 2000, 2000)]
         lanes = [(pool, pool.mean(axis=0), 3) for pool in pools]
+        picks = _herd_lanes(lanes)
+        assert calls == [2]
+        for (pool, target, quota), picked in zip(lanes, picks):
+            assert picked.tolist() == list(islice(reference_herd(pool, target), quota))
+
+    def test_gram_products_past_one_thread_leave_the_gram_group(self, monkeypatch):
+        # At d=512 a 30-row pool's Gram product is 30**2 * 512 = 460,800
+        # multiply-adds, past ONE_THREAD_MULADDS though the pool has far
+        # fewer than d + 2 rows. Each size then herds as its own group: the
+        # two 30-row pools in lockstep, the 31-row pool alone.
+        calls = []
+
+        def counted(lanes):
+            calls.append(len(lanes))
+            return lockstep(lanes)
+
+        lockstep = replay._lockstep
+        monkeypatch.setattr(replay, "_lockstep", counted)
+        rng = np.random.default_rng(25)
+        pools = [rng.standard_normal((n, 512)) for n in (30, 31, 30)]
+        lanes = [(pool, pool.mean(axis=0), 12) for pool in pools]
         picks = _herd_lanes(lanes)
         assert calls == [2]
         for (pool, target, quota), picked in zip(lanes, picks):
