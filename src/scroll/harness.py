@@ -574,7 +574,7 @@ def buffer_study(
     members = [np.flatnonzero(train.labels == y) for y in range(classes)]
     means = [train.vectors[train.labels == y].mean(axis=0) for y in range(classes)]
     count = shuffles * classes  # stream i: class i % classes in shuffle i // classes
-    distances = {}
+    distances = np.empty((len(scenarios), len(strategies), count))
     for first in range(0, count, _STUDY_STREAMS):
         group = range(first, min(first + _STUDY_STREAMS, count))
         streams = []
@@ -595,8 +595,7 @@ def buffer_study(
                 else:
                     # Only reservoir draws from the buffer's generator.
                     found = _study_distances(train, streams, targets, b1, b2, strategy, cfg.seed)
-                for i, distance in zip(group, found):
-                    distances[i, s_i, strat_i] = distance
+                distances[s_i, strat_i, first : first + len(found)] = found
     rows = [
         {
             "b1": b1,
@@ -604,31 +603,24 @@ def buffer_study(
             "strategy": strategy,
             "class": i % classes,
             "seed": i // classes,
-            "distance": distances[i, s_i, strat_i],
+            "distance": float(distances[s_i, strat_i, i]),
         }
         for i in range(count)
         for s_i, (b1, b2) in enumerate(scenarios)
         for strat_i, strategy in enumerate(strategies)
     ]
-    summary: list[dict] = []
-    for b1, b2 in scenarios:
-        for strategy in strategies:
-            values = np.array(
-                [
-                    r["distance"]
-                    for r in rows
-                    if r["b1"] == b1 and r["b2"] == b2 and r["strategy"] == strategy
-                ]
-            )
-            summary.append(
-                {
-                    "b1": b1,
-                    "b2": b2,
-                    "strategy": strategy,
-                    "mean_distance": float(values.mean()),
-                    "var_distance": float(values.var()),
-                }
-            )
+    # Each scenario and strategy's distances, in stream order.
+    summary = [
+        {
+            "b1": b1,
+            "b2": b2,
+            "strategy": strategy,
+            "mean_distance": float(distances[s_i, strat_i].mean()),
+            "var_distance": float(distances[s_i, strat_i].var()),
+        }
+        for s_i, (b1, b2) in enumerate(scenarios)
+        for strat_i, strategy in enumerate(strategies)
+    ]
     return rows, summary
 
 

@@ -402,6 +402,8 @@ def load_state(path) -> NccState | RidgeState:
         state = NccState(k, d)
         state.class_sums = r.array("<f8", k * d, "class sums").reshape(k, d).copy()
         state.counts = r.array("<i8", k, "counts").copy()
+        if (state.counts < 0).any():
+            raise FormatError(f"NCC class counts must be non-negative, got {state.counts.min()}")
         r.expect_end()
         return state
     if kind == _KIND_RIDGE:

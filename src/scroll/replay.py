@@ -18,9 +18,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 from bisect import bisect_left, insort
-from itertools import islice
 
 import numpy as np
 
@@ -32,7 +30,7 @@ from .learners import ONE_THREAD_MULADDS, as_int_ids
 STRATEGIES = ("exemplar", "reservoir", "nearest", "outlier")
 
 BUFFER_MAGIC = b"SCBF"
-BUFFER_VERSION = 1
+BUFFER_VERSION = 2
 
 #: ``SCBF`` stores class ids as unsigned 32-bit integers.
 _MAX_CLASS_ID = 2**32 - 1
@@ -87,13 +85,14 @@ class RunningClassMean:
         return out
 
 
-#: The screen of :func:`_herd` keeps every row within this many times its
+#: :func:`_lockstep`'s screen keeps every row within this many times its
 #: rounding bound of the smallest screened value.
 _SCREEN_SAFETY = 1e4
 
-#: :func:`_herd` screens only pools whose ``||target|| + max ||row||`` lies
-#: in ``[1 / _SCREEN_RANGE, _SCREEN_RANGE]``: above it squares and products
-#: could overflow, below it underflow is no longer small against the margin.
+#: :func:`_lockstep` screens only pools whose ``||target|| + max ||row||``
+#: lies in ``[1 / _SCREEN_RANGE, _SCREEN_RANGE]``: above it squares and
+#: products could overflow, below it underflow is no longer small against
+#: the margin.
 _SCREEN_RANGE = 1e100
 
 
@@ -116,88 +115,7 @@ def herding_order(candidates, target_mean) -> list[int]:
         raise ShapeError(
             f"target mean of shape ({pool.shape[1]},) expected, got {target.shape}"
         )
-    return list(_herd(pool, target))
-
-
-def _herd(pool: np.ndarray, target: np.ndarray):
-    """Yield :func:`herding_order` one pick at a time, so callers can stop early.
-
-    The pick at step ``k`` is the first remaining row, in ascending pool
-    index, with the smallest ``||target - (chosen_sum + row) / k||`` as
-    ``np.linalg.norm(..., axis=1)`` computes it. Only rows near the minimum
-    get that distance, with that expression's operations in the same order,
-    so every distance computed has its bits.
-
-    The screen: with ``S`` the chosen sum and ``t`` the target, ``r(c) =
-    ||c||**2 + 2 S.c - 2k t.c`` equals ``k**2 (D(c)**2 - ||t - S/k||**2)``
-    for the exact distance ``D(c)``, so it orders rows as ``D`` does. One
-    matrix-vector product gives it for every row: the ``(n, d + 2)`` matrix
-    ``[c | t.c | ||c||**2]`` times ``[S, -k, 1/2]`` is ``r / 2``, and a taken
-    row's squared norm is ``+inf``. The product runs in row blocks of at
-    most ``learners.ONE_THREAD_MULADDS`` multiply-adds, on one OpenBLAS
-    thread. The rows with ``r`` at most ``min(r) + k**2 * margin`` get
-    their distances; if that is one row, it is the pick.
-
-    Why the picks are exact: with ``u = 2**-53`` and ``scale = (||t|| + max
-    ||c||)**2``, the computed ``r`` errs by at most ``(3d + 4) u k scale``.
-    The computed squared distance errs by at most ``(d + 7) u scale``,
-    because ``(S + c) / k`` has norm at most ``max ||c||``, and two
-    distances that round to the same square root differ by at most ``4u
-    scale`` before it. So the row the full computation picks has a computed
-    ``r`` within ``8 (d + 4) u k**2 scale`` of the minimum, and the margin
-    is ``_SCREEN_SAFETY`` = 10**4 times that bound. The rows in the margin
-    get their distances in ascending pool index, so exact and rounding ties
-    resolve as the full computation resolves them. The bounds assume no
-    overflow and negligible underflow: when ``||t|| + max ||c||`` lies
-    outside ``[1e-100, 1e100]``, or is not finite, every step computes the
-    distance of every remaining row. Memory stays O(n d): the screen
-    matrix, the rows' squares, the rows in the margin and a few n-vectors.
-    """
-    n, d = pool.shape
-    # [pool | pool @ target | ||row||**2] @ [S, -k, 1/2] is r / 2, so the
-    # margin below is half of _SCREEN_SAFETY times 8 (d + 4) u scale.
-    screen = np.empty((n, d + 2))
-    screen[:, :d] = pool
-    closed = screen[:, d + 1]  # squared norms; +inf marks a taken row
-    r = np.empty(n)
-    # Row blocks whose products stay on one OpenBLAS thread. Threaded, 40
-    # picks from a 5000 x 128 pool took 340 ms, blocked 14 ms (2-vCPU VM).
-    rows = max(1, ONE_THREAD_MULADDS // (d + 2))
-    starts = range(0, n, rows)
-    blocks = [(screen[lo : lo + rows], r[lo : lo + rows]) for lo in starts]
-    # Rows the range test below rejects may overflow here, harmlessly.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in starts:
-            np.matmul(pool[lo : lo + rows], target, out=screen[lo : lo + rows, d])
-        np.add.reduce(np.multiply(pool, pool), axis=1, out=closed)
-        # ||t|| + max ||c||; NaN and inf fail the range test.
-        root = math.sqrt(target @ target) + math.sqrt(closed[closed.argmax()])
-    coef = np.zeros(d + 2)
-    coef[d + 1] = 0.5
-    chosen_sum = coef[:d]  # the screen reads the chosen sum in place
-    screened = 1 / _SCREEN_RANGE <= root <= _SCREEN_RANGE
-    if screened:
-        margin = _SCREEN_SAFETY * 4 * (d + 4) * 2.0**-53 * root * root
-    else:
-        closed = np.zeros(n)
-    # Looked up once: at ~10 rows a pick is mostly per-call overhead.
-    add, dot, less_equal = np.add, np.dot, np.less_equal
-    for step in range(1, n + 1):
-        if screened:
-            coef[d] = -step
-            for block, out in blocks:
-                dot(block, coef, out=out)
-            pick = int(r.argmin())
-            bound = r[pick] + step * step * margin
-            r[pick] = np.inf
-            if r[r.argmin()] <= bound:  # another row lies within the margin
-                r[pick] = bound
-                pick = _closest(pool, less_equal(r, bound).nonzero()[0], chosen_sum, step, target)
-        else:
-            pick = _closest(pool, (closed == 0.0).nonzero()[0], chosen_sum, step, target)
-        yield pick
-        add(chosen_sum, pool[pick], out=chosen_sum)
-        closed[pick] = np.inf
+    return _herd_lanes([(pool, target, len(pool))])[0].tolist()
 
 
 def _closest(pool, near, chosen_sum, step, target) -> int:
@@ -230,51 +148,63 @@ def _herd_lanes(lanes) -> list[np.ndarray]:
     The lanes are herded together by :func:`_lockstep`, in groups: all
     pools that take Gram rows (:func:`_takes_gram`) in one, and the others
     by size, one group per size, so no group pads a pool past ``d + 2``
-    columns. A group of one lane, a lane the range test rejects, and a
-    pool outside the Gram group whose product with one vector passes
-    ``ONE_THREAD_MULADDS`` go to :func:`_herd`, whose screen runs in row
-    blocks that stay on one BLAS thread.
+    columns. A lane the range test rejects takes the full computation:
+    every step gets the distance of every remaining row from
+    :func:`_closest`, with the chosen sum added in pick order.
     """
     groups: dict[int, list[int]] = {}
     for i, (pool, _, _) in enumerate(lanes):
-        n, d = pool.shape
-        if _takes_gram(n, d):
-            groups.setdefault(0, []).append(i)
-        elif n * d <= ONE_THREAD_MULADDS:
-            groups.setdefault(n, []).append(i)
+        groups.setdefault(0 if _takes_gram(*pool.shape) else len(pool), []).append(i)
     out: list = [None] * len(lanes)
     for group in groups.values():
-        if len(group) > 1:
-            for i, picked in zip(group, _lockstep([lanes[i] for i in group])):
-                out[i] = picked
+        for i, picked in zip(group, _lockstep([lanes[i] for i in group])):
+            out[i] = picked
     for i, (pool, target, picks) in enumerate(lanes):
         if out[i] is None:
-            out[i] = np.fromiter(islice(_herd(pool, target), picks), np.intp, picks)
+            out[i] = picked = np.empty(picks, dtype=np.intp)
+            left, chosen_sum = np.ones(len(pool), dtype=bool), np.zeros(pool.shape[1])
+            for step in range(1, picks + 1):
+                picked[step - 1] = p = _closest(pool, left.nonzero()[0], chosen_sum, step, target)
+                left[p] = False
+                np.add(chosen_sum, pool[p], out=chosen_sum)
     return out
 
 
 def _lockstep(lanes) -> list:
     """:func:`_herd_lanes` for many pools at once, in lockstep.
 
-    Each lane is one pool ``P`` with target ``t``. The half-screen ``h(c)
-    = ||c||**2 / 2 + S.c - k t.c`` is :func:`_herd`'s ``r / 2``. It starts
-    at ``||c||**2 / 2 - P t``, and picking row ``p`` adds ``P p - P t``.
-    When every pool takes Gram rows (:func:`_takes_gram`), that update is
-    row ``p`` of ``H = P P^T - 1 (P t)^T``, computed once. Otherwise every
-    pool has one size, and each step computes the update for every lane
-    still picking, minus the ``P t`` of the first ``h``, in one product of
-    the stacked pools with their picks. One step of every lane is an
-    ``argmin`` of ``h``, a second minimum, and the test whether that lies
-    within ``k**2 * margin`` of the first, with :func:`_herd`'s margin. A
-    lane with a second row in the margin gets the distances of its rows in
-    the margin from :func:`_closest`, with the chosen sum rebuilt by adds
-    from zero in pick order: the bits :func:`_herd` computes. Taken rows
-    and the padding of short lanes hold ``+inf``. Lanes are ordered by
-    picks, most first, so the lanes still picking are a prefix, and so are
-    their rows.
+    Each lane is one pool ``P`` with target ``t``. With ``S`` the sum of
+    the rows picked so far, the pick at step ``k`` is the first row ``c``,
+    in ascending pool index, with the smallest computed distance ``D(c) =
+    ||t - (S + c) / k||``. The half-screen ``h(c) = ||c||**2 / 2 + S.c - k
+    t.c`` equals ``k**2 (D(c)**2 - ||t - S / k||**2) / 2`` in exact
+    arithmetic, so it orders rows as ``D`` does. It starts at ``||c||**2 /
+    2 - P t``, and picking row ``p`` adds ``P p - P t``. When every pool
+    takes Gram rows (:func:`_takes_gram`), that update is row ``p`` of ``H
+    = P P^T - 1 (P t)^T``, computed once. Otherwise every pool has one
+    size, and each step computes the update for every lane still picking,
+    minus the ``P t`` of the first ``h``, in one product of the stacked
+    pools with their picks. One step of every lane is an ``argmin`` of
+    ``h``, a second minimum, and the test whether that lies within ``k**2
+    * margin`` of the first. A lane with a second row in the margin gets
+    the distances of its rows in the margin from :func:`_closest`, with
+    the chosen sum rebuilt by adds from zero in pick order: the bits the
+    full computation has. Taken rows and the padding of short lanes hold
+    ``+inf``. Lanes are ordered by picks, most first, so the lanes still
+    picking are a prefix, and so are their rows. Every product stays on
+    one BLAS thread: a Gram lane's ``P t`` and ``P P^T`` lie within the
+    Gram bound, and the stacked products of pools of one size run in row
+    blocks of at most ``ONE_THREAD_MULADDS // d`` rows.
 
-    Why the picks are exact: take ``u``, ``scale`` and the range test of
-    :func:`_herd`, and let ``a = max ||c||`` and ``b = ||t||``. An update
+    Why the picks are exact: let ``u = 2**-53``, ``a = max ||c||``, ``b =
+    ||t||`` and ``scale = (a + b)**2``. The range test takes a lane only
+    when ``a + b`` lies in ``[1e-100, 1e100]``, so that nothing overflows
+    and underflow is negligible; a lane outside it, or with a non-finite
+    entry, takes no step and comes back as ``None``. The full computation
+    gets each squared distance to within ``(d + 7) u scale``, because ``(S
+    + c) / k`` has norm at most ``a``, and two squares whose roots round to
+    one value differ by at most ``4 u scale``. So the row it picks has an
+    exact ``h`` within ``(d + 9) u k**2 scale`` of the minimum. An update
     entry is ``fl(fl(c.p) - fl(c.t))``, whether ``H`` holds it or a step
     computes it. A ``d``-term dot product errs by at most ``d u`` times
     the sum of its terms' magnitudes (to first order, in any order of
@@ -285,13 +215,13 @@ def _lockstep(lanes) -> list:
     ``h`` at step ``k`` is at most ``k scale`` in size, so after ``k - 1``
     adds the computed ``h`` errs by at most ``k (d + 1) u scale`` from its
     inputs plus ``k (k + 1) / 2 u scale`` from the adds, together at most
-    ``k (d + k + 2) u scale``. The full computation's pick has an exact
-    ``h`` within ``(d + 9) u k**2 scale`` of the minimum (:func:`_herd`'s
-    bound, halved), so a computed ``h`` within ``(d + 9) k**2 + 2 k (d + k
-    + 2) <= (3d + 15) k**2`` times ``u scale`` of the computed minimum.
-    The margin, ``4 (d + 4) k**2 u scale`` times ``_SCREEN_SAFETY``, is
-    more than 10**4 times that. A lane outside the range test takes no
-    step and comes back as ``None``.
+    ``k (d + k + 2) u scale``. The full computation's pick therefore has a
+    computed ``h`` within ``(d + 9) k**2 + 2 k (d + k + 2) <= (3d + 15)
+    k**2`` times ``u scale`` of the computed minimum. The margin, ``4 (d +
+    4) k**2 u scale`` times ``_SCREEN_SAFETY``, is more than 10**4 times
+    that, and the rows in it get their distances in ascending pool index,
+    so exact and rounding ties resolve as the full computation resolves
+    them.
 
     Memory: the pools' rows once more, ``h`` and the picks, lanes by the
     widest pool, and for pools that take Gram rows their rows of ``H``,
@@ -319,22 +249,29 @@ def _lockstep(lanes) -> list:
         for i, picked in zip(kept, _lockstep([lanes[i] for i in kept]) if kept else ()):
             out[i] = picked
         return out
-    moments, bounds = np.empty(len(rows)), starts.tolist()
-    for lo, hi, target in zip(bounds, bounds[1:], targets):
-        np.matmul(rows[lo:hi], target, out=moments[lo:hi])
+    moments = np.empty(len(rows))  # P t, lane by lane
     h = np.full((n_lanes, width), np.inf)
-    flat, slots = h.reshape(-1), lane_of * width + col  # slots: each row's place in h
-    flat[slots] = 0.5 * norms - moments
     if _takes_gram(width, d):
+        bounds = starts.tolist()
         gram = np.zeros((len(rows), width))
-        for lo, hi in zip(bounds, bounds[1:]):
+        for lo, hi, target in zip(bounds, bounds[1:], targets):
+            np.matmul(rows[lo:hi], target, out=moments[lo:hi])
             np.matmul(rows[lo:hi], rows[lo:hi].T, out=gram[lo:hi, : hi - lo])
         padded = np.zeros((n_lanes, width))
         padded[lane_of, col] = moments
         gram -= padded.take(lane_of, axis=0)  # H, one row per pool row
     else:
         # Pools of one size: no padding, so each lane's rows and P t stack.
+        # Products run in row blocks that stay on one OpenBLAS thread:
+        # threaded, 40 picks from a 5000 x 128 pool took 340 ms, blocked 14
+        # ms (2-vCPU VM).
         gram, stack, lane_moments = None, rows.reshape(n_lanes, width, d), moments.reshape(h.shape)
+        block = max(1, ONE_THREAD_MULADDS // d)
+        spans = [slice(lo, lo + block) for lo in range(0, width, block)]
+        for span in spans:
+            lane_moments[:, span] = np.matmul(stack[:, span], targets[:, :, None])[..., 0]
+    flat, slots = h.reshape(-1), lane_of * width + col  # slots: each row's place in h
+    flat[slots] = 0.5 * norms - moments
     quotas = np.array([lanes[i][2] for i in order])
     steps = np.arange(1, quotas[0] + 1)
     # Row k - 1 holds each lane's margin at step k.
@@ -366,9 +303,11 @@ def _lockstep(lanes) -> list:
         if gram is not None:
             hm += gram.take(first_row[:m] + pick, axis=0)
             continue
-        update = np.matmul(stack[:m], rows.take(first_row[:m] + pick, axis=0)[:, :, None])[..., 0]
-        update -= lane_moments[:m]
-        hm += update
+        chosen = rows.take(first_row[:m] + pick, axis=0)[:, :, None]
+        for span in spans:
+            update = np.matmul(stack[:m, span], chosen)[..., 0]
+            update -= lane_moments[:m, span]
+            hm[:, span] += update
     for j, (i, q) in enumerate(zip(order, quotas.tolist())):
         out[i] = picked[j, :q]
     return out
@@ -431,7 +370,6 @@ class ReplayBuffer:
         self._stored_idx: dict[int, np.ndarray] = {}
         self._stored_rows: dict[int, np.ndarray] = {}
         self._count: dict[int, int] = {}  # stored rows, waiting events applied
-        self._reservoir_seen: dict[int, int] = {}
         # Exemplar classes whose rows, waiting events applied, are not herded.
         self._unordered: set[int] = set()
         # Per class, events (new indices, new rows, rows kept, herd target)
@@ -607,34 +545,22 @@ class ReplayBuffer:
 
         A herd waits, with a copy of its arrival, to share a round of
         :func:`_herd_lanes` with other classes' herds; so does any event of a
-        class with events waiting. The others run at once. An arrival that
-        would bring more than ``capacity`` rows waiting first settles the
-        waiting events, and runs at once if it alone holds that many.
+        class with events waiting. The others run at once, as a walk of one
+        event. An arrival that would bring more than ``capacity`` rows
+        waiting first settles the waiting events, and runs at once if it
+        alone holds that many.
         """
         self._count[y] = n
         arrived = 0 if new_idx is None else len(new_idx)
         if self._waiting_rows + arrived > self.capacity:
             self._settle()
         if y not in self._waiting and (target is None or arrived > self.capacity):
-            self._step(y, new_idx, new_rows, n, target)
+            self._walk([(y, [(new_idx, new_rows, n, target)])])
             return
         if new_idx is not None:
             new_idx, new_rows = new_idx.copy(), new_rows.copy()
             self._waiting_rows += len(new_idx)
         self._waiting.setdefault(y, []).append((new_idx, new_rows, n, target))
-
-    def _step(self, y: int, new_idx, new_rows, n: int, target) -> None:
-        """Run one event of class ``y`` on its own."""
-        idx, rows = self._stored_idx[y], self._stored_rows[y]
-        if new_idx is not None:
-            idx, rows = self._pooled(y, new_idx, new_rows)
-        if target is not None:
-            (picks,) = _herd_lanes([(rows, target, n)])
-            idx, rows = idx.take(picks), rows.take(picks, axis=0)
-        elif new_idx is None:
-            # Copies, so a shrunken class does not keep its longer rows alive.
-            idx, rows = idx[:n].copy(), rows[:n].copy()
-        self._stored_idx[y], self._stored_rows[y] = idx, rows
 
     def _order(self, *classes: int) -> None:
         """Settle, and herd the named classes stored unordered, or all of them.
@@ -649,30 +575,37 @@ class ReplayBuffer:
         self._settle()
 
     def _settle(self) -> None:
-        """Walk every waiting event, each class in stream order, herding in rounds.
+        """Walk every waiting event."""
+        if self._waiting:
+            waiting, self._waiting, self._waiting_rows = self._waiting, {}, 0
+            self._walk(waiting.items())
+
+    def _walk(self, queues) -> None:
+        """Run every ``(class, events)`` queue, each in stream order, herding in rounds.
 
         Events without a herd run as the walk meets them; each class stops
         at its next herd, and one round runs the herds every class stopped
-        at through :func:`_herd_lanes`.
+        at through :func:`_herd_lanes`. A truncation copies its prefix, so a
+        shrunken class does not keep its longer rows alive.
         """
-        if not self._waiting:
-            return
-        queues = [(y, iter(events)) for y, events in self._waiting.items()]
-        self._waiting, self._waiting_rows = {}, 0
+        queues = [(y, iter(events)) for y, events in queues]
         idx_of, rows_of = self._stored_idx, self._stored_rows
         while queues:
             lanes, stopped = [], []
             for y, events in queues:
                 for new_idx, new_rows, n, target in events:
-                    if target is None:
-                        self._step(y, new_idx, new_rows, n, None)
-                        continue
                     idx, rows = idx_of[y], rows_of[y]
                     if new_idx is not None:
                         idx, rows = self._pooled(y, new_idx, new_rows)
-                    lanes.append((rows, target, n))
-                    stopped.append((y, events, idx, rows))
-                    break
+                    if target is not None:
+                        lanes.append((rows, target, n))
+                        stopped.append((y, events, idx, rows))
+                        break
+                    if new_idx is None:
+                        idx, rows = idx[:n].copy(), rows[:n].copy()
+                    idx_of[y], rows_of[y] = idx, rows
+            if not lanes:
+                return
             for (y, _, idx, rows), picks in zip(stopped, _herd_lanes(lanes)):
                 idx_of[y], rows_of[y] = idx.take(picks), rows.take(picks, axis=0)
             queues = [(y, events) for y, events, _, _ in stopped]
@@ -709,7 +642,9 @@ class ReplayBuffer:
             self._unordered.discard(y)
 
     def _update_reservoir(self, y, new_idx, new_rows, quota) -> None:
-        seen = self._reservoir_seen.get(y, 0)
+        # The rows the class saw before this batch: a class that holds a
+        # quota comes here on every arrival, after the running means count it.
+        seen = self.stats.count(y) - len(new_idx)
         fill = max(0, min(quota - len(self._stored_idx[y]), len(new_idx)))
         if fill:
             self._keep(
@@ -726,7 +661,6 @@ class ReplayBuffer:
         late = len(new_idx) - fill
         if late:
             slots = self._rng.integers(0, np.arange(seen + 1, seen + late + 1))
-            seen += late
             rows_in = np.flatnonzero(slots < quota)
             slots = slots[rows_in]
             # A slot drawn twice keeps its last row, as sequential writes would.
@@ -736,7 +670,6 @@ class ReplayBuffer:
             slots, rows_in = slots[by_slot[last]], rows_in[by_slot[last]] + fill
             idx[slots] = new_idx[rows_in]
             rows[slots] = new_rows[rows_in]
-        self._reservoir_seen[y] = seen
         if len(idx) > quota:
             # Drop one uniformly chosen slot at a time; the draws come in one call.
             keep = list(range(len(idx)))
@@ -760,7 +693,6 @@ class ReplayBuffer:
         out.warnings = list(self.warnings)
         for y, idx in self._indices.items():
             out._keep(y, idx.copy(), self._rows[y].copy())
-        out._reservoir_seen = dict(self._reservoir_seen)
         out._rng = np.random.default_rng()
         out._rng.bit_generator.state = self._rng.bit_generator.state
         return out
@@ -783,7 +715,7 @@ def save_buffer(buf: ReplayBuffer, path) -> None:
     w.pack("I", buf.stats.dim or 0)
     for y in classes:
         idx = buf._indices.get(y, np.zeros(0, dtype=np.int64))
-        w.pack("IIQQ", y, len(idx), buf.stats.count(y), buf._reservoir_seen.get(y, 0))
+        w.pack("IIQ", y, len(idx), buf.stats.count(y))
         w.array(buf.stats._sums[y], "<f8")
         w.array(idx, "<i8")
         w.array(buf._rows.get(y, np.zeros(0)), "<f8")
@@ -811,7 +743,7 @@ def load_buffer(path) -> ReplayBuffer:
     buf = ReplayBuffer(int(capacity), STRATEGIES[strategy_tag], int(seed))
     last = -1
     for _ in range(n_classes):
-        y, stored, seen, reservoir_seen = r.unpack("IIQQ", "class header")
+        y, stored, seen = r.unpack("IIQ", "class header")
         y = int(y)
         if y <= last:
             raise FormatError(f"class ids must ascend strictly, got {y} after {last}")
@@ -820,8 +752,6 @@ def load_buffer(path) -> ReplayBuffer:
         last = y
         buf.stats._sums[y] = r.array("<f8", dim, "class sum").copy()
         buf.stats._counts[y] = int(seen)
-        if reservoir_seen:
-            buf._reservoir_seen[y] = int(reservoir_seen)
         idx = r.array("<i8", stored, "stored indices").copy()
         rows = r.array("<f8", stored * dim, "stored rows").reshape(stored, dim).copy()
         if stored:

@@ -735,6 +735,18 @@ class TestCheckpoints:
         with pytest.raises(FormatError, match=message):
             load_state(path)
 
+    def test_negative_ncc_count_is_a_format_error(self, tmp_path):
+        # A count of -3 once loaded, and class 1, which saw no row, then won
+        # predict_batch with its zero prototype.
+        s = NccState(2, 2).update_batch(np.array([[1.0, 0.0]]), [0])
+        path = tmp_path / "state.bin"
+        save_state(s, path)
+        data = bytearray(path.read_bytes())
+        data[-8:] = struct.pack("<q", -3)  # the last int64 count: class 1's
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="counts must be non-negative, got -3"):
+            load_state(path)
+
     def test_ridge_round_trip(self, tmp_path):
         rng = np.random.default_rng(14)
         s = RidgeState(3, 4, lam=0.7).update_batch(

@@ -25,7 +25,7 @@ from scroll import (
     write_moment_csv,
 )
 from scroll import replay
-from scroll.replay import RunningClassMean, _herd, _herd_lanes, _lockstep
+from scroll.replay import ONE_THREAD_MULADDS, RunningClassMean, _herd_lanes
 
 
 def unit_rows(rng, n, d):
@@ -133,7 +133,7 @@ class TestHerdingOrder:
 def reference_herd(pool, target):
     """Herding written plainly: fancy-index copies and ``np.linalg.norm``.
 
-    :func:`_herd` must pick exactly what this picks, bit for bit,
+    :func:`_herd_lanes` must pick exactly what this picks, bit for bit,
     including every tie that rounding creates or breaks.
     """
     remaining = np.arange(pool.shape[0])
@@ -145,6 +145,11 @@ def reference_herd(pool, target):
         yield int(pick)
         chosen_sum += pool[pick]
         remaining = remaining[remaining != pick]
+
+
+def herd(pool, target, picks=None):
+    """The first ``picks`` (default all) of one pool's herd, as a list."""
+    return _herd_lanes([(pool, target, len(pool) if picks is None else picks)])[0].tolist()
 
 
 @st.composite
@@ -183,7 +188,7 @@ class TestHerdingPicks:
     @given(herding_pools())
     def test_matches_reference_pick_for_pick(self, case):
         pool, target = case
-        assert list(_herd(pool, target)) == list(reference_herd(pool, target))
+        assert herd(pool, target) == list(reference_herd(pool, target))
 
 
 @st.composite
@@ -228,11 +233,9 @@ class TestScreenedHerding:
         pool, target = case
         # Whole orders of the narrow pools; the wide ones, whose screen runs
         # in several one-thread row blocks at d=2048, to a prefix.
-        picks = max(8, 2**22 // pool.size)
+        picks = min(len(pool), max(8, 2**22 // pool.size))
         with np.errstate(all="ignore"):
-            assert list(islice(_herd(pool, target), picks)) == list(
-                islice(reference_herd(pool, target), picks)
-            )
+            assert herd(pool, target, picks) == list(islice(reference_herd(pool, target), picks))
 
     def test_rows_near_the_float_limit_get_the_full_computation(self):
         # Their squares are finite, but the screen's products with the
@@ -240,7 +243,7 @@ class TestScreenedHerding:
         rng = np.random.default_rng(30)
         pool = (rng.standard_normal(512) + 1e-3 * rng.standard_normal((200, 512))) * 1e152
         target = pool.mean(axis=0)
-        assert list(_herd(pool, target)) == list(reference_herd(pool, target))
+        assert herd(pool, target) == list(reference_herd(pool, target))
 
     def test_memory_stays_linear_in_the_pool(self):
         # An (n, n) Gram matrix of this pool would take 128 MB.
@@ -248,7 +251,7 @@ class TestScreenedHerding:
         target = pool.mean(axis=0)
         tracemalloc.start()
         try:
-            picks = list(islice(_herd(pool, target), 5))
+            picks = herd(pool, target, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -550,7 +553,7 @@ class EagerBuffer(ReplayBuffer):
             self._keep(y, self._indices[y][:quota].copy(), self._rows[y][:quota].copy())
             return
         idx, rows = self._pooled(y, new_idx, new_rows)
-        keep = list(islice(_herd(rows, self.stats.mean(y)), quota))
+        keep = list(islice(reference_herd(rows, self.stats.mean(y)), quota))
         self._keep(y, idx[keep], rows[keep])
 
 
@@ -631,16 +634,11 @@ class TestDeferredOrder:
     def test_herds_only_when_order_is_read(self, table, monkeypatch):
         calls = []
 
-        def counted(pool, target):
-            calls.append(len(pool))
-            return _herd(pool, target)
-
-        def counted_lanes(lanes):
+        def counted(lanes):
             calls.extend(len(pool) for pool, _, _ in lanes)
-            return _lockstep(lanes)
+            return _herd_lanes(lanes)
 
-        monkeypatch.setattr(replay, "_herd", counted)
-        monkeypatch.setattr(replay, "_lockstep", counted_lanes)
+        monkeypatch.setattr(replay, "_herd_lanes", counted)
         # Room for every row, so no class ever overflows its quota.
         buf = ReplayBuffer(table.n_samples, "exemplar", seed=16)
         feed(buf, table, np.random.default_rng(16).permutation(table.n_samples), 7)
@@ -723,12 +721,12 @@ class TestBufferCheckpoint:
         save_buffer(buf, path)
         data = bytearray(path.read_bytes())
         # Magic, u16 version, u8 strategy, u64 capacity, i64 seed, u32
-        # classes, u32 d; then per class u32 id, u32 stored, u64 seen, u64
-        # reservoir count, the d-float sum, stored indices and stored rows.
+        # classes, u32 d; then per class u32 id, u32 stored, u64 seen, the
+        # d-float sum, stored indices and stored rows.
         headers, at = [], 31
         for _ in range(2):
             headers.append(at)
-            at += 24 + 8 * (3 + 2 + 2 * 3)
+            at += 16 + 8 * (3 + 2 + 2 * 3)
         assert [struct.unpack_from("<II", data, at) for at in headers] == [(0, 2), (1, 2)]
         return path, data, headers
 
@@ -751,6 +749,14 @@ class TestBufferCheckpoint:
             path.write_bytes(bytes(edited))
             with pytest.raises(FormatError, match=f"class 0 stores 2 rows but counts {seen}"):
                 load_buffer(path)
+
+    def test_version_one_is_a_format_error(self, tmp_path):
+        # Version 1 stored a reservoir count per class beside the seen count.
+        path, data, _ = self._two_class_file(tmp_path)
+        data[4:6] = struct.pack("<H", 1)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="unsupported buffer version 1"):
+            load_buffer(path)
 
     def test_rows_past_the_quota_are_a_format_error(self, tmp_path):
         # Capacity 1 over two classes gives class 0 one slot and class 1 none.
@@ -779,12 +785,14 @@ class ParentBuffer(ReplayBuffer):
     reservoir drew a batch's slots in one call: a stable argsort groups the
     labels, running sums are ``sum(axis=0)`` of the class rows, the pool is
     concatenated and argsorted, the herded prefix is gathered through a list,
-    and algorithm R draws and writes one row at a time. Oracle for both.
+    and algorithm R draws and writes one row at a time, with a count of its
+    own of the rows each class has seen. Oracle for both.
     """
 
     def __init__(self, *args):
         super().__init__(*args)
         self.stats = SummedMeans()
+        self.reservoir_seen: dict[int, int] = {}
 
     @staticmethod
     def _arrivals(labels):
@@ -809,11 +817,11 @@ class ParentBuffer(ReplayBuffer):
             self._keep(y, idx, rows)
             self._unordered.add(y)
             return
-        keep = list(islice(_herd(rows, self.stats.mean(y)), quota))
+        keep = list(islice(reference_herd(rows, self.stats.mean(y)), quota))
         self._keep(y, idx[keep], rows[keep])
 
     def _update_reservoir(self, y, new_idx, new_rows, quota):
-        seen = self._reservoir_seen.get(y, 0)
+        seen = self.reservoir_seen.get(y, 0)
         fill = max(0, min(quota - len(self._indices[y]), len(new_idx)))
         if fill:
             self._keep(
@@ -829,7 +837,7 @@ class ParentBuffer(ReplayBuffer):
             if j < quota:
                 idx[j] = new_idx[i]
                 rows[j] = new_rows[i]
-        self._reservoir_seen[y] = seen
+        self.reservoir_seen[y] = seen
         keep = list(range(len(idx)))
         while len(keep) > quota:
             del keep[int(self._rng.integers(0, len(keep)))]
@@ -853,10 +861,15 @@ class SummedMeans(RunningClassMean):
 
 
 def assert_same_state(buf, ref):
-    """Equal internals, bit for bit (a -0.0 differs from +0.0), and RNG state."""
+    """Equal internals, bit for bit (a -0.0 differs from +0.0), and RNG state.
+
+    A reservoir class that holds a quota has seen what its running mean counts.
+    """
     assert buf._classes == ref._classes
     assert buf._unordered == ref._unordered
-    assert buf._reservoir_seen == ref._reservoir_seen
+    if ref.strategy == "reservoir":
+        held = [y for y in buf._classes if buf._quota(y, buf._classes) > 0]
+        assert {y: ref.reservoir_seen[y] for y in held} == {y: buf.stats._counts[y] for y in held}
     assert buf.warnings == ref.warnings
     assert buf._rng.bit_generator.state == ref._rng.bit_generator.state
     assert buf.stats._counts == ref.stats._counts
@@ -985,11 +998,10 @@ class TestReservoirDraws:
 
 
 def refuse_herds(monkeypatch):
-    def refuse(*args):
+    def refuse(lanes):
         raise AssertionError("herded")
 
-    monkeypatch.setattr(replay, "_herd", refuse)
-    monkeypatch.setattr(replay, "_lockstep", refuse)
+    monkeypatch.setattr(replay, "_herd_lanes", refuse)
 
 
 class TestLateSelection:
@@ -1091,8 +1103,8 @@ def lockstep_lanes(draw):
     that the call's other pools may share, so one call mixes pools that
     take Gram rows, pools of one size past the Gram bound (``d + 2`` rows,
     or 45 rows at d=128) whose screen updates are computed per step, and
-    pools herded alone. Shapes come
-    from a drawn seed, as in :func:`exemplar_streams`.
+    pools alone at their size, a group of one lane. Shapes come from a
+    drawn seed, as in :func:`exemplar_streams`.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     d = int(rng.choice([1, 2, 3, 5, 8, 64, 128]))
@@ -1150,24 +1162,30 @@ class TestLockstepKernel:
             assert picked.tolist() == list(islice(reference_herd(pool, target), quota))
         assert peak < 4 * sum(pool.nbytes for pool in pools)
 
-    def test_pools_past_one_thread_products_are_herded_alone(self, monkeypatch):
-        # 2100 x 128 = 268,800 multiply-adds per product with one vector, past
-        # ONE_THREAD_MULADDS. On a 2-vCPU VM, numpy 2.4's OpenBLAS threads such
-        # products from 460,800 multiply-adds on and leaves a thread spinning
-        # through the small work after them.
-        calls = []
+    @pytest.mark.parametrize("shapes", [
+        [(2100, 128)], [(2100, 128), (2100, 128)], [(300, 2048)],
+        [(5, 512), (12, 512), (22, 512)],
+    ], ids=["wide-alone", "wide-paired", "wider", "gram"])
+    def test_every_product_stays_on_one_thread(self, shapes, monkeypatch):
+        # A 2100 x 128 pool's product with one vector is 268,800
+        # multiply-adds, past ONE_THREAD_MULADDS. On a 2-vCPU VM, numpy 2.4's
+        # OpenBLAS threads such products from 460,800 multiply-adds on and
+        # leaves a thread spinning through the small work after them. A
+        # 22-row Gram product at d=512 is 247,808 multiply-adds.
+        sizes = []
 
-        def counted(lanes):
-            calls.append(len(lanes))
-            return lockstep(lanes)
+        def counted(a, b, **kwargs):
+            sizes.append(np.prod(a.shape[-2:]) * (b.shape[-1] if b.ndim > 1 else 1))
+            return matmul(a, b, **kwargs)
 
-        lockstep = replay._lockstep
-        monkeypatch.setattr(replay, "_lockstep", counted)
+        matmul = np.matmul
         rng = np.random.default_rng(24)
-        pools = [rng.standard_normal((n, 128)) for n in (2100, 2100, 2000, 2000)]
+        pools = [rng.standard_normal(shape) for shape in shapes]
         lanes = [(pool, pool.mean(axis=0), 3) for pool in pools]
+        monkeypatch.setattr(np, "matmul", counted)
         picks = _herd_lanes(lanes)
-        assert calls == [2]
+        monkeypatch.undo()
+        assert sizes and max(sizes) <= ONE_THREAD_MULADDS
         for (pool, target, quota), picked in zip(lanes, picks):
             assert picked.tolist() == list(islice(reference_herd(pool, target), quota))
 
@@ -1188,7 +1206,7 @@ class TestLockstepKernel:
         pools = [rng.standard_normal((n, 512)) for n in (30, 31, 30)]
         lanes = [(pool, pool.mean(axis=0), 12) for pool in pools]
         picks = _herd_lanes(lanes)
-        assert calls == [2]
+        assert calls == [2, 1]
         for (pool, target, quota), picked in zip(lanes, picks):
             assert picked.tolist() == list(islice(reference_herd(pool, target), quota))
 
