@@ -1,5 +1,6 @@
 """Helpers for the little-endian binary container formats."""
 
+import json
 import struct
 
 import numpy as np
@@ -46,6 +47,17 @@ class Reader:
         start = self._advance(np.dtype(dtype).itemsize * count, what)
         return np.frombuffer(self.data, dtype=dtype, count=count, offset=start)
 
+    def json(self, what: str, kind: type):
+        """A JSON value of type ``kind``, as :meth:`Writer.json` writes it."""
+        (count,) = self.unpack("I", f"{what} length")
+        try:
+            value = json.loads(self.take(count, what))
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise FormatError(f"corrupt {what}: {exc}") from exc
+        if not isinstance(value, kind):
+            raise FormatError(f"{what} must be a {kind.__name__}, got {value!r}")
+        return value
+
     def expect_end(self) -> None:
         if self.offset != len(self.data):
             raise FormatError(
@@ -68,6 +80,12 @@ class Writer:
 
     def array(self, values: np.ndarray, dtype: str) -> None:
         self._parts.append(np.ascontiguousarray(values, dtype=dtype).tobytes())
+
+    def json(self, value) -> None:
+        """``value`` as a u32 byte count, then JSON with sorted keys."""
+        blob = json.dumps(value, sort_keys=True).encode()
+        self.pack("I", len(blob))
+        self.raw(blob)
 
     def getvalue(self) -> bytes:
         return b"".join(self._parts)

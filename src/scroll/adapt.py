@@ -21,7 +21,6 @@ epoch, in the order the per-batch means would have been added.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 
@@ -533,9 +532,7 @@ def save_predictor(pred: AdaptedPredictor, path) -> None:
     if pred.adapter is not None:
         w.array(pred.adapter.down, "<f8")
         w.array(pred.adapter.up, "<f8")
-    blob = json.dumps(pred.provenance, sort_keys=True).encode()
-    w.pack("I", len(blob))
-    w.raw(blob)
+    w.json(pred.provenance)
     with open(path, "wb") as fh:
         fh.write(w.getvalue())
 
@@ -550,6 +547,8 @@ def load_predictor(path) -> AdaptedPredictor:
         raise FormatError(f"unsupported predictor version {version}")
     if has_adapter not in (0, 1):
         raise FormatError(f"predictor adapter flag must be 0 or 1, got {has_adapter}")
+    if k == 0 or d == 0:
+        raise FormatError(f"degenerate predictor header: K={k}, d={d}")
     weights = r.array("<f8", k * d, "head weights").reshape(k, d).copy()
     biases = r.array("<f8", k, "head biases").copy()
     head = LinearHead(weights, biases)
@@ -558,7 +557,6 @@ def load_predictor(path) -> AdaptedPredictor:
         down = r.array("<f8", h * d, "down projection").reshape(h, d).copy()
         up = r.array("<f8", d * h, "up projection").reshape(d, h).copy()
         adapter = AdapterParams(down, up, head)
-    (blob_len,) = r.unpack("I", "provenance length")
-    provenance = json.loads(r.take(blob_len, "provenance"))
+    provenance = r.json("provenance", dict)
     r.expect_end()
     return AdaptedPredictor(head, adapter, provenance=provenance)

@@ -157,6 +157,9 @@ class ExperimentConfig:
                 int(require_int(t, "intermediate_evals entry", minimum=1))
                 for t in self.intermediate_evals
             )
+            for i, t in enumerate(positions):
+                if t in positions[:i]:
+                    raise ConfigError(f"intermediate_evals repeats position {t}")
             object.__setattr__(self, "intermediate_evals", positions)
 
     @classmethod
@@ -229,6 +232,11 @@ def _evaluate(predict_batch, table: EmbeddingTable) -> tuple[float, list[float]]
     with np.errstate(invalid="ignore"):
         per_class = (hits / totals).tolist()
     return accuracy, per_class
+
+
+def _class_means(table: EmbeddingTable) -> list[np.ndarray]:
+    """Each class's mean row, by class id: the targets of ``moment_distances``."""
+    return [table.vectors[table.labels == y].mean(axis=0) for y in range(table.class_count)]
 
 
 def _new_state(cfg: ExperimentConfig, table: EmbeddingTable):
@@ -364,15 +372,10 @@ def _execute_on(cfg: ExperimentConfig, train, test, t_start: float) -> RunOutcom
     counts from ``t_start``.
     """
     schedule = build_schedule(cfg.schedule, train.labels)
-    n_batches = schedule.n_batches
-    checkpoints = set()
-    if cfg.intermediate_evals is not None:
-        for t in cfg.intermediate_evals:
-            if t > n_batches:
-                raise ConfigError(
-                    f"intermediate eval position {t} exceeds the {n_batches}-batch stream"
-                )
-            checkpoints.add(t)
+    checkpoints = set(cfg.intermediate_evals or ())
+    if max(checkpoints, default=0) > schedule.n_batches:
+        raise ConfigError(f"intermediate eval position {max(checkpoints)} exceeds the "
+                          f"{schedule.n_batches}-batch stream")
 
     t_stream = time.perf_counter()
     state, buffer, snapshots = _stream(cfg, train, schedule, checkpoints)
@@ -415,7 +418,7 @@ def _execute_on(cfg: ExperimentConfig, train, test, t_start: float) -> RunOutcom
         buffer_section = {
             "per_class_counts": {str(y): c for y, c in buffer.per_class_counts().items()},
             "moment_distances": {
-                str(y): d for y, d in buffer.moment_distances(train).items()
+                str(y): d for y, d in buffer.moment_distances(_class_means(train)).items()
             },
             "total_stored": buffer.total_stored(),
             "digest": buffer.content_digest(),
@@ -572,7 +575,7 @@ def buffer_study(
     train, _ = cfg.data.resolve()
     classes = train.class_count
     members = [np.flatnonzero(train.labels == y) for y in range(classes)]
-    means = [train.vectors[train.labels == y].mean(axis=0) for y in range(classes)]
+    means = _class_means(train)
     count = shuffles * classes  # stream i: class i % classes in shuffle i // classes
     distances = np.empty((len(scenarios), len(strategies), count))
     for first in range(0, count, _STUDY_STREAMS):
@@ -628,8 +631,7 @@ def _study_distances(train, streams, targets, b1, b2, strategy, seed) -> list[fl
     """Each stream's stored-vs-target mean distance after one shared buffer.
 
     The buffer has ``b1`` slots per stream, each stream is its own class,
-    and every update takes the next ``b2`` rows of every stream. The
-    distances use the expressions of ``ReplayBuffer.moment_distances``.
+    and every update takes the next ``b2`` rows of every stream.
     """
     buf = ReplayBuffer(len(streams) * b1, strategy, seed=seed)
     for at in range(0, max(map(len, streams)), b2):
@@ -637,12 +639,7 @@ def _study_distances(train, streams, targets, b1, b2, strategy, seed) -> list[fl
         idx = np.concatenate(parts)
         labels = np.repeat(np.arange(len(streams)), [len(part) for part in parts])
         buf.update(train.vectors[idx], labels, idx)
-    stored, labels = buf.training_arrays()
-    ends = np.cumsum(np.bincount(labels, minlength=len(streams))).tolist()
-    return [
-        float(np.linalg.norm(np.mean(stored[a:b], axis=0) - target))
-        for a, b, target in zip([0, *ends], ends, targets)
-    ]
+    return list(buf.moment_distances(targets).values())
 
 
 def write_study_summary(summary, path) -> None:

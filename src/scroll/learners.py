@@ -398,6 +398,8 @@ def load_state(path) -> NccState | RidgeState:
     version, kind, k, d = r.unpack("HBII", "state header")
     if version != STATE_VERSION:
         raise FormatError(f"unsupported state version {version}")
+    if k == 0 or d == 0:
+        raise FormatError(f"degenerate state header: K={k}, d={d}")
     if kind == _KIND_NCC:
         state = NccState(k, d)
         state.class_sums = r.array("<f8", k * d, "class sums").reshape(k, d).copy()

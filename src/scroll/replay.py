@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 from bisect import bisect_left, insort
 
 import numpy as np
@@ -324,9 +323,10 @@ class ReplayBuffer:
     more classes appear than there are slots, the classes left without a
     slot are recorded in ``warnings`` and hold nothing.
 
-    Each class's stored samples are two arrays, in selection order once
-    read: int64 dataset indices in ``_indices`` and float64 rows in
-    ``_rows``. A class with nothing stored has no entry in either.
+    Each class's stored samples are two arrays: int64 dataset indices in
+    ``_indices`` and float64 rows in ``_rows``, settled and in selection
+    order once :meth:`_order` has run, as every read makes it do first. A
+    class with nothing stored has no entry in either.
 
     The ``exemplar`` strategy chooses its rows late. Every update keeps the
     running means, quotas, warnings and each class's stored count
@@ -337,7 +337,7 @@ class ReplayBuffer:
     event without a herd runs at once. Waiting events are walked before an
     arrival would bring more than ``capacity`` rows waiting, even within
     one update, so memory stays O(capacity d) however many classes a batch
-    holds, and before anything reads order or rows; an arrival of more
+    holds, and at every read (:meth:`_order`); an arrival of more
     than ``capacity`` rows then runs at once. The walk runs each class's
     events in stream order, in rounds, and every round herds the next
     pending pool of every class together (:func:`_herd_lanes`). A class
@@ -367,8 +367,8 @@ class ReplayBuffer:
         self.stats = RunningClassMean()
         self._classes: list[int] = []  # sorted ids of every class seen
         self.warnings: list[str] = []
-        self._stored_idx: dict[int, np.ndarray] = {}
-        self._stored_rows: dict[int, np.ndarray] = {}
+        self._indices: dict[int, np.ndarray] = {}
+        self._rows: dict[int, np.ndarray] = {}
         self._count: dict[int, int] = {}  # stored rows, waiting events applied
         # Exemplar classes whose rows, waiting events applied, are not herded.
         self._unordered: set[int] = set()
@@ -377,18 +377,6 @@ class ReplayBuffer:
         self._waiting: dict[int, list] = {}
         self._waiting_rows = 0
         self._rng = seeded_rng(seed, 77)
-
-    @property
-    def _indices(self) -> dict[int, np.ndarray]:
-        """Each class's stored dataset indices, every waiting event applied."""
-        self._settle()
-        return self._stored_idx
-
-    @property
-    def _rows(self) -> dict[int, np.ndarray]:
-        """Each class's stored rows, every waiting event applied."""
-        self._settle()
-        return self._stored_rows
 
     # -- content views -------------------------------------------------
 
@@ -399,28 +387,26 @@ class ReplayBuffer:
         return dict(sorted(self._count.items()))
 
     def stored_indices(self, y: int) -> list[int]:
-        self._order(y)
+        self._order()
         return self._indices[y].tolist() if y in self._indices else []
 
     def training_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """All stored rows as (vectors, labels), classes in ascending order."""
-        self._order()
-        classes = sorted(self._indices)
-        counts = [len(self._indices[y]) for y in classes]
-        if sum(counts) == 0:
-            return np.zeros((0, 0)), np.zeros(0, dtype=np.int64)
-        vectors = np.concatenate([self._rows[y] for y in classes])
-        return vectors, np.repeat(np.array(classes, dtype=np.int64), counts)
+        return self._stacked(self._rows, np.zeros((0, 0)))
 
     def training_indices(self) -> tuple[np.ndarray, np.ndarray]:
         """Dataset indices and labels of :meth:`training_arrays`' rows, in its order."""
+        return self._stacked(self._indices, np.zeros(0, dtype=np.int64))
+
+    def _stacked(self, stored: dict, empty: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``stored``'s arrays stacked in ascending class order (``empty`` if none), and labels."""
         self._order()
-        classes = sorted(self._indices)
-        counts = [len(self._indices[y]) for y in classes]
+        classes = sorted(stored)
+        counts = [len(stored[y]) for y in classes]
         if sum(counts) == 0:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        indices = np.concatenate([self._indices[y] for y in classes])
-        return indices, np.repeat(np.array(classes, dtype=np.int64), counts)
+            return empty, np.zeros(0, dtype=np.int64)
+        stack = np.concatenate([stored[y] for y in classes])
+        return stack, np.repeat(np.array(classes, dtype=np.int64), counts)
 
     def content_digest(self) -> str:
         """Stable fingerprint of which samples are stored, for provenance."""
@@ -431,20 +417,18 @@ class ReplayBuffer:
             h.update(self._indices[y].tobytes())
         return h.hexdigest()[:16]
 
-    def moment_distances(self, table) -> dict[int, float]:
-        """Per class: distance between the stored mean and the table's class mean.
+    def moment_distances(self, means) -> dict[int, float]:
+        """Per class: distance between the stored mean and the target mean ``means[y]``.
 
         Classes with nothing stored are absent from the result. A stored
-        class with no row in ``table`` raises :class:`ClassIdError`.
+        class past the end of ``means`` raises :class:`ClassIdError`.
         """
         self._order()
         out: dict[int, float] = {}
         for y in sorted(self._rows):
-            stored_mean = np.mean(self._rows[y], axis=0)
-            class_rows = table.vectors[table.labels == y]
-            if len(class_rows) == 0:
-                raise ClassIdError(f"class {y} is stored but has no row in the table")
-            out[y] = float(np.linalg.norm(stored_mean - class_rows.mean(axis=0)))
+            if y >= len(means):
+                raise ClassIdError(f"class {y} is stored but has no target mean")
+            out[y] = float(np.linalg.norm(np.mean(self._rows[y], axis=0) - means[y]))
         return out
 
     # -- updates ---------------------------------------------------------
@@ -527,8 +511,8 @@ class ReplayBuffer:
         return {int(ys[a]): order[a:b] for a, b in zip(bounds, bounds[1:]) if b > a}
 
     def _keep(self, y: int, idx: np.ndarray, rows: np.ndarray) -> None:
-        self._stored_idx[y] = idx
-        self._stored_rows[y] = rows
+        self._indices[y] = idx
+        self._rows[y] = rows
         self._count[y] = len(idx)
         self._unordered.discard(y)
 
@@ -536,7 +520,7 @@ class ReplayBuffer:
         """Forget class ``y``'s rows and waiting events: its quota is zero for good."""
         for new_idx, _, _, _ in self._waiting.pop(y, ()):
             self._waiting_rows -= 0 if new_idx is None else len(new_idx)
-        for stored in (self._stored_idx, self._stored_rows, self._count):
+        for stored in (self._indices, self._rows, self._count):
             stored.pop(y, None)
         self._unordered.discard(y)
 
@@ -562,16 +546,15 @@ class ReplayBuffer:
             self._waiting_rows += len(new_idx)
         self._waiting.setdefault(y, []).append((new_idx, new_rows, n, target))
 
-    def _order(self, *classes: int) -> None:
-        """Settle, and herd the named classes stored unordered, or all of them.
+    def _order(self) -> None:
+        """Herd every class stored unordered, then settle; every read calls this first.
 
-        The herd is the one :meth:`_update_exemplar` would have queued when
-        it stored the pool, so the order is the same.
+        Each herd is the one :meth:`_update_exemplar` would have queued when
+        it stored the pool, so the order is the same whichever read comes first.
         """
-        for y in classes or list(self._unordered):
-            if y in self._unordered:
-                self._unordered.discard(y)
-                self._queue(y, None, None, self._count[y], self.stats.mean(y))
+        for y in self._unordered:
+            self._queue(y, None, None, self._count[y], self.stats.mean(y))
+        self._unordered.clear()
         self._settle()
 
     def _settle(self) -> None:
@@ -589,7 +572,7 @@ class ReplayBuffer:
         shrunken class does not keep its longer rows alive.
         """
         queues = [(y, iter(events)) for y, events in queues]
-        idx_of, rows_of = self._stored_idx, self._stored_rows
+        idx_of, rows_of = self._indices, self._rows
         while queues:
             lanes, stopped = [], []
             for y, events in queues:
@@ -622,9 +605,9 @@ class ReplayBuffer:
         # Pool ordered by original dataset index, so tie-breaking inside the
         # selection rules cannot depend on arrival order. At a few rows this
         # is per-call overhead, hence methods and take over fancy indexing.
-        idx = np.concatenate((self._stored_idx[y], new_idx))
+        idx = np.concatenate((self._indices[y], new_idx))
         order = idx.argsort(kind="stable")
-        rows = np.concatenate((self._stored_rows[y], new_rows))
+        rows = np.concatenate((self._rows[y], new_rows))
         return idx.take(order), rows.take(order, axis=0)
 
     def _update_exemplar(self, y, new_idx, new_rows, quota) -> None:
@@ -645,15 +628,15 @@ class ReplayBuffer:
         # The rows the class saw before this batch: a class that holds a
         # quota comes here on every arrival, after the running means count it.
         seen = self.stats.count(y) - len(new_idx)
-        fill = max(0, min(quota - len(self._stored_idx[y]), len(new_idx)))
+        fill = max(0, min(quota - len(self._indices[y]), len(new_idx)))
         if fill:
             self._keep(
                 y,
-                np.concatenate([self._stored_idx[y], new_idx[:fill]]),
-                np.concatenate([self._stored_rows[y], new_rows[:fill]]),
+                np.concatenate([self._indices[y], new_idx[:fill]]),
+                np.concatenate([self._rows[y], new_rows[:fill]]),
             )
             seen += fill
-        idx, rows = self._stored_idx[y], self._stored_rows[y]
+        idx, rows = self._indices[y], self._rows[y]
         # Algorithm R: the i-th row past the fill (i from 1) draws a slot in
         # [0, seen + i) and replaces it if it is below the quota. One call
         # draws every slot: with an array of bounds, numpy draws them in
@@ -693,7 +676,6 @@ class ReplayBuffer:
         out.warnings = list(self.warnings)
         for y, idx in self._indices.items():
             out._keep(y, idx.copy(), self._rows[y].copy())
-        out._rng = np.random.default_rng()
         out._rng.bit_generator.state = self._rng.bit_generator.state
         return out
 
@@ -719,12 +701,8 @@ def save_buffer(buf: ReplayBuffer, path) -> None:
         w.array(buf.stats._sums[y], "<f8")
         w.array(idx, "<i8")
         w.array(buf._rows.get(y, np.zeros(0)), "<f8")
-    rng_state = json.dumps(buf._rng.bit_generator.state, sort_keys=True).encode()
-    w.pack("I", len(rng_state))
-    w.raw(rng_state)
-    warn_blob = json.dumps(buf.warnings).encode()
-    w.pack("I", len(warn_blob))
-    w.raw(warn_blob)
+    w.json(buf._rng.bit_generator.state)
+    w.json(buf.warnings)
     with open(path, "wb") as fh:
         fh.write(w.getvalue())
 
@@ -757,15 +735,19 @@ def load_buffer(path) -> ReplayBuffer:
         if stored:
             buf._keep(y, idx, rows)
     buf._classes = buf.stats.classes()
-    for y, idx in buf._stored_idx.items():
+    for y, idx in buf._indices.items():
         quota = buf._quota(y, buf._classes)
         if len(idx) > quota:
             raise FormatError(f"class {y} stores {len(idx)} rows, past its quota of {quota}")
     buf.stats.dim = dim if n_classes else None
-    (rng_len,) = r.unpack("I", "rng state length")
-    buf._rng.bit_generator.state = json.loads(r.take(rng_len, "rng state"))
-    (warn_len,) = r.unpack("I", "warnings length")
-    buf.warnings = json.loads(r.take(warn_len, "warnings"))
+    rng_state = r.json("rng state", dict)
+    try:
+        buf._rng.bit_generator.state = rng_state
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise FormatError(f"rng state is not a PCG64 state: {exc!r}") from exc
+    buf.warnings = r.json("warnings", list)
+    if not all(isinstance(w, str) for w in buf.warnings):
+        raise FormatError(f"warnings must be strings, got {buf.warnings!r}")
     r.expect_end()
     return buf
 

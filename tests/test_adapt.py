@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -33,6 +34,7 @@ from scroll import (
     write_training_curve,
 )
 from scroll._seeding import seeded_rng
+from scroll.adapt import PREDICTOR_MAGIC, PREDICTOR_VERSION
 from scroll.learners import ONE_THREAD_MULADDS, PREDICT_BLOCK_ROWS
 
 
@@ -900,6 +902,52 @@ class TestPredictorCheckpoint:
         data[6] = flag
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError, match="adapter flag"):
+            load_predictor(path)
+
+    def test_unsupported_version_is_a_format_error(self, tmp_path):
+        path = tmp_path / "pred.bin"
+        save_predictor(AdaptedPredictor(LinearHead(np.eye(3), np.zeros(3))), path)
+        data = bytearray(path.read_bytes())
+        data[4:6] = struct.pack("<H", PREDICTOR_VERSION + 1)
+        path.write_bytes(bytes(data))
+        message = f"unsupported predictor version {PREDICTOR_VERSION + 1}"
+        with pytest.raises(FormatError, match=message):
+            load_predictor(path)
+
+    @pytest.mark.parametrize("k, d", [(0, 6), (3, 0)])
+    def test_header_with_zero_classes_or_width_is_a_format_error(self, tmp_path, k, d):
+        # K=0 once loaded, and predict_batch then raised numpy's bare
+        # "attempt to get argmax of an empty sequence".
+        path = tmp_path / "pred.bin"
+        path.write_bytes(
+            PREDICTOR_MAGIC + struct.pack("<HBIII", PREDICTOR_VERSION, 0, k, d, 0)
+            + np.zeros(k * d + k).tobytes() + struct.pack("<I", 2) + b"{}"
+        )
+        with pytest.raises(FormatError, match=f"degenerate predictor header: K={k}, d={d}"):
+            load_predictor(path)
+
+    @pytest.mark.parametrize("byte", [b"x", b"\xff"])
+    def test_garbled_provenance_is_a_format_error(self, tmp_path, byte):
+        # One edited byte once let JSONDecodeError or UnicodeDecodeError escape.
+        path = tmp_path / "pred.bin"
+        head = LinearHead(np.eye(3), np.zeros(3))
+        save_predictor(AdaptedPredictor(head, provenance={"init": "ridge"}), path)
+        data = bytearray(path.read_bytes())
+        blob = b'{"init": "ridge"}'
+        assert data.endswith(blob)
+        data[-len(blob)] = byte[0]
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="corrupt provenance"):
+            load_predictor(path)
+
+    @pytest.mark.parametrize("blob", [b"[]", b'"ridge"', b"null"])
+    def test_provenance_that_is_not_an_object_is_a_format_error(self, tmp_path, blob):
+        path = tmp_path / "pred.bin"
+        save_predictor(AdaptedPredictor(LinearHead(np.eye(3), np.zeros(3))), path)
+        data = path.read_bytes()
+        assert data.endswith(struct.pack("<I", 2) + b"{}")
+        path.write_bytes(data[:-6] + struct.pack("<I", len(blob)) + blob)
+        with pytest.raises(FormatError, match="provenance must be a dict"):
             load_predictor(path)
 
     def test_curve_csv(self, tmp_path):

@@ -25,8 +25,8 @@ from scroll import (
 from scroll import harness
 from scroll._seeding import seeded_rng
 from scroll.harness import (
-    ConsumeOnceStream, DataConfig, _adapted, _evaluate, _stage_one, _state_deviation, _stream,
-    _sweep_schedule_specs,
+    ConsumeOnceStream, DataConfig, _adapted, _class_means, _evaluate, _stage_one,
+    _state_deviation, _stream, _sweep_schedule_specs,
 )
 from scroll.learners import RIDGE_BLOCK_ROWS
 from scroll.replay import STRATEGIES, ReplayBuffer
@@ -188,6 +188,12 @@ class TestRun:
         a, b = run(cfg).to_dict(), run(cfg).to_dict()
         a.pop("timing"), b.pop("timing")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+    @pytest.mark.parametrize("mode", ["adapter", "full_head"])
+    def test_no_buffer_with_an_adapt_mode_warns_that_adaptation_is_skipped(self, mode):
+        report = run(small_config(adapt={"mode": mode}))
+        assert report.buffer is None
+        assert report.warnings == ["no replay data available; adaptation skipped"]
 
     def test_buffer_section_present_with_capacity(self):
         cfg = small_config(buffer={"capacity": 12, "strategy": "exemplar", "seed": 2},
@@ -382,6 +388,12 @@ class TestIntermediatePredictor:
         with pytest.raises(ConfigError, match="^intermediate_evals entry must be an integer"):
             ExperimentConfig.from_dict(config_dict(intermediate_evals=[1, t]))
 
+    def test_repeated_position_is_config_error(self):
+        # [3, 1, 1] once kept all three positions in the config echo but
+        # reported two entries, t=1 and t=3.
+        with pytest.raises(ConfigError, match="intermediate_evals repeats position 1"):
+            ExperimentConfig.from_dict(config_dict(intermediate_evals=[3, 1, 1]))
+
     def test_position_out_of_range(self):
         # class_split c=2 over 4 classes: 2 batches.
         assert len(run(small_config(intermediate_evals=[2])).intermediate) == 1
@@ -416,6 +428,10 @@ class TestRobustnessSweep:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError, match="unknown sweep schedule kind"):
             robustness_sweep(small_config(), 2, ("sorted",))
+
+    def test_empty_kind_list_rejected(self):
+        with pytest.raises(ConfigError, match="at least one schedule kind"):
+            robustness_sweep(small_config(), 2, ())
 
     @pytest.mark.parametrize("n_schedules", [2.5, 2.0, True, "3"])
     def test_non_integer_schedule_count_is_config_error(self, n_schedules):
@@ -507,6 +523,7 @@ class TestStateDeviation:
 def per_stream_study(cfg, shuffles, scenarios, strategies):
     """The buffering study with one buffer per stream, read by ``moment_distances``."""
     train, _ = cfg.data.resolve()
+    means = _class_means(train)
     rows = []
     for shuffle in range(shuffles):
         for y in range(train.class_count):
@@ -522,7 +539,7 @@ def per_stream_study(cfg, shuffles, scenarios, strategies):
                         idx = shuffled[lo : lo + b2]
                         buf.update(train.vectors[idx], train.labels[idx], idx)
                     rows.append({"b1": b1, "b2": b2, "strategy": strategy, "class": y,
-                                 "seed": shuffle, "distance": buf.moment_distances(train)[y]})
+                                 "seed": shuffle, "distance": buf.moment_distances(means)[y]})
     summary = []
     for b1, b2 in scenarios:
         for strategy in strategies:
@@ -594,6 +611,15 @@ class TestBufferStudy:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "buffer_size,batch_size,strategy,mean_distance,var_distance"
         assert len(lines) == 5
+
+    def test_unknown_strategy_is_rejected_before_the_data_is_read(self, tmp_path):
+        cfg = ExperimentConfig.from_dict({
+            "data": {"train_path": str(tmp_path / "missing_train.bin"),
+                     "test_path": str(tmp_path / "missing_test.bin")},
+            "schedule": {"kind": "single_batch"},
+        })
+        with pytest.raises(ConfigError, match="unknown buffer strategy 'sorted'"):
+            buffer_study(cfg, 2, strategies=("exemplar", "sorted"))
 
     def test_minimum_shuffles(self):
         with pytest.raises(ConfigError):

@@ -320,7 +320,20 @@ class TestOneRowUpdates:
         assert not state.class_sums.any()
 
 
+class TestBatchLengths:
+    @pytest.mark.parametrize("kind", ["ncc", "ridge"])
+    def test_rows_and_labels_of_different_lengths_are_a_shape_error(self, kind):
+        state = NccState(2, 3) if kind == "ncc" else RidgeState(2, 3)
+        with pytest.raises(ShapeError, match="disagree in length"):
+            state.update_batch(np.ones((3, 3)), [0, 1])
+
+
 class TestRidgeSolve:
+    def test_state_with_no_samples_solves_to_a_zero_head(self):
+        head = RidgeState(3, 4).solve()
+        assert head.weights.tobytes() == np.zeros((3, 4)).tobytes()
+        assert head.biases.tobytes() == np.zeros(3).tobytes()
+
     def test_single_sample_closed_form(self):
         # (e1 e1^T + I) w = e1  =>  w = e1 / 2
         s = RidgeState(1, 2, lam=1.0).update_batch([[1.0, 0.0]], [0])
@@ -746,6 +759,41 @@ class TestCheckpoints:
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError, match="counts must be non-negative, got -3"):
             load_state(path)
+
+    def test_unknown_kind_tag_is_a_format_error(self, tmp_path):
+        path = tmp_path / "state.bin"
+        save_state(NccState(2, 3).update_batch(np.ones((1, 3)), [0]), path)
+        data = bytearray(path.read_bytes())
+        data[6] = 7  # after the magic and the u16 version
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="unknown state kind tag 7"):
+            load_state(path)
+
+    @pytest.mark.parametrize("kind", ["ncc", "ridge"])
+    @pytest.mark.parametrize("k, d", [(0, 3), (2, 0)])
+    def test_header_with_zero_classes_or_width_is_a_format_error(self, tmp_path, kind, k, d):
+        # Such a header once raised ConfigError from the state constructors.
+        s = NccState(2, 3) if kind == "ncc" else RidgeState(2, 3)
+        path = tmp_path / "state.bin"
+        save_state(s.update_batch(np.ones((1, 3)), [0]), path)
+        data = bytearray(path.read_bytes())
+        data[7:15] = struct.pack("<II", k, d)  # after the magic, u16 version and u8 kind
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=f"degenerate state header: K={k}, d={d}"):
+            load_state(path)
+
+    def test_loaded_cov_that_is_not_positive_definite_raises_lin_alg_failure(self, tmp_path):
+        # cov[0, 0] = -10 leaves -10 + 1 (the pending row) + 1 (lam * seen) on the diagonal.
+        path = tmp_path / "state.bin"
+        save_state(RidgeState(2, 3).update_batch(np.ones((1, 3)), [0]), path)
+        data = bytearray(path.read_bytes())
+        # Header: magic, u16 version, u8 kind, u32 K, u32 d; lam, seen, pending; then cov.
+        at = 4 + 2 + 1 + 4 + 4 + 8 + 8 + 4
+        data[at : at + 8] = struct.pack("<d", -10.0)
+        path.write_bytes(bytes(data))
+        loaded = load_state(path)
+        with pytest.raises(LinAlgFailure, match="could not be factorized"):
+            loaded.solve()
 
     def test_ridge_round_trip(self, tmp_path):
         rng = np.random.default_rng(14)

@@ -25,7 +25,8 @@ from scroll import (
     write_moment_csv,
 )
 from scroll import replay
-from scroll.replay import ONE_THREAD_MULADDS, RunningClassMean, _herd_lanes
+from scroll.harness import _class_means
+from scroll.replay import ONE_THREAD_MULADDS, STRATEGIES, RunningClassMean, _herd_lanes
 
 
 def unit_rows(rng, n, d):
@@ -275,6 +276,13 @@ class TestBatchChecks:
         with pytest.raises(ShapeError, match=r"\(3, 1\)"):
             buf.update(np.ones((3, 2)), arrays["labels"], arrays["indices"])
 
+    @pytest.mark.parametrize("n_rows", [2, 4])
+    def test_rows_of_another_length_than_the_labels_are_a_config_error(self, n_rows):
+        buf = ReplayBuffer(4, "exemplar", seed=4)
+        with pytest.raises(ConfigError, match="disagree in length"):
+            buf.update(np.ones((n_rows, 2)), np.array([0, 1, 0]), np.array([0, 1, 2]))
+        assert buf.total_stored() == 0
+
     @pytest.mark.parametrize("label", [-1, 2**32])
     def test_class_id_outside_the_checkpoint_range_is_rejected(self, label, tmp_path):
         buf = ReplayBuffer(4, "exemplar", seed=4)
@@ -453,7 +461,7 @@ class TestMomentDistance:
     def test_zero_when_everything_stored(self, table):
         buf = ReplayBuffer(table.n_samples, "exemplar", seed=12)
         feed(buf, table, np.arange(table.n_samples), 17)
-        for d in buf.moment_distances(table).values():
+        for d in buf.moment_distances(_class_means(table)).values():
             assert d <= 1e-12
 
     def test_single_point_definition(self, table):
@@ -463,13 +471,13 @@ class TestMomentDistance:
         (stored,) = buf.stored_indices(0)
         mean = table.vectors[idx].mean(axis=0)
         expected = float(np.linalg.norm(table.vectors[stored] - mean))
-        assert buf.moment_distances(table)[0] == pytest.approx(expected, abs=1e-12)
+        assert buf.moment_distances(_class_means(table))[0] == pytest.approx(expected, abs=1e-12)
 
     def test_empty_class_absent(self, table):
         buf = ReplayBuffer(6, "exemplar", seed=14)
         idx = np.flatnonzero(table.labels == 3)
         buf.update(table.vectors[idx], table.labels[idx], idx)
-        assert set(buf.moment_distances(table)) == {3}
+        assert set(buf.moment_distances(_class_means(table))) == {3}
 
     def test_stored_class_absent_from_the_table_is_class_id_error(self):
         # Capacity 4, stored classes 0 and 5, a table of classes 0-2: the
@@ -477,9 +485,10 @@ class TestMomentDistance:
         rng = np.random.default_rng(19)
         buf = ReplayBuffer(4, "exemplar", seed=19)
         buf.update(rng.standard_normal((4, 3)), np.array([0, 5, 0, 5]), np.arange(4))
-        table = SimpleNamespace(vectors=rng.standard_normal((6, 3)), labels=np.arange(6) % 3)
+        table = SimpleNamespace(vectors=rng.standard_normal((6, 3)), labels=np.arange(6) % 3,
+                                class_count=3)
         with pytest.raises(ClassIdError, match="class 5 "):
-            buf.moment_distances(table)
+            buf.moment_distances(_class_means(table))
 
 
 @st.composite
@@ -594,14 +603,14 @@ def exemplar_streams(draw):
     return vectors, labels, batches, capacity, (reads, first), handoff, at
 
 
-def assert_same_contents(buf, ref, table, first=0):
+def assert_same_contents(buf, ref, means, first=0):
     """Every read agrees; ``first`` picks the read that has to order the buffer."""
     classes = sorted(ref.stats.classes())
     reads = [
         lambda b: [b.stored_indices(y) for y in classes],
         lambda b: [(a.shape, a.tobytes()) for a in b.training_arrays()],
         lambda b: b.content_digest(),
-        lambda b: b.moment_distances(table),
+        lambda b: b.moment_distances(means),
         scbf_bytes,
     ]
     for read in reads[first:] + reads[:first]:
@@ -614,7 +623,10 @@ class TestDeferredOrder:
     @given(exemplar_streams())
     def test_matches_eager_herding(self, stream):
         vectors, labels, batches, capacity, (reads, first), handoff, at = stream
-        table = SimpleNamespace(vectors=vectors, labels=labels)
+        # Class means by id; an id with no row is never stored, so its zero is never read.
+        present = np.unique(labels)
+        means = np.zeros((labels.max() + 1, vectors.shape[1]))
+        means[present] = [vectors[labels == y].mean(axis=0) for y in present]
         buf = ReplayBuffer(capacity, "exemplar", seed=0)
         ref = EagerBuffer(capacity, "exemplar", seed=0)
         for t, batch in enumerate(batches):
@@ -628,8 +640,8 @@ class TestDeferredOrder:
             ref.update(vectors[batch], labels[batch], batch)
             assert buf.per_class_counts() == ref.per_class_counts()
             if reads == "every":
-                assert_same_contents(buf, ref, table, first)
-        assert_same_contents(buf, ref, table, first)
+                assert_same_contents(buf, ref, means, first)
+        assert_same_contents(buf, ref, means, first)
 
     def test_herds_only_when_order_is_read(self, table, monkeypatch):
         calls = []
@@ -647,7 +659,7 @@ class TestDeferredOrder:
         assert sorted(calls) == [30] * table.class_count
         calls.clear()
         buf.training_arrays()
-        buf.moment_distances(table)
+        buf.moment_distances(_class_means(table))
         assert calls == []
 
     def test_quota_shrink_that_drops_nothing_keeps_arrays(self, table):
@@ -766,6 +778,48 @@ class TestBufferCheckpoint:
         with pytest.raises(FormatError, match="class 0 stores 2 rows, past its quota of 1"):
             load_buffer(path)
 
+    def test_unknown_strategy_tag_is_a_format_error(self, tmp_path):
+        path, data, _ = self._two_class_file(tmp_path)
+        data[6] = len(STRATEGIES)  # after the magic and the u16 version
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=f"unknown strategy tag {len(STRATEGIES)}"):
+            load_buffer(path)
+
+    @pytest.mark.parametrize("blob", ["rng state", "warnings"])
+    @pytest.mark.parametrize("byte", [b"x", b"\xff"])
+    def test_garbled_json_is_a_format_error(self, tmp_path, blob, byte):
+        # One edited byte once let JSONDecodeError or UnicodeDecodeError escape.
+        path, data, _ = self._two_class_file(tmp_path)
+        assert data.endswith(b"[]")  # the warnings end the file
+        at = data.index(b'{"bit_generator"') if blob == "rng state" else len(data) - 2
+        data[at : at + 1] = byte
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=f"corrupt {blob}"):
+            load_buffer(path)
+
+    @pytest.mark.parametrize("old, new", [
+        (b'"PCG64"', b'"PCG65"'),  # ValueError
+        (b'"has_uint32"', b'"has_uint99"'),  # KeyError
+        (b'"has_uint32": 0', b'"has_uint32":[]'),  # TypeError
+        (b'"uinteger": 0', b'"uinteger":-1'),  # OverflowError
+    ])
+    def test_rng_state_of_the_wrong_shape_is_a_format_error(self, tmp_path, old, new):
+        # "PCG65" once escaped as a bare ValueError.
+        path, data, _ = self._two_class_file(tmp_path)
+        assert data.count(old) == 1
+        path.write_bytes(bytes(data).replace(old, new))
+        with pytest.raises(FormatError, match="rng state is not a PCG64 state"):
+            load_buffer(path)
+
+    @pytest.mark.parametrize("blob", [b"{}", b"[1]", b'["a", null]', b'"a"', b"null"])
+    def test_warnings_that_are_not_a_list_of_strings_are_a_format_error(self, tmp_path, blob):
+        # A warnings blob of {} once loaded as buf.warnings == {}.
+        path, data, _ = self._two_class_file(tmp_path)
+        assert data[-6:] == struct.pack("<I", 2) + b"[]"
+        path.write_bytes(bytes(data[:-6]) + struct.pack("<I", len(blob)) + blob)
+        with pytest.raises(FormatError, match="warnings must be"):
+            load_buffer(path)
+
     def test_moment_csv_columns(self, tmp_path):
         rows = [
             {"class": 0, "strategy": "exemplar", "seed": 1, "distance": 0.25},
@@ -804,6 +858,7 @@ class ParentBuffer(ReplayBuffer):
         return {int(ys[a]): order[a:b] for a, b in zip(bounds, bounds[1:]) if b > a}
 
     def _pooled(self, y, new_idx, new_rows):
+        self._settle()
         idx = np.concatenate([self._indices[y], new_idx])
         order = np.argsort(idx, kind="stable")
         return idx[order], np.concatenate([self._rows[y], new_rows])[order]
@@ -874,6 +929,8 @@ def assert_same_state(buf, ref):
     assert buf._rng.bit_generator.state == ref._rng.bit_generator.state
     assert buf.stats._counts == ref.stats._counts
     assert buf.stats.dim == ref.stats.dim
+    buf._settle()
+    ref._settle()
     for mine, theirs in ((buf.stats._sums, ref.stats._sums), (buf._indices, ref._indices),
                          (buf._rows, ref._rows)):
         assert mine.keys() == theirs.keys()
