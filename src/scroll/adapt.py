@@ -29,12 +29,12 @@ import numpy as np
 from ._binio import Reader, Writer
 from ._seeding import seeded_rng
 from .errors import (
-    AdaptError, ClassIdError, ConfigError, DataError, FormatError, ShapeError, all_finite,
-    from_fields, require_float, require_int,
+    AdaptError, ConfigError, DataError, FormatError, ShapeError, all_finite, from_fields,
+    require_float, require_int,
 )
 from .learners import (
-    ONE_THREAD_MULADDS, PREDICT_BLOCK_ROWS, LinearHead, NccState, RidgeState, as_int_ids,
-    blocked_argmax,
+    ONE_THREAD_MULADDS, PREDICT_BLOCK_ROWS, LinearHead, NccState, RidgeState, blocked_argmax,
+    check_batch, check_rows,
 )
 
 ADAPT_MODES = ("none", "adapter", "full_head")
@@ -179,9 +179,11 @@ def init_head(
 
 def forward(params: AdapterParams, zs) -> np.ndarray:
     """Adapter + head forward pass: the logits of a 2-d batch of rows."""
-    zs = np.asarray(zs, dtype=np.float64)
-    if zs.ndim != 2 or zs.shape[1] != params.dim:
-        raise ShapeError(f"expected rows of dimension {params.dim}, got {zs.shape}")
+    return _logits(params, check_rows(zs, params.dim))
+
+
+def _logits(params: AdapterParams, zs: np.ndarray) -> np.ndarray:
+    """:func:`forward` of rows already checked by :func:`check_rows`."""
     act = np.maximum(zs @ params.down.T, 0.0)
     # In-place sums: no extra (n, d) or (n, k) temporary at prediction time.
     feat = act @ params.up.T
@@ -189,31 +191,6 @@ def forward(params: AdapterParams, zs) -> np.ndarray:
     logits = feat @ params.head.weights.T
     logits += params.head.biases
     return logits
-
-
-def _checked(params: AdapterParams | LinearHead, zs, ys) -> tuple[np.ndarray, np.ndarray]:
-    """``zs`` as float64 rows and ``ys`` as int64 labels that ``params`` can train on.
-
-    Non-integer labels, or labels outside ``[0, K)``, raise
-    :class:`ClassIdError`; rows that are not a 2-d batch of the model's
-    width, or a row count that is not the label count, raise
-    :class:`ShapeError`.
-    """
-    ys = as_int_ids(ys, "labels")
-    if ys.ndim != 1 or ys.shape[0] == 0:
-        raise ConfigError("batch must contain at least one sample")
-    zs = np.asarray(zs, dtype=np.float64)
-    bare = isinstance(params, LinearHead)
-    if zs.ndim != 2 or zs.shape[1] != params.dim:
-        if bare:
-            raise ShapeError(f"queries of dimension {params.dim} required, got shape {zs.shape}")
-        raise ShapeError(f"expected rows of dimension {params.dim}, got {zs.shape}")
-    if ys.shape[0] != zs.shape[0]:
-        raise ShapeError("labels and batch rows disagree in length")
-    classes = (params if bare else params.head).class_count
-    if ys.min() < 0 or ys.max() >= classes:
-        raise ClassIdError(f"labels must lie in [0, {classes})")
-    return zs, ys
 
 
 def _step(params, zs, label_pos, temperature, logits, log_z, dlogits, grads) -> None:
@@ -266,13 +243,15 @@ def loss_and_grads(
     and, when ``params`` is an adapter, for its projections (``up``,
     ``down``). A bare :class:`LinearHead` scores the raw embeddings.
     """
-    zs, ys = _checked(params, zs, ys)
     head = params if isinstance(params, LinearHead) else params.head
+    zs, ys = check_batch(zs, ys, params.dim, head.class_count)
+    batch = len(ys)
+    if not batch:
+        raise ConfigError("batch must contain at least one sample")
     shapes = {"weights": head.weights.shape, "biases": head.biases.shape}
     if head is not params:
         shapes.update(up=params.up.shape, down=params.down.shape)
     grads = {name: np.empty(shape) for name, shape in shapes.items()}
-    batch = len(ys)
     label_pos = np.arange(batch) * head.class_count + ys
     logits, log_z = np.empty((batch, head.class_count)), np.empty(batch)
     _step(params, zs, label_pos, temperature, logits, log_z, np.empty_like(logits), grads)
@@ -356,15 +335,12 @@ class AdaptedPredictor:
 
     def predict_batch(self, zs) -> np.ndarray:
         """Argmax class of every row, scored ``PREDICT_BLOCK_ROWS`` rows at a time."""
-        zs = np.asarray(zs, dtype=np.float64)
-        if zs.ndim != 2:
-            raise ShapeError(f"expected a 2-d batch of queries, got shape {zs.shape}")
-        return blocked_argmax(self._scores, zs)
+        return blocked_argmax(self._scores, check_rows(zs, self.head.dim))
 
     def _scores(self, zs: np.ndarray) -> np.ndarray:
         if self.adapter is None:
             return self.head.scores(zs)
-        return forward(self.adapter, zs)
+        return _logits(self.adapter, zs)
 
 
 def adapt(
@@ -377,8 +353,8 @@ def adapt(
     trains the head only. Minibatches are drawn without replacement with
     seeded shuffling, so the result is a pure function of its inputs.
 
-    The buffer arrays are checked once, with the errors
-    :func:`loss_and_grads` raises. Each epoch then gathers its rows into
+    The buffer arrays are checked once, by :func:`check_batch`, before
+    any mode runs. Each epoch then gathers its rows into
     one preallocated block of whole minibatches (at most
     ``PREDICT_BLOCK_ROWS`` rows, or one larger minibatch) at a time and
     runs each minibatch through the step :func:`loss_and_grads` uses, so
@@ -387,6 +363,7 @@ def adapt(
     zs, ys = buffer.training_arrays()
     if zs.shape[0] == 0:
         raise AdaptError("replay buffer is empty; nothing to adapt on")
+    zs, ys = check_batch(zs, ys, init.dim, init.class_count)
     provenance = {"init": init_kind, "buffer": buffer.content_digest()}
     warnings: list[str] = []
     stored = zs.shape[0]
@@ -418,7 +395,6 @@ def adapt(
     if adapter is not None:
         adapter = AdapterParams(*projections, head)
     params = adapter or head
-    zs, ys = _checked(params, zs, ys)
     flat_grad = np.empty_like(flat)
     grads_out = dict(zip(("weights", "biases", "down", "up"), _views(flat_grad, shapes)))
     split = init.weights.size + init.biases.size
@@ -436,7 +412,7 @@ def adapt(
     # (d x max(K, h) per row) stays on one OpenBLAS thread; a woken second
     # thread would spin through the small training steps that follow.
     widest = max(init.class_count, adapter.width if adapter is not None else 0)
-    check_rows = min(PREDICT_BLOCK_ROWS, max(1, ONE_THREAD_MULADDS // (init.dim * widest)))
+    check_block = min(PREDICT_BLOCK_ROWS, max(1, ONE_THREAD_MULADDS // (init.dim * widest)))
 
     # An epoch's rows are gathered one chunk of whole minibatches at a time.
     # Row i of an epoch sits at flat position (i % batch) * K + label of its
@@ -494,7 +470,7 @@ def adapt(
                 raise DataError("adapter parameters contain non-finite values")
             if not math.isfinite(epoch_loss):
                 raise DataError("training loss is not finite")
-            buffer_acc = float(np.mean(blocked_argmax(predictor._scores, zs, check_rows) == ys))
+            buffer_acc = float(np.mean(blocked_argmax(predictor._scores, zs, check_block) == ys))
             curve.append((epoch, epoch_loss / stored, buffer_acc))
 
     return AdaptedPredictor(

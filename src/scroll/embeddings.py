@@ -207,9 +207,6 @@ def _load_binary(data: bytes) -> tuple[EmbeddingTable, dict[int, int]]:
     vectors = r.array("<f4", n * dim, "embedding rows").reshape(n, dim)
     raw_labels = r.array("<u4", n, "label block").astype(np.int64)
     r.expect_end()
-    if not all_finite(vectors):
-        row = int(np.where(~np.isfinite(vectors).all(axis=1))[0][0])
-        raise DataError(f"non-finite value in row {row}")
     labels, mapping = _remap_labels(raw_labels)
     if len(mapping) != k:
         raise FormatError(

@@ -324,6 +324,30 @@ def _adapted(cfg: ExperimentConfig, head: LinearHead, buffer) -> AdaptedPredicto
     return adapt(head, buffer, cfg.adapt, init_kind=cfg.classifier)
 
 
+def _score(cfg: ExperimentConfig, state, buffer, test: EmbeddingTable, timing: dict):
+    """Solve, adapt and score one stream position: the end of the stream or a checkpoint.
+
+    Returns the stage-one head, the adapted predictor (``None`` when nothing
+    was adapted), and the stage-one and adapted ``(accuracy, per_class)``
+    on ``test``. With nothing adapted, the adapted scores are the
+    stage-one scores; at the end of the stream every class has been seen,
+    so NCC's masked prediction is then its head's. The position's times
+    are added to ``timing``'s ``solve_s``, ``adapt_s`` and ``eval_s``.
+    """
+    t_solve = time.perf_counter()
+    predict, head = _stage_one(cfg, state)
+    t_adapt = time.perf_counter()
+    predictor = _adapted(cfg, head, buffer)
+    t_eval = time.perf_counter()
+    stage_one = _evaluate(predict, test)
+    adapted = stage_one if predictor is None else _evaluate(predictor.predict_batch, test)
+    t_end = time.perf_counter()
+    timing["solve_s"] += t_adapt - t_solve
+    timing["adapt_s"] += t_eval - t_adapt
+    timing["eval_s"] += t_end - t_eval
+    return head, predictor, stage_one, adapted
+
+
 @dataclass
 class RunOutcome:
     """Everything a finished run produced, beyond the serializable report."""
@@ -379,38 +403,22 @@ def _execute_on(cfg: ExperimentConfig, train, test, t_start: float) -> RunOutcom
 
     t_stream = time.perf_counter()
     state, buffer, snapshots = _stream(cfg, train, schedule, checkpoints)
-    stream_s = time.perf_counter() - t_stream
+    timing = {"stream_s": time.perf_counter() - t_stream, "solve_s": 0.0, "adapt_s": 0.0,
+              "eval_s": 0.0}
 
+    head, predictor, stage_one, adapted = _score(cfg, state, buffer, test, timing)
     warnings: list[str] = []
-    t_solve = time.perf_counter()
-    stage_one, head = _stage_one(cfg, state)
-    solve_s = time.perf_counter() - t_solve
-
-    t_adapt = time.perf_counter()
-    predictor = _adapted(cfg, head, buffer)
     if predictor is None:
         if cfg.adapt.mode != "none":
             warnings.append("no replay data available; adaptation skipped")
         predictor = AdaptedPredictor(head, provenance={"init": cfg.classifier})
     warnings.extend(predictor.warnings)
-    adapt_s = time.perf_counter() - t_adapt
-
-    t_eval = time.perf_counter()
-    acc_stage_one, per_class_stage_one = _evaluate(stage_one, test)
-    acc_adapted, per_class_adapted = _evaluate(predictor.predict_batch, test)
     intermediate = []
     for t in sorted(snapshots):
-        snap_state, snap_buffer = snapshots[t]
-        snap_stage_one, snap_head = _stage_one(cfg, snap_state)
-        snap_acc, _ = _evaluate(snap_stage_one, test)
-        entry = {"t": t, "stage_one_accuracy": snap_acc}
-        snap_pred = _adapted(cfg, snap_head, snap_buffer)
-        if snap_pred is not None:
-            entry["adapted_accuracy"], _ = _evaluate(snap_pred.predict_batch, test)
-        else:
-            entry["adapted_accuracy"] = snap_acc
-        intermediate.append(entry)
-    eval_s = time.perf_counter() - t_eval
+        _, _, snap_one, snap_adapted = _score(cfg, *snapshots[t], test, timing)
+        intermediate.append(
+            {"t": t, "stage_one_accuracy": snap_one[0], "adapted_accuracy": snap_adapted[0]}
+        )
 
     buffer_section = None
     if buffer is not None:
@@ -427,21 +435,12 @@ def _execute_on(cfg: ExperimentConfig, train, test, t_start: float) -> RunOutcom
     report = RunReport(
         config=cfg.to_dict(),
         config_hash=cfg.config_hash(),
-        accuracy={"stage_one": acc_stage_one, "adapted": acc_adapted},
-        per_class_accuracy={
-            "stage_one": per_class_stage_one,
-            "adapted": per_class_adapted,
-        },
+        accuracy={"stage_one": stage_one[0], "adapted": adapted[0]},
+        per_class_accuracy={"stage_one": stage_one[1], "adapted": adapted[1]},
         buffer=buffer_section,
         intermediate=intermediate,
         warnings=warnings,
-        timing={
-            "stream_s": stream_s,
-            "solve_s": solve_s,
-            "adapt_s": adapt_s,
-            "eval_s": eval_s,
-            "total_s": time.perf_counter() - t_start,
-        },
+        timing={**timing, "total_s": time.perf_counter() - t_start},
     )
     return RunOutcome(cfg, train, test, state, buffer, predictor, report)
 

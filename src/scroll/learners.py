@@ -81,24 +81,52 @@ def _ridge_block_rows(dim: int) -> int:
     return min(RIDGE_BLOCK_ROWS, rows) if rows >= _MIN_ONE_THREAD_ROWS else RIDGE_BLOCK_ROWS
 
 
-def _check_matrix(xs, dim: int) -> np.ndarray:
+def check_rows(xs, dim: int | None) -> np.ndarray:
+    """``xs`` as a float64 batch of rows: the input check of every public entry point.
+
+    Rows that are not a 2-d batch of width ``dim`` (of any width when
+    ``dim`` is ``None``) raise :class:`ShapeError`; a non-finite entry
+    raises :class:`DataError`.
+    """
     xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[1] != dim:
-        raise ShapeError(f"expected rows of dimension {dim}, got shape {xs.shape}")
+    if xs.ndim != 2 or dim not in (None, xs.shape[1]):
+        width = "" if dim is None else f" of dimension {dim}"
+        raise ShapeError(f"expected a 2-d batch of rows{width}, got shape {xs.shape}")
     if not all_finite(xs):
-        raise DataError("vectors contain non-finite values")
+        raise DataError("rows contain non-finite values")
     return xs
 
 
+def check_batch(xs, ys, dim: int, class_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``xs`` as float64 rows (see :func:`check_rows`) and ``ys`` as their int64 labels.
+
+    Labels that are not one 1-d label per row raise :class:`ShapeError`;
+    a non-integer dtype, or an id outside ``[0, class_count)``, raises
+    :class:`ClassIdError`.
+    """
+    xs = check_rows(xs, dim)
+    ys = as_int_ids(ys, "labels")
+    if ys.shape != xs.shape[:1]:
+        raise ShapeError(
+            f"rows and labels disagree in length: rows {xs.shape}, labels {ys.shape}"
+        )
+    if ys.size:
+        # One label needs no reduction.
+        low, high = (ys[0], ys[0]) if ys.size == 1 else (ys.min(), ys.max())
+        if low < 0 or high >= class_count:
+            bad = int(ys[(ys < 0) | (ys >= class_count)][0])
+            raise ClassIdError(f"class id {bad} outside [0, {class_count})")
+    return xs, ys
+
+
 def blocked_argmax(scores, xs: np.ndarray, block_rows: int = PREDICT_BLOCK_ROWS) -> np.ndarray:
-    """Row-wise argmax of ``scores(block)`` over consecutive blocks of ``xs``.
+    """Row-wise argmax of ``scores(block)`` over consecutive blocks of checked rows ``xs``.
 
     Each row's scores, and so its argmax, come from that row alone, while
-    the temporaries hold ``block_rows`` rows of scores. An empty batch is
-    still scored once, so a wrong width raises :class:`ShapeError`.
+    the temporaries hold ``block_rows`` rows of scores.
     """
     preds = np.empty(xs.shape[0], dtype=np.int64)
-    for lo in range(0, max(xs.shape[0], 1), block_rows):
+    for lo in range(0, xs.shape[0], block_rows):
         block = xs[lo:lo + block_rows]
         preds[lo:lo + block.shape[0]] = np.argmax(scores(block), axis=1)
     return preds
@@ -114,19 +142,6 @@ def as_int_ids(values, what: str) -> np.ndarray:
     if values.size and values.dtype.kind not in "iu":
         raise ClassIdError(f"{what}: expected an integer dtype, got {values.dtype}")
     return values.astype(np.int64, copy=False)
-
-
-def _check_labels(ys, class_count: int) -> np.ndarray:
-    ys = as_int_ids(ys, "labels")
-    if ys.ndim != 1:
-        raise ShapeError(f"labels must be 1-d, got shape {ys.shape}")
-    if ys.size:
-        # One label needs no reduction.
-        low, high = (ys[0], ys[0]) if ys.size == 1 else (ys.min(), ys.max())
-        if low < 0 or high >= class_count:
-            bad = int(ys[(ys < 0) | (ys >= class_count)][0])
-            raise ClassIdError(f"class id {bad} outside [0, {class_count})")
-    return ys
 
 
 class LinearHead:
@@ -160,21 +175,14 @@ class LinearHead:
     def dim(self) -> int:
         return self.weights.shape[1]
 
-    def scores(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.float64)
-        if xs.ndim != 2 or xs.shape[1] != self.dim:
-            raise ShapeError(
-                f"queries of dimension {self.dim} required, got shape {xs.shape}"
-            )
+    def scores(self, xs: np.ndarray) -> np.ndarray:
+        """The logits of rows already checked by :func:`check_rows`."""
         out = xs @ self.weights.T
         out += self.biases
         return out
 
     def predict_batch(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.float64)
-        if xs.ndim != 2:
-            raise ShapeError(f"expected a 2-d batch of queries, got shape {xs.shape}")
-        return blocked_argmax(self.scores, xs)
+        return blocked_argmax(self.scores, check_rows(xs, self.dim))
 
     def copy(self) -> "LinearHead":
         return LinearHead(self.weights.copy(), self.biases.copy())
@@ -208,17 +216,14 @@ class NccState:
 
     def update_batch(self, xs, ys) -> "NccState":
         """Add each row to its class sum; other classes' rows are untouched."""
-        xs = _check_matrix(xs, self.dim)
-        ys = _check_labels(ys, self.class_count)
-        if xs.shape[0] != ys.shape[0]:
-            raise ShapeError("vectors and labels disagree in length")
+        xs, ys = check_batch(xs, ys, self.dim, self.class_count)
         np.add.at(self.class_sums, ys, xs)
         self.counts += np.bincount(ys, minlength=self.class_count)
         return self
 
     def predict_batch(self, xs) -> np.ndarray:
         """Nearest seen prototype of every row by squared distance; ties to smallest id."""
-        xs = _check_matrix(xs, self.dim)
+        xs = check_rows(xs, self.dim)
         unseen = self.counts == 0
         if unseen.all():
             raise NoClassError("no class has been observed yet")
@@ -323,10 +328,7 @@ class RidgeState:
 
     def update_batch(self, xs, ys) -> "RidgeState":
         """Accumulate each row: cov gains x x^T, class row y gains x."""
-        xs = _check_matrix(xs, self.dim)
-        ys = _check_labels(ys, self.class_count)
-        if xs.shape[0] != ys.shape[0]:
-            raise ShapeError("vectors and labels disagree in length")
+        xs, ys = check_batch(xs, ys, self.dim, self.class_count)
         self._push(xs)
         if len(ys) == 1:  # the one add np.add.at would make
             self.class_sums[ys[0]] += xs[0]

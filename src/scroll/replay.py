@@ -24,7 +24,7 @@ import numpy as np
 from ._binio import Reader, Writer
 from ._seeding import seeded_rng
 from .errors import ClassIdError, ConfigError, FormatError, ShapeError, require_int
-from .learners import ONE_THREAD_MULADDS, as_int_ids
+from .learners import ONE_THREAD_MULADDS, as_int_ids, check_rows
 
 STRATEGIES = ("exemplar", "reservoir", "nearest", "outlier")
 
@@ -104,11 +104,12 @@ def herding_order(candidates, target_mean) -> list[int]:
     and go to the smallest candidate index; candidates that are only at
     the same distance in exact arithmetic are ordered by the rounding of
     the computed distances. Returns a permutation of
-    ``range(len(candidates))``.
+    ``range(len(candidates))``. The pool is checked by
+    :func:`~scroll.learners.check_rows`.
     """
-    pool = np.asarray(candidates, dtype=np.float64)
-    if pool.ndim != 2 or pool.shape[0] == 0:
-        raise ConfigError("herding needs a non-empty 2-d candidate pool")
+    pool = check_rows(candidates, None)
+    if pool.shape[0] == 0:
+        raise ConfigError("herding needs a non-empty candidate pool")
     target = np.asarray(target_mean, dtype=np.float64)
     if target.shape != (pool.shape[1],):
         raise ShapeError(
@@ -741,6 +742,10 @@ def load_buffer(path) -> ReplayBuffer:
             raise FormatError(f"class {y} stores {len(idx)} rows, past its quota of {quota}")
     buf.stats.dim = dim if n_classes else None
     rng_state = r.json("rng state", dict)
+    # numpy truncates a float, and reads a bool, where the state holds an int.
+    numbers = {k: v for k, v in rng_state.items() if k != "bit_generator"}
+    if not all(type(v) is int for v in _leaves(numbers)):
+        raise FormatError(f"rng state is not a PCG64 state of integers: {rng_state!r}")
     try:
         buf._rng.bit_generator.state = rng_state
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
@@ -750,6 +755,15 @@ def load_buffer(path) -> ReplayBuffer:
         raise FormatError(f"warnings must be strings, got {buf.warnings!r}")
     r.expect_end()
     return buf
+
+
+def _leaves(blob: dict):
+    """Every value of a nested JSON object that is not itself an object."""
+    for value in blob.values():
+        if isinstance(value, dict):
+            yield from _leaves(value)
+        else:
+            yield value
 
 
 def write_moment_csv(records, path) -> None:

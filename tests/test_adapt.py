@@ -431,7 +431,7 @@ class TestBufferChecks:
         rng = np.random.default_rng(61)
         buf = filled_buffer(rng, k=4, per_class=6, capacity=24)
         head = LinearHead(rng.standard_normal((3, 6)), np.zeros(3))
-        with pytest.raises(ClassIdError, match=r"labels must lie in \[0, 3\)"):
+        with pytest.raises(ClassIdError, match=r"class id 3 outside \[0, 3\)"):
             adapt(head, buf, AdaptConfig(mode=mode, epochs=1, seed=1))
 
     @pytest.mark.parametrize("mode", ["full_head", "adapter"])
@@ -716,22 +716,22 @@ class TestInPlaceUpdates:
     def test_products_stay_in_blocks_and_one_step_per_batch(self, monkeypatch):
         module = importlib.import_module("scroll.adapt")
         rows, steps = [], []
-        scores, fwd, step = LinearHead.scores, module.forward, module._step
+        scores, logits, step = LinearHead.scores, module._logits, module._step
 
         def scores_rows(self, xs):
             rows.append(np.atleast_2d(xs).shape[0])
             return scores(self, xs)
 
-        def forward_rows(params, zs):
+        def logits_rows(params, zs):
             rows.append(np.atleast_2d(zs).shape[0])
-            return fwd(params, zs)
+            return logits(params, zs)
 
         def counted(*args):
             steps.append(1)
             return step(*args)
 
         monkeypatch.setattr(LinearHead, "scores", scores_rows)
-        monkeypatch.setattr(module, "forward", forward_rows)
+        monkeypatch.setattr(module, "_logits", logits_rows)
         monkeypatch.setattr(module, "_step", counted)
         rng = np.random.default_rng(55)
         buf = large_buffer(rng)

@@ -1,23 +1,35 @@
-"""The benchmark workloads at their default seed give the committed output digests.
+"""The benchmark workloads give the committed output digests at every seed 0-9.
 
 ``perfbench/reference.json`` holds the digest of every workload's output
 at seed 0: a run report without ``timing``, or the buffer study's summary.
 A change that moves one of them fails the benchmark's output check, so it
 is caught here first, in-process, from the benchmark's own input generator
 and checks. Nothing under ``perfbench/`` is written.
+
+``output_digests.json`` beside this file pins seeds 1-9 the same way, and
+also the ``SCST`` and ``SCBF`` checkpoint bytes of every run. ``SCAD``
+bytes are left out: stream-gaussian's ridge head differs in its last bits
+between one and two OpenBLAS threads. Regenerate the file, from a commit
+whose outputs are known to be right, with
+``PYTHONPATH=src python tests/test_benchmark_reference.py``.
 """
 
+import hashlib
 import importlib.util
 import json
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
-from scroll import ExperimentConfig
+from scroll import ExperimentConfig, save_buffer, save_state
 from scroll.harness import buffer_study, execute
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+DIGESTS = Path(__file__).resolve().parent / "output_digests.json"
+PINNED_SEEDS = range(1, 10)
 
 
 def _bench_module(name):
@@ -37,15 +49,54 @@ checks = _bench_module("checks")
 REFERENCE = json.loads((BENCH / "reference.json").read_text())
 
 
-@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
-def test_default_seed_output_matches_the_reference_digest(name, tmp_path, monkeypatch):
+def _file_digest(save, obj, path: Path) -> str:
+    save(obj, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def outputs(name: str, seed: int, root: Path) -> dict:
+    """Digests of one workload's output at ``seed``, its inputs written under ``root``.
+
+    ``output`` is the digest the benchmark checks; a run adds its ``SCST``
+    bytes, and ``SCBF`` bytes when it keeps a buffer.
+    """
     w = workloads.WORKLOADS[name]
-    seed = workloads.DEFAULT_SEED
-    inputs = workloads.write_inputs(w, seed, tmp_path / f"perfbench/.work/data/seed{seed}", tmp_path)
-    monkeypatch.chdir(tmp_path)  # the config's paths are relative to the checkout root
-    cfg = ExperimentConfig.from_dict(inputs["config"])
-    if w.op == "execute":
-        output = checks.run_output(execute(cfg).report.to_dict())
-    else:
-        output = checks.study_output(buffer_study(cfg, w.shuffles)[1])
-    assert output["digest"] == REFERENCE[name]
+    inputs = workloads.write_inputs(w, seed, root / f"perfbench/.work/data/seed{seed}", root)
+    cwd = os.getcwd()
+    os.chdir(root)  # the config's paths are relative to the checkout root
+    try:
+        cfg = ExperimentConfig.from_dict(inputs["config"])
+        if w.op != "execute":
+            return {"output": checks.study_output(buffer_study(cfg, w.shuffles)[1])["digest"]}
+        outcome = execute(cfg)
+    finally:
+        os.chdir(cwd)
+    found = {
+        "output": checks.run_output(outcome.report.to_dict())["digest"],
+        "SCST": _file_digest(save_state, outcome.state, root / "state.scst"),
+    }
+    if outcome.buffer is not None:
+        found["SCBF"] = _file_digest(save_buffer, outcome.buffer, root / "buffer.scbf")
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_default_seed_output_matches_the_reference_digest(name, tmp_path):
+    assert outputs(name, workloads.DEFAULT_SEED, tmp_path)["output"] == REFERENCE[name]
+
+
+@pytest.mark.parametrize("seed", PINNED_SEEDS)
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_outputs_and_checkpoints_match_the_pinned_digests(name, seed, tmp_path):
+    pinned = json.loads(DIGESTS.read_text())[name][str(seed)]
+    assert outputs(name, seed, tmp_path) == pinned
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        pinned = {
+            name: {str(seed): outputs(name, seed, Path(tmp) / f"{name}-{seed}")
+                   for seed in PINNED_SEEDS}
+            for name in sorted(workloads.WORKLOADS)
+        }
+    DIGESTS.write_text(json.dumps(pinned, indent=2, sort_keys=True) + "\n")

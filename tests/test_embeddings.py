@@ -195,6 +195,19 @@ class TestBinaryFormat:
         with pytest.raises(DataError, match="non-finite"):
             load_embeddings(path, "binary")
 
+    def test_class_count_is_checked_before_the_rows(self, tmp_path):
+        # The rows are scanned once, when the table is built, after the
+        # header's class count has been compared with the labels.
+        t = make_table([[1.0, 0.0], [0.0, 1.0]], [0, 1], 2)
+        path = tmp_path / "t.bin"
+        save_embeddings(t, path, "binary")
+        blob = bytearray(path.read_bytes())
+        blob[14:18] = struct.pack("<I", 3)
+        blob[18:22] = np.array([np.nan], "<f4").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="header declares 3 classes"):
+            load_embeddings(path, "binary")
+
     def test_normalized_flag_detected(self, tmp_path):
         t = normalize(make_table([[3.0, 4.0], [5.0, 12.0]], [0, 1], 2))
         path = tmp_path / "t.bin"

@@ -1,3 +1,4 @@
+import json
 import struct
 import tempfile
 import tracemalloc
@@ -809,6 +810,39 @@ class TestBufferCheckpoint:
         assert data.count(old) == 1
         path.write_bytes(bytes(data).replace(old, new))
         with pytest.raises(FormatError, match="rng state is not a PCG64 state"):
+            load_buffer(path)
+
+    @staticmethod
+    def _reservoir_file_with_rng_state(tmp_path, edit):
+        """A reservoir ``SCBF`` file whose rng state JSON ``edit`` has rewritten in place."""
+        buf = ReplayBuffer(4, "reservoir", seed=3)
+        rows = np.random.default_rng(17).standard_normal((6, 3))
+        buf.update(rows, np.array([0, 0, 0, 1, 1, 1]), np.arange(6))
+        path = tmp_path / "buffer.bin"
+        save_buffer(buf, path)
+        data = path.read_bytes()
+        at = data.index(b'{"bit_generator"')
+        (size,) = struct.unpack("<I", data[at - 4 : at])
+        state = json.loads(data[at : at + size])
+        edit(state["state"])
+        blob = json.dumps(state, sort_keys=True).encode()
+        path.write_bytes(data[: at - 4] + struct.pack("<I", len(blob)) + blob + data[at + size :])
+        return path
+
+    def test_rng_state_with_a_fractional_state_is_a_format_error(self, tmp_path):
+        # The state plus 0.5 once loaded, truncated to another generator state.
+        path = self._reservoir_file_with_rng_state(
+            tmp_path, lambda pcg: pcg.update(state=pcg["state"] + 0.5)
+        )
+        with pytest.raises(FormatError, match="rng state is not a PCG64 state of integers"):
+            load_buffer(path)
+
+    def test_rng_state_with_a_float_increment_is_a_format_error(self, tmp_path):
+        # A float "inc" once loaded, rounded to another generator state.
+        path = self._reservoir_file_with_rng_state(
+            tmp_path, lambda pcg: pcg.update(inc=float(pcg["inc"]))
+        )
+        with pytest.raises(FormatError, match="rng state is not a PCG64 state of integers"):
             load_buffer(path)
 
     @pytest.mark.parametrize("blob", [b"{}", b"[1]", b'["a", null]', b'"a"', b"null"])
