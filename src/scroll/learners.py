@@ -13,6 +13,14 @@ Ridge adds its rows to the second-moment matrix in fixed-size blocks
 counted from the first sample, so for a fixed sample order the bits of
 ``RidgeState.cov`` do not depend on batching, on reads, or on copies.
 
+The ridge head is solved by a Cholesky factorization in 64-row blocks,
+then one step of iterative refinement. LAPACK sees only the diagonal
+blocks; every other step is a product cut into row blocks of at most
+``ONE_THREAD_MULADDS`` multiply-adds. So up to d=1088 (with d K at most
+65,536) the solve wakes no second OpenBLAS thread, which would otherwise
+spin through all of stage two, and its bits do not depend on the thread
+count.
+
 Class sums gain a batch's rows one at a time, in batch order, through
 ``np.add.at``. A one-row ridge batch, the unit of a per-sample stream,
 takes a plain in-place add instead: the same single add, at a fraction of
@@ -68,6 +76,11 @@ RIDGE_BLOCK_ROWS = 256
 #: where one threaded 200-row product took 8 ms; four-row blocks at d=256
 #: take 12 ms against 8 ms, and 0.08 ms per single row against 0.24 ms.
 _MIN_ONE_THREAD_ROWS = 4
+
+#: Most rows of a diagonal block the ridge solve factors with LAPACK. Such
+#: a block stays on one OpenBLAS thread, and a 64-row panel block times a
+#: block's inverse is ``ONE_THREAD_MULADDS`` multiply-adds.
+_SOLVE_BLOCK_ROWS = 64
 
 
 def _ridge_block_rows(dim: int) -> int:
@@ -130,6 +143,64 @@ def blocked_argmax(scores, xs: np.ndarray, block_rows: int = PREDICT_BLOCK_ROWS)
         block = xs[lo:lo + block_rows]
         preds[lo:lo + block.shape[0]] = np.argmax(scores(block), axis=1)
     return preds
+
+
+def _blocked_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` in row blocks of at most ``ONE_THREAD_MULADDS`` multiply-adds.
+
+    A product that needs blocks of fewer than ``_MIN_ONE_THREAD_ROWS``
+    rows is left whole and threads, like one large product.
+    """
+    rows = ONE_THREAD_MULADDS // max(1, a.shape[1] * b.shape[1])
+    if rows >= a.shape[0] or rows < _MIN_ONE_THREAD_ROWS:
+        return np.matmul(a, b)
+    out = np.empty((a.shape[0], b.shape[1]))
+    for lo in range(0, a.shape[0], rows):
+        np.matmul(a[lo : lo + rows], b, out=out[lo : lo + rows])
+    return out
+
+
+def _blocked_cholesky(system: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The lower Cholesky factor of ``system``, and the inverses of its diagonal blocks.
+
+    Right-looking, in blocks of ``_SOLVE_BLOCK_ROWS``: LAPACK factors and
+    inverts each diagonal block, the panel below it is multiplied by the
+    inverse's transpose, and the panel's outer product leaves the lower
+    triangle of the trailing matrix one block row at a time. Only the
+    returned array's lower triangle holds the factor. A diagonal block that
+    is not positive definite raises ``np.linalg.LinAlgError``.
+    """
+    d = system.shape[0]
+    factor = system.copy()
+    inverses = []
+    for lo in range(0, d, _SOLVE_BLOCK_ROWS):
+        hi = min(lo + _SOLVE_BLOCK_ROWS, d)
+        diagonal = np.linalg.cholesky(factor[lo:hi, lo:hi])
+        inverses.append(np.linalg.inv(diagonal))
+        factor[lo:hi, lo:hi] = diagonal
+        panel = _blocked_product(factor[hi:, lo:hi], inverses[-1].T)
+        factor[hi:, lo:hi] = panel
+        for top in range(hi, d, _SOLVE_BLOCK_ROWS):
+            bottom = min(top + _SOLVE_BLOCK_ROWS, d)
+            factor[top:bottom, hi:bottom] -= _blocked_product(
+                panel[top - hi : bottom - hi], panel[: bottom - hi].T
+            )
+    return factor, inverses
+
+
+def _cholesky_solve(factor: np.ndarray, inverses: list[np.ndarray], rhs: np.ndarray) -> np.ndarray:
+    """Solve L L^T x = ``rhs`` by block forward and back substitution on a blocked factor."""
+    x = rhs.copy()
+    starts = range(0, factor.shape[0], _SOLVE_BLOCK_ROWS)
+    for lo, inverse in zip(starts, inverses):  # L u = rhs
+        hi = lo + len(inverse)
+        x[lo:hi] = _blocked_product(inverse, x[lo:hi])
+        x[hi:] -= _blocked_product(factor[hi:, lo:hi], x[lo:hi])
+    for lo, inverse in reversed(list(zip(starts, inverses))):  # L^T x = u
+        hi = lo + len(inverse)
+        x[lo:hi] = _blocked_product(inverse.T, x[lo:hi])
+        x[:lo] -= _blocked_product(factor[lo:hi, :lo].T, x[lo:hi])
+    return x
 
 
 def as_int_ids(values, what: str) -> np.ndarray:
@@ -340,14 +411,21 @@ class RidgeState:
     def solve(self) -> LinearHead:
         """Solve (cov + lam * seen * I) w_z = class_sums[z] for every class.
 
-        Factors the symmetric positive-definite system as L L^T (Cholesky)
-        and solves L u = class_sums^T, then L^T w = u; classes with no
-        samples come out as exact zero rows. Biases are zero. Statistics
-        that overflowed to inf or nan raise :class:`LinAlgFailure`. The
-        weights' last bits depend on the BLAS thread count: the same
-        statistics solved on one and on two OpenBLAS threads gave weights
-        up to 1.3e-18 apart (entries up to 2.1e-3, K=50, d=128), so
-        ``SCAD`` checkpoint bytes differ between the two.
+        Factors the symmetric positive-definite system as L L^T (blocked
+        Cholesky, :func:`_blocked_cholesky`) and solves L u = class_sums^T,
+        then L^T w = u, by block substitution; one step of iterative
+        refinement (Higham, *Accuracy and Stability of Numerical
+        Algorithms*, ch. 12) then solves again for the residual and adds
+        the correction. Classes with no samples come out as exact zero
+        rows. Biases are zero. Statistics that overflowed to inf or nan,
+        and a system that is not positive definite, raise
+        :class:`LinAlgFailure`.
+
+        Every product stays on one OpenBLAS thread while d <= 1088 and
+        d * K <= 65,536, so there the weights' bits do not depend on the
+        thread count (pinned by a subprocess test at d=64 and 128). Past
+        that the trailing updates (d > 1088) or the residual product
+        (d * K > 65,536) thread, and their last bits may differ.
         """
         k, d = self.class_count, self.dim
         if self.seen == 0:
@@ -355,11 +433,16 @@ class RidgeState:
         system = self.cov + (self.lam * self.seen) * np.eye(d)
         if not (np.isfinite(system).all() and np.isfinite(self.class_sums).all()):
             raise LinAlgFailure("ridge statistics are not finite (overflow)")
-        try:
-            lower = np.linalg.cholesky(system)
-        except np.linalg.LinAlgError as exc:
-            raise LinAlgFailure(f"ridge system could not be factorized: {exc}") from exc
-        weights_t = np.linalg.solve(lower.T, np.linalg.solve(lower, self.class_sums.T))
+        rhs = self.class_sums.T
+        # Overflow shows as non-finite weights, which LinearHead rejects.
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                factor, inverses = _blocked_cholesky(system)
+            except np.linalg.LinAlgError as exc:
+                raise LinAlgFailure(f"ridge system could not be factorized: {exc}") from exc
+            weights_t = _cholesky_solve(factor, inverses, rhs)
+            residual = rhs - _blocked_product(system, weights_t)
+            weights_t += _cholesky_solve(factor, inverses, residual)
         return LinearHead(np.ascontiguousarray(weights_t.T), np.zeros(k))
 
     def copy(self) -> "RidgeState":

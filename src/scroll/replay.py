@@ -454,7 +454,10 @@ class ReplayBuffer:
                 f"{vectors.shape}, {labels.shape} and {indices.shape}"
             )
         if not (len(vectors) == len(labels) == len(indices)):
-            raise ConfigError("batch arrays disagree in length")
+            raise ShapeError(
+                "rows, labels and indices disagree in length: rows "
+                f"{vectors.shape}, labels {labels.shape}, indices {indices.shape}"
+            )
         if self.stats.dim not in (None, vectors.shape[1]):
             raise ShapeError(
                 f"rows of dimension {self.stats.dim} expected, got {vectors.shape[1]}"

@@ -7,11 +7,11 @@ is caught here first, in-process, from the benchmark's own input generator
 and checks. Nothing under ``perfbench/`` is written.
 
 ``output_digests.json`` beside this file pins seeds 1-9 the same way, and
-also the ``SCST`` and ``SCBF`` checkpoint bytes of every run. ``SCAD``
-bytes are left out: stream-gaussian's ridge head differs in its last bits
-between one and two OpenBLAS threads. Regenerate the file, from a commit
-whose outputs are known to be right, with
-``PYTHONPATH=src python tests/test_benchmark_reference.py``.
+also the ``SCST``, ``SCBF`` and ``SCAD`` checkpoint bytes of every run.
+The ridge solve keeps every product at these widths on one BLAS thread,
+so the ``SCAD`` bytes do not depend on the OpenBLAS thread count.
+Regenerate the file, from a commit whose outputs are known to be right,
+with ``PYTHONPATH=src python tests/test_benchmark_reference.py``.
 """
 
 import hashlib
@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from scroll import ExperimentConfig, save_buffer, save_state
+from scroll import ExperimentConfig, save_buffer, save_predictor, save_state
 from scroll.harness import buffer_study, execute
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -58,7 +58,7 @@ def outputs(name: str, seed: int, root: Path) -> dict:
     """Digests of one workload's output at ``seed``, its inputs written under ``root``.
 
     ``output`` is the digest the benchmark checks; a run adds its ``SCST``
-    bytes, and ``SCBF`` bytes when it keeps a buffer.
+    and ``SCAD`` bytes, and ``SCBF`` bytes when it keeps a buffer.
     """
     w = workloads.WORKLOADS[name]
     inputs = workloads.write_inputs(w, seed, root / f"perfbench/.work/data/seed{seed}", root)
@@ -74,6 +74,7 @@ def outputs(name: str, seed: int, root: Path) -> dict:
     found = {
         "output": checks.run_output(outcome.report.to_dict())["digest"],
         "SCST": _file_digest(save_state, outcome.state, root / "state.scst"),
+        "SCAD": _file_digest(save_predictor, outcome.predictor, root / "predictor.scad"),
     }
     if outcome.buffer is not None:
         found["SCBF"] = _file_digest(save_buffer, outcome.buffer, root / "buffer.scbf")

@@ -1,5 +1,11 @@
+import ast
+import inspect
+import os
 import struct
+import subprocess
+import sys
 import tempfile
+import textwrap
 import tracemalloc
 from pathlib import Path
 
@@ -8,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scroll
 from scroll import (
     AdaptedPredictor,
     AdapterParams,
@@ -25,6 +32,12 @@ from scroll import (
     save_state,
 )
 from scroll.errors import all_finite
+from scroll.learners import (
+    ONE_THREAD_MULADDS,
+    _blocked_cholesky,
+    _blocked_product,
+    _cholesky_solve,
+)
 
 
 def unit_rows(rng, n, d):
@@ -382,6 +395,14 @@ class TestRidgeSolve:
         ):
             s.solve()
 
+    def test_weights_that_overflow_are_a_data_error_without_a_warning(self):
+        # A finite system of 1e-300 on the diagonal against sums of 1e300:
+        # the weights overflow inside the solve's products.
+        s = RidgeState(2, 3, lam=1e-300).update_batch(np.zeros((1, 3)), [0])
+        s.class_sums[0] = 1e300
+        with pytest.raises(DataError, match="non-finite"):
+            s.solve()
+
 
 @pytest.fixture(scope="module")
 def scipy_linalg():
@@ -411,6 +432,88 @@ class TestRidgeSolveOracle:
         solved = state.solve().weights
         scale = np.abs(expected).max()
         assert np.abs(solved - expected).max() <= 1e-12 * scale
+
+
+def _matrix_products(fn) -> list[str]:
+    """The ``@`` products in ``fn``'s source, which no spy on ``np.matmul`` sees."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    return [ast.unparse(node) for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)]
+
+
+#: Runs a tiny ridge config at d=64 and d=128 in both stage-two modes and
+#: prints the sha256 of each saved ``SCAD`` file.
+THREAD_PROBE = """
+import hashlib, sys, tempfile
+from pathlib import Path
+from scroll import ExperimentConfig, execute, save_predictor
+for dim in (64, 128):
+    for mode in ("adapter", "full_head"):
+        cfg = ExperimentConfig.from_dict({
+            "seed": 3,
+            "data": {"synthetic": {"class_count": 12, "dim": dim, "samples_per_class": 20,
+                                   "cluster_spread": 0.3, "seed": 4}},
+            "schedule": {"kind": "random_iid", "batch_size": 10, "seed": 5},
+            "classifier": {"kind": "ridge", "lambda": 0.01},
+            "buffer": {"capacity": 60, "strategy": "exemplar", "seed": 6},
+            "adapt": {"mode": mode, "epochs": 3, "seed": 7},
+        })
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "predictor.scad"
+            save_predictor(execute(cfg).predictor, path)
+            print(dim, mode, hashlib.sha256(path.read_bytes()).hexdigest())
+"""
+
+
+class TestBlockedRidgeSolve:
+    @pytest.mark.parametrize("d", [1, 63, 64, 65, 128, 256])
+    def test_every_product_and_factorization_stays_on_one_thread(self, d, monkeypatch):
+        # LAPACK sees only diagonal blocks of at most 64 rows. Products past
+        # ONE_THREAD_MULADDS are cut into row blocks: at K=100 a diagonal
+        # block's inverse times its rows of the right-hand side is
+        # 64 x 64 x 100 = 409,600 multiply-adds whole.
+        products, blocks = [], []
+
+        def counted(a, b, **kwargs):
+            products.append(a.shape[0] * a.shape[1] * b.shape[1])
+            return matmul(a, b, **kwargs)
+
+        def spied(call):
+            def run(a, *args):
+                blocks.append(a.shape[0])
+                return call(a, *args)
+            return run
+
+        matmul = np.matmul
+        rng = np.random.default_rng(d)
+        n, k = 2 * d + 1, 100
+        state = RidgeState(k, d, lam=0.1).update_batch(unit_rows(rng, n, d), rng.integers(0, k, n))
+        system = state.cov + state.lam * state.seen * np.eye(d)
+        expected = np.linalg.solve(system, state.class_sums.T).T
+        monkeypatch.setattr(np, "matmul", counted)
+        for name in ("cholesky", "inv", "solve"):
+            monkeypatch.setattr(np.linalg, name, spied(getattr(np.linalg, name)))
+        weights = state.solve().weights
+        monkeypatch.undo()
+        assert products and max(products) <= ONE_THREAD_MULADDS
+        assert blocks and max(blocks) <= 64
+        np.testing.assert_allclose(weights, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+        for fn in (RidgeState.solve, _blocked_cholesky, _cholesky_solve, _blocked_product):
+            assert _matrix_products(fn) == []
+
+    def test_saved_predictors_do_not_depend_on_the_blas_thread_count(self):
+        # The whole run, stage one's solve included, gives the same SCAD
+        # bytes on one OpenBLAS thread and on two.
+        src = str(Path(scroll.__file__).resolve().parent.parent)
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            out = subprocess.run(
+                [sys.executable, "-c", THREAD_PROBE],
+                env=env, capture_output=True, text=True, check=True, timeout=300,
+            )
+            digests.append(out.stdout.splitlines())
+        assert len(digests[0]) == 4 and digests[0] == digests[1]
 
 
 def ridge_block_rows(d):
@@ -782,13 +885,18 @@ class TestCheckpoints:
         with pytest.raises(FormatError, match=f"degenerate state header: K={k}, d={d}"):
             load_state(path)
 
-    def test_loaded_cov_that_is_not_positive_definite_raises_lin_alg_failure(self, tmp_path):
-        # cov[0, 0] = -10 leaves -10 + 1 (the pending row) + 1 (lam * seen) on the diagonal.
+    @pytest.mark.parametrize("d, entry", [(3, 0), (100, 80)], ids=["first-block", "later-block"])
+    def test_loaded_cov_that_is_not_positive_definite_raises_lin_alg_failure(
+        self, tmp_path, d, entry
+    ):
+        # cov[entry, entry] = -10 leaves -10 + 1 (the pending row) + 1 (lam * seen)
+        # on the diagonal. At d=100 the first 64-row block factors, and the
+        # block holding row 80 does not.
         path = tmp_path / "state.bin"
-        save_state(RidgeState(2, 3).update_batch(np.ones((1, 3)), [0]), path)
+        save_state(RidgeState(2, d).update_batch(np.ones((1, d)), [0]), path)
         data = bytearray(path.read_bytes())
         # Header: magic, u16 version, u8 kind, u32 K, u32 d; lam, seen, pending; then cov.
-        at = 4 + 2 + 1 + 4 + 4 + 8 + 8 + 4
+        at = 4 + 2 + 1 + 4 + 4 + 8 + 8 + 4 + 8 * (entry * d + entry)
         data[at : at + 8] = struct.pack("<d", -10.0)
         path.write_bytes(bytes(data))
         loaded = load_state(path)

@@ -278,9 +278,9 @@ class TestBatchChecks:
             buf.update(np.ones((3, 2)), arrays["labels"], arrays["indices"])
 
     @pytest.mark.parametrize("n_rows", [2, 4])
-    def test_rows_of_another_length_than_the_labels_are_a_config_error(self, n_rows):
+    def test_rows_of_another_length_than_the_labels_are_a_shape_error(self, n_rows):
         buf = ReplayBuffer(4, "exemplar", seed=4)
-        with pytest.raises(ConfigError, match="disagree in length"):
+        with pytest.raises(ShapeError, match="disagree in length"):
             buf.update(np.ones((n_rows, 2)), np.array([0, 1, 0]), np.array([0, 1, 2]))
         assert buf.total_stored() == 0
 
