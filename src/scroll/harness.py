@@ -256,38 +256,17 @@ def _stage_one(cfg: ExperimentConfig, state):
     return predict, head
 
 
-class _StoredRows:
-    """A buffer's content at a stream position, held as dataset indices.
+def _stream(cfg: ExperimentConfig, train, schedule, timing: dict):
+    """Stream once into fresh statistics and buffer, fitting each checkpoint on the way.
 
-    Stream batches are rows of the training table taken by dataset index,
-    so the stored rows are the table's rows at the stored indices. A
-    checkpoint keeps only those indices and reads the rows back when it is
-    adapted. Offers what :func:`adapt` reads of a buffer.
-    """
-
-    def __init__(self, buffer: ReplayBuffer, train: EmbeddingTable):
-        self._train = train
-        self._indices, self._labels = buffer.training_indices()
-        self._digest = buffer.content_digest()
-
-    def total_stored(self) -> int:
-        return len(self._indices)
-
-    def training_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._train.vectors[self._indices], self._labels
-
-    def content_digest(self) -> str:
-        return self._digest
-
-
-def _stream(cfg: ExperimentConfig, train, schedule, checkpoints):
-    """Stream once into fresh statistics and buffer.
-
-    Returns both plus, for each batch in ``checkpoints``, a copy of the
-    statistics and the buffer's content as :class:`_StoredRows`, taken
-    after it. Checkpoints are solved and adapted only after the stream:
-    threaded work mid-stream would leave an OpenBLAS thread spinning
-    through the small updates that follow.
+    Returns both plus, for each ``intermediate_evals`` position, the
+    :func:`_fit` of a copy of the statistics (NCC's stage-one predictor
+    reads them) and of the buffer after that batch, adding its times to
+    ``timing``. Checkpoints are scored only after the stream: a test-set
+    evaluation threads, and would leave an OpenBLAS thread spinning through
+    the updates and fits that follow. A fit stays on one thread for NCC,
+    and for ridge while d <= 1088 and d * K <= 65,536; past that a
+    checkpoint's solve may thread. No benchmark workload is that wide.
     """
     state = _new_state(cfg, train)
     buffer = (
@@ -295,15 +274,16 @@ def _stream(cfg: ExperimentConfig, train, schedule, checkpoints):
         if cfg.buffer_capacity > 0
         else None
     )
-    snapshots: dict[int, tuple] = {}
+    checkpoints = set(cfg.intermediate_evals or ())
+    fits: dict[int, tuple] = {}
     stream = ConsumeOnceStream(iter_batches(schedule, train))
     for t, batch in enumerate(stream, start=1):
         if buffer is not None:
             buffer.update(batch.vectors, batch.labels, batch.indices)
         state.update_batch(batch.vectors, batch.labels)
         if t in checkpoints:
-            snapshots[t] = (state.copy(), _StoredRows(buffer, train) if buffer else None)
-    return state, buffer, snapshots
+            fits[t] = _fit(cfg, state.copy(), buffer, timing)
+    return state, buffer, fits
 
 
 def _adapted(cfg: ExperimentConfig, head: LinearHead, buffer) -> AdaptedPredictor | None:
@@ -324,28 +304,35 @@ def _adapted(cfg: ExperimentConfig, head: LinearHead, buffer) -> AdaptedPredicto
     return adapt(head, buffer, cfg.adapt, init_kind=cfg.classifier)
 
 
-def _score(cfg: ExperimentConfig, state, buffer, test: EmbeddingTable, timing: dict):
-    """Solve, adapt and score one stream position: the end of the stream or a checkpoint.
+def _fit(cfg: ExperimentConfig, state, buffer, timing: dict):
+    """Solve and adapt one stream position: the end of the stream or a checkpoint.
 
-    Returns the stage-one head, the adapted predictor (``None`` when nothing
-    was adapted), and the stage-one and adapted ``(accuracy, per_class)``
-    on ``test``. With nothing adapted, the adapted scores are the
-    stage-one scores; at the end of the stream every class has been seen,
-    so NCC's masked prediction is then its head's. The position's times
-    are added to ``timing``'s ``solve_s``, ``adapt_s`` and ``eval_s``.
+    Returns the stage-one predict function, the stage-one head and the
+    adapted predictor (``None`` when nothing was adapted), and adds the
+    position's times to ``timing``'s ``solve_s`` and ``adapt_s``.
     """
     t_solve = time.perf_counter()
     predict, head = _stage_one(cfg, state)
     t_adapt = time.perf_counter()
     predictor = _adapted(cfg, head, buffer)
+    timing["solve_s"] += t_adapt - t_solve
+    timing["adapt_s"] += time.perf_counter() - t_adapt
+    return predict, head, predictor
+
+
+def _score(predict, predictor, test: EmbeddingTable, timing: dict):
+    """The stage-one and adapted ``(accuracy, per_class)`` of one fit on ``test``.
+
+    With nothing adapted (``predictor`` is ``None``), the adapted scores
+    are the stage-one scores; at the end of the stream every class has
+    been seen, so NCC's masked prediction is then its head's. The time is
+    added to ``timing``'s ``eval_s``.
+    """
     t_eval = time.perf_counter()
     stage_one = _evaluate(predict, test)
     adapted = stage_one if predictor is None else _evaluate(predictor.predict_batch, test)
-    t_end = time.perf_counter()
-    timing["solve_s"] += t_adapt - t_solve
-    timing["adapt_s"] += t_eval - t_adapt
-    timing["eval_s"] += t_end - t_eval
-    return head, predictor, stage_one, adapted
+    timing["eval_s"] += time.perf_counter() - t_eval
+    return stage_one, adapted
 
 
 @dataclass
@@ -396,17 +383,18 @@ def _execute_on(cfg: ExperimentConfig, train, test, t_start: float) -> RunOutcom
     counts from ``t_start``.
     """
     schedule = build_schedule(cfg.schedule, train.labels)
-    checkpoints = set(cfg.intermediate_evals or ())
-    if max(checkpoints, default=0) > schedule.n_batches:
-        raise ConfigError(f"intermediate eval position {max(checkpoints)} exceeds the "
+    last = max(cfg.intermediate_evals or (), default=0)
+    if last > schedule.n_batches:
+        raise ConfigError(f"intermediate eval position {last} exceeds the "
                           f"{schedule.n_batches}-batch stream")
 
+    timing = {"stream_s": 0.0, "solve_s": 0.0, "adapt_s": 0.0, "eval_s": 0.0}
     t_stream = time.perf_counter()
-    state, buffer, snapshots = _stream(cfg, train, schedule, checkpoints)
-    timing = {"stream_s": time.perf_counter() - t_stream, "solve_s": 0.0, "adapt_s": 0.0,
-              "eval_s": 0.0}
+    state, buffer, fits = _stream(cfg, train, schedule, timing)
+    timing["stream_s"] = time.perf_counter() - t_stream - timing["solve_s"] - timing["adapt_s"]
 
-    head, predictor, stage_one, adapted = _score(cfg, state, buffer, test, timing)
+    predict, head, predictor = _fit(cfg, state, buffer, timing)
+    stage_one, adapted = _score(predict, predictor, test, timing)
     warnings: list[str] = []
     if predictor is None:
         if cfg.adapt.mode != "none":
@@ -414,10 +402,11 @@ def _execute_on(cfg: ExperimentConfig, train, test, t_start: float) -> RunOutcom
         predictor = AdaptedPredictor(head, provenance={"init": cfg.classifier})
     warnings.extend(predictor.warnings)
     intermediate = []
-    for t in sorted(snapshots):
-        _, _, snap_one, snap_adapted = _score(cfg, *snapshots[t], test, timing)
+    for t in sorted(fits):
+        fit_predict, _, fit_predictor = fits[t]
+        fit_one, fit_adapted = _score(fit_predict, fit_predictor, test, timing)
         intermediate.append(
-            {"t": t, "stage_one_accuracy": snap_one[0], "adapted_accuracy": snap_adapted[0]}
+            {"t": t, "stage_one_accuracy": fit_one[0], "adapted_accuracy": fit_adapted[0]}
         )
 
     buffer_section = None

@@ -393,21 +393,13 @@ class ReplayBuffer:
 
     def training_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """All stored rows as (vectors, labels), classes in ascending order."""
-        return self._stacked(self._rows, np.zeros((0, 0)))
-
-    def training_indices(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dataset indices and labels of :meth:`training_arrays`' rows, in its order."""
-        return self._stacked(self._indices, np.zeros(0, dtype=np.int64))
-
-    def _stacked(self, stored: dict, empty: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``stored``'s arrays stacked in ascending class order (``empty`` if none), and labels."""
         self._order()
-        classes = sorted(stored)
-        counts = [len(stored[y]) for y in classes]
+        classes = sorted(self._rows)
+        counts = [len(self._rows[y]) for y in classes]
         if sum(counts) == 0:
-            return empty, np.zeros(0, dtype=np.int64)
-        stack = np.concatenate([stored[y] for y in classes])
-        return stack, np.repeat(np.array(classes, dtype=np.int64), counts)
+            return np.zeros((0, 0)), np.zeros(0, dtype=np.int64)
+        rows = np.concatenate([self._rows[y] for y in classes])
+        return rows, np.repeat(np.array(classes, dtype=np.int64), counts)
 
     def content_digest(self) -> str:
         """Stable fingerprint of which samples are stored, for provenance."""

@@ -8,6 +8,9 @@ and checks. Nothing under ``perfbench/`` is written.
 
 ``output_digests.json`` beside this file pins seeds 1-9 the same way, and
 also the ``SCST``, ``SCBF`` and ``SCAD`` checkpoint bytes of every run.
+Under ``checkpoints`` it pins the report and ``SCAD`` bytes of
+stream-gaussian at the default seed with ``intermediate_evals``: the path
+of ridge, an exemplar buffer and checkpoints, which no workload runs.
 The ridge solve keeps every product at these widths on one BLAS thread,
 so the ``SCAD`` bytes do not depend on the OpenBLAS thread count.
 Regenerate the file, from a commit whose outputs are known to be right,
@@ -30,6 +33,7 @@ from scroll.harness import buffer_study, execute
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 DIGESTS = Path(__file__).resolve().parent / "output_digests.json"
 PINNED_SEEDS = range(1, 10)
+CHECKPOINTS = [2000, 4000]
 
 
 def _bench_module(name):
@@ -54,14 +58,17 @@ def _file_digest(save, obj, path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def outputs(name: str, seed: int, root: Path) -> dict:
+def outputs(name: str, seed: int, root: Path, intermediate_evals=None) -> dict:
     """Digests of one workload's output at ``seed``, its inputs written under ``root``.
 
     ``output`` is the digest the benchmark checks; a run adds its ``SCST``
     and ``SCAD`` bytes, and ``SCBF`` bytes when it keeps a buffer.
+    ``intermediate_evals``, when given, goes into the run's config.
     """
     w = workloads.WORKLOADS[name]
     inputs = workloads.write_inputs(w, seed, root / f"perfbench/.work/data/seed{seed}", root)
+    if intermediate_evals is not None:
+        inputs["config"]["intermediate_evals"] = intermediate_evals
     cwd = os.getcwd()
     os.chdir(root)  # the config's paths are relative to the checkout root
     try:
@@ -81,6 +88,12 @@ def outputs(name: str, seed: int, root: Path) -> dict:
     return found
 
 
+def checkpoint_outputs(root: Path) -> dict:
+    """The report and ``SCAD`` digests of stream-gaussian at the default seed with checkpoints."""
+    found = outputs("stream-gaussian", workloads.DEFAULT_SEED, root, CHECKPOINTS)
+    return {key: found[key] for key in ("output", "SCAD")}
+
+
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_default_seed_output_matches_the_reference_digest(name, tmp_path):
     assert outputs(name, workloads.DEFAULT_SEED, tmp_path)["output"] == REFERENCE[name]
@@ -93,6 +106,10 @@ def test_outputs_and_checkpoints_match_the_pinned_digests(name, seed, tmp_path):
     assert outputs(name, seed, tmp_path) == pinned
 
 
+def test_checkpointed_stream_matches_the_pinned_digests(tmp_path):
+    assert checkpoint_outputs(tmp_path) == json.loads(DIGESTS.read_text())["checkpoints"]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         pinned = {
@@ -100,4 +117,5 @@ if __name__ == "__main__":
                    for seed in PINNED_SEEDS}
             for name in sorted(workloads.WORKLOADS)
         }
+        pinned["checkpoints"] = checkpoint_outputs(Path(tmp) / "checkpoints")
     DIGESTS.write_text(json.dumps(pinned, indent=2, sort_keys=True) + "\n")

@@ -56,6 +56,11 @@ def small_config(**overrides):
     return ExperimentConfig.from_dict(d)
 
 
+def fit_timing():
+    """The times :func:`_stream` adds its checkpoint fits to."""
+    return {"solve_s": 0.0, "adapt_s": 0.0}
+
+
 def stream_prefix(cfg, train, t):
     """Oracle: the first ``t`` batches of the schedule streamed into a fresh
     state and buffer, as a run that ended there would hold them."""
@@ -259,9 +264,8 @@ class TestFileData:
 class TestCheckpoints:
     def test_checkpoints_hold_no_buffer_rows(self):
         # A 4000-slot reservoir that stores every row, ten checkpoints. A
-        # checkpoint that copied the buffer held 4000 x d floats; one that
-        # keeps the stored dataset indices holds 4000 ints beside its
-        # statistics.
+        # checkpoint that copied the buffer held 4000 x d floats; a fit
+        # holds its stage-one head and its adapted predictor.
         k, d = 10, 64
         cfg = ExperimentConfig.from_dict(config_dict(
             data={"synthetic": {"class_count": k, "dim": d, "samples_per_class": 400,
@@ -275,10 +279,10 @@ class TestCheckpoints:
         schedule = build_schedule(cfg.schedule, train.labels)
         tracemalloc.start()
         try:
-            state, buffer, snapshots = _stream(cfg, train, schedule, set(cfg.intermediate_evals))
+            state, buffer, fits = _stream(cfg, train, schedule, fit_timing())
             held = tracemalloc.get_traced_memory()[0]
-            assert sorted(snapshots) == list(cfg.intermediate_evals)
-            del snapshots
+            assert sorted(fits) == list(cfg.intermediate_evals)
+            del fits
             freed = held - tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -289,21 +293,29 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize("strategy", ["exemplar", "reservoir", "nearest", "outlier"])
     def test_checkpoint_content_matches_a_buffer_copy(self, strategy):
+        # The fit at t=3 is, byte for byte, the fit of a run that ended there.
         cfg = small_config(
             schedule={"kind": "random_iid", "batch_size": 7, "seed": 3},
             buffer={"capacity": 30, "strategy": strategy, "seed": 2},
+            intermediate_evals=[3],
         )
         train, _ = cfg.data.resolve()
         schedule = build_schedule(cfg.schedule, train.labels)
-        _, _, snapshots = _stream(cfg, train, schedule, {3})
-        _, buffer = stream_prefix(cfg, train, 3)
-        stored = snapshots[3][1]
-        rows, labels = stored.training_arrays()
-        want_rows, want_labels = buffer.copy().training_arrays()
-        assert rows.tobytes() == want_rows.tobytes()
-        assert labels.tobytes() == want_labels.tobytes()
-        assert stored.total_stored() == buffer.total_stored()
-        assert stored.content_digest() == buffer.content_digest()
+        _, _, fits = _stream(cfg, train, schedule, fit_timing())
+        _, head, predictor = fits[3]
+        state, buffer = stream_prefix(cfg, train, 3)
+        _, want_head = _stage_one(cfg, state)
+        want = _adapted(cfg, want_head, buffer)
+
+        def arrays(head, predictor):
+            adapted, adapter = predictor.head, predictor.adapter
+            return [head.weights, head.biases, adapted.weights, adapted.biases,
+                    adapter.down, adapter.up]
+
+        for got, expected in zip(arrays(head, predictor), arrays(want_head, want)):
+            assert got.tobytes() == expected.tobytes()
+        assert predictor.provenance == want.provenance
+        assert predictor.provenance["buffer"] == buffer.content_digest()
 
     @pytest.mark.parametrize("kind", ["ncc", "ridge"])
     def test_stage_one_is_scored_on_the_state_at_the_checkpoint(self, kind):
@@ -380,7 +392,34 @@ class TestIntermediatePredictor:
             buffer={"capacity": 16}, adapt=adapt, intermediate_evals=[1],
         )
         execute(cfg)
-        assert solved == [100, 50]  # the final state, then the snapshot at t=1
+        assert solved == [50, 100]  # the checkpoint at t=1, then the final state
+
+    def test_every_fit_comes_before_the_first_evaluation(self, monkeypatch):
+        # A test-set evaluation threads. Scored between fits, it left an
+        # OpenBLAS thread spinning through the next position's adaptation.
+        calls = []
+        adapt, evaluate = harness.adapt, harness._evaluate
+
+        def spy_adapt(*args, **kwargs):
+            calls.append("adapt")
+            return adapt(*args, **kwargs)
+
+        def spy_evaluate(*args):
+            calls.append("evaluate")
+            return evaluate(*args)
+
+        monkeypatch.setattr(harness, "adapt", spy_adapt)
+        monkeypatch.setattr(harness, "_evaluate", spy_evaluate)
+        cfg = small_config(
+            schedule={"kind": "random_iid", "batch_size": 30, "seed": 3},
+            buffer={"capacity": 16}, adapt={"mode": "adapter", "epochs": 2},
+            intermediate_evals=[1, 2],
+        )
+        timing = execute(cfg).report.timing
+        assert calls == ["adapt"] * 3 + ["evaluate"] * 6
+        parts = [value for name, value in timing.items() if name != "total_s"]
+        assert min(parts) >= 0
+        assert sum(parts) <= timing["total_s"]
 
     @pytest.mark.parametrize("t", [1.5, True])
     def test_non_integer_position_is_config_error(self, t):

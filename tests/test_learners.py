@@ -427,8 +427,14 @@ class TestRidgeSolveOracle:
     @given(ridge_states())
     def test_matches_scipy_cho_solve(self, scipy_linalg, state):
         system = state.cov + state.lam * state.seen * np.eye(state.dim)
+        rhs = state.class_sums.T
         factor = scipy_linalg.cho_factor(system, lower=True)
-        expected = scipy_linalg.cho_solve(factor, state.class_sums.T).T
+        plain = scipy_linalg.cho_solve(factor, rhs)
+        # One refinement step on a residual taken in extended precision: plain
+        # cho_solve alone can sit about 1e-12 of the largest weight off.
+        wide = np.longdouble
+        residual = rhs.astype(wide) - system.astype(wide) @ plain.astype(wide)
+        expected = (plain + scipy_linalg.cho_solve(factor, residual.astype(np.float64))).T
         solved = state.solve().weights
         scale = np.abs(expected).max()
         assert np.abs(solved - expected).max() <= 1e-12 * scale
