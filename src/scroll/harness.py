@@ -10,6 +10,7 @@ functions of their configuration, modulo wall-clock fields.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import time
@@ -484,16 +485,24 @@ def _sweep_schedule_specs(
     return specs
 
 
+def _widen(extremes: dict, state) -> dict:
+    """``extremes`` widened by ``state``: each state field's elementwise ``(min, max)``."""
+    names = ("prototypes", "counts") if isinstance(state, NccState) else ("cov", "class_sums", "seen")
+    for name in names:
+        value = getattr(state, name)
+        low, high = extremes.get(name, (value, value))
+        extremes[name] = (np.minimum(low, value), np.maximum(high, value))
+    return extremes
+
+
+def _deviation(extremes: dict) -> float:
+    """Largest |a - b| of one element over every pair of states :func:`_widen` took."""
+    return max(float((high - low).max()) for low, high in extremes.values())
+
+
 def _state_deviation(states) -> float:
     """Largest |a - b| of one element over every pair of states: its max minus min."""
-    if isinstance(states[0], NccState):
-        fields = ("prototypes", "counts")
-    else:
-        fields = ("cov", "class_sums", "seen")
-    return max(
-        float(np.ptp(np.stack([getattr(s, name) for s in states]), axis=0).max())
-        for name in fields
-    )
+    return _deviation(functools.reduce(_widen, states, {}))
 
 
 def robustness_sweep(
@@ -504,26 +513,31 @@ def robustness_sweep(
     """Run one config under many seeded schedules and compare outcomes.
 
     The data is resolved once and the schedules run one after another on
-    the same read-only tables.
+    the same read-only tables. A run is dropped before the next starts:
+    the sweep keeps its accuracies and each state field's elementwise
+    minimum and maximum so far, whose largest difference is
+    ``state_max_deviation``.
     """
     require_int(n_schedules, "n_schedules", minimum=2)
     if not kinds:
         raise ConfigError("at least one schedule kind is required")
     train, test = cfg.data.resolve()
     specs = _sweep_schedule_specs(cfg, n_schedules, tuple(kinds), train.class_count)
-    outcomes = [
-        _execute_on(dataclasses.replace(cfg, schedule=s), train, test, time.perf_counter())
-        for s in specs
-    ]
-    acc_one = [o.report.accuracy["stage_one"] for o in outcomes]
-    acc_star = [o.report.accuracy["adapted"] for o in outcomes]
+    acc_one, acc_star, extremes = [], [], {}
+    for spec in specs:
+        outcome = _execute_on(dataclasses.replace(cfg, schedule=spec), train, test,
+                              time.perf_counter())
+        acc_one.append(outcome.report.accuracy["stage_one"])
+        acc_star.append(outcome.report.accuracy["adapted"])
+        _widen(extremes, outcome.state)
+        del outcome  # the next schedule runs without this one's state, buffer and predictor
     return RobustnessReport(
         schedules=[spec.to_dict() for spec in specs],
         stage_one_accuracies=acc_one,
         adapted_accuracies=acc_star,
         stage_one_spread=float(max(acc_one) - min(acc_one)),
         adapted_spread=float(max(acc_star) - min(acc_star)),
-        state_max_deviation=_state_deviation([o.state for o in outcomes]),
+        state_max_deviation=_deviation(extremes),
     )
 
 

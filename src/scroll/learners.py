@@ -30,6 +30,7 @@ the per-call cost, so both paths give the same bits.
 from __future__ import annotations
 
 import math
+from copy import deepcopy
 
 import numpy as np
 
@@ -206,12 +207,18 @@ def _cholesky_solve(factor: np.ndarray, inverses: list[np.ndarray], rhs: np.ndar
 def as_int_ids(values, what: str) -> np.ndarray:
     """``values`` as an int64 array; a non-integer dtype raises :class:`ClassIdError`.
 
-    Converting with ``dtype=np.int64`` alone would truncate 1.7 to 1. An
-    empty sequence has no integer dtype (``[]`` reads as float64) and passes.
+    Converting with ``dtype=np.int64`` alone would truncate 1.7 to 1, and
+    wrap a 64-bit unsigned value of 2**63 or more to a negative one, so such
+    a value raises :class:`ClassIdError` too. An empty sequence has no
+    integer dtype (``[]`` reads as float64) and passes.
     """
     values = np.asarray(values)
     if values.size and values.dtype.kind not in "iu":
         raise ClassIdError(f"{what}: expected an integer dtype, got {values.dtype}")
+    if values.dtype.kind == "u" and values.dtype.itemsize == 8 and values.size:
+        largest = int(values.max())
+        if largest >= 2**63:
+            raise ClassIdError(f"{what}: {largest} is past the int64 range")
     return values.astype(np.int64, copy=False)
 
 
@@ -320,10 +327,7 @@ class NccState:
         return LinearHead(weights, biases)
 
     def copy(self) -> "NccState":
-        out = NccState(self.class_count, self.dim)
-        out.class_sums = self.class_sums.copy()
-        out.counts = self.counts.copy()
-        return out
+        return deepcopy(self)
 
 
 class RidgeState:
@@ -446,13 +450,7 @@ class RidgeState:
         return LinearHead(np.ascontiguousarray(weights_t.T), np.zeros(k))
 
     def copy(self) -> "RidgeState":
-        out = RidgeState(self.class_count, self.dim, self.lam)
-        out._cov = self._cov.copy()
-        out._block[: self._pending] = self._block[: self._pending]
-        out._pending = self._pending
-        out.class_sums = self.class_sums.copy()
-        out.seen = self.seen
-        return out
+        return deepcopy(self)
 
 
 def save_state(state: NccState | RidgeState, path) -> None:

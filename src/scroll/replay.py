@@ -18,12 +18,15 @@ from __future__ import annotations
 import csv
 import hashlib
 from bisect import bisect_left, insort
+from copy import deepcopy
 
 import numpy as np
 
 from ._binio import Reader, Writer
 from ._seeding import seeded_rng
-from .errors import ClassIdError, ConfigError, FormatError, ShapeError, require_int
+from .errors import (
+    ClassIdError, ConfigError, DataError, FormatError, ShapeError, all_finite, require_int,
+)
 from .learners import ONE_THREAD_MULADDS, as_int_ids, check_rows
 
 STRATEGIES = ("exemplar", "reservoir", "nearest", "outlier")
@@ -36,52 +39,6 @@ _MAX_CLASS_ID = 2**32 - 1
 
 #: The batch positions of a class with no arrivals.
 _NO_ROWS = slice(0, 0)
-
-
-class RunningClassMean:
-    """Exact streaming mean of every sample observed per class.
-
-    ``dim`` is the width of the rows seen so far, ``None`` before the first row.
-    """
-
-    def __init__(self):
-        self._sums: dict[int, np.ndarray] = {}
-        self._counts: dict[int, int] = {}
-        self.dim: int | None = None
-
-    def add_batch(self, vectors: np.ndarray, groups: dict) -> None:
-        """Add a batch whose class ``y`` rows are ``vectors[groups[y]]``.
-
-        A group is an index array or a slice. A one-row group adds ``row +
-        0.0``, the bits of its ``sum(axis=0)``: numpy starts that sum from
-        +0.0, so a -0.0 entry comes out as +0.0.
-        """
-        for y, pos in groups.items():
-            rows = vectors[pos]
-            batch_sum = rows[0] + 0.0 if len(rows) == 1 else rows.sum(axis=0)
-            if y in self._sums:
-                self._sums[y] = self._sums[y] + batch_sum
-                self._counts[y] += len(rows)
-            else:
-                self._sums[y] = batch_sum
-                self._counts[y] = len(rows)
-                self.dim = len(batch_sum)
-
-    def mean(self, y: int) -> np.ndarray:
-        return self._sums[y] / self._counts[y]
-
-    def count(self, y: int) -> int:
-        return self._counts.get(y, 0)
-
-    def classes(self) -> list[int]:
-        return sorted(self._sums)
-
-    def copy(self) -> "RunningClassMean":
-        out = RunningClassMean()
-        out._sums = {y: s.copy() for y, s in self._sums.items()}
-        out._counts = dict(self._counts)
-        out.dim = self.dim
-        return out
 
 
 #: :func:`_lockstep`'s screen keeps every row within this many times its
@@ -105,7 +62,9 @@ def herding_order(candidates, target_mean) -> list[int]:
     the same distance in exact arithmetic are ordered by the rounding of
     the computed distances. Returns a permutation of
     ``range(len(candidates))``. The pool is checked by
-    :func:`~scroll.learners.check_rows`.
+    :func:`~scroll.learners.check_rows`; a target of another width raises
+    :class:`ShapeError`, and one with a NaN or infinite entry
+    :class:`DataError`.
     """
     pool = check_rows(candidates, None)
     if pool.shape[0] == 0:
@@ -115,6 +74,8 @@ def herding_order(candidates, target_mean) -> list[int]:
         raise ShapeError(
             f"target mean of shape ({pool.shape[1]},) expected, got {target.shape}"
         )
+    if not all_finite(target):
+        raise DataError("target mean contains non-finite values")
     return _herd_lanes([(pool, target, len(pool))])[0].tolist()
 
 
@@ -327,7 +288,9 @@ class ReplayBuffer:
     Each class's stored samples are two arrays: int64 dataset indices in
     ``_indices`` and float64 rows in ``_rows``, settled and in selection
     order once :meth:`_order` has run, as every read makes it do first. A
-    class with nothing stored has no entry in either.
+    class with nothing stored has no entry in either. ``_sums`` and ``_seen``
+    hold each class's sum and count of every row seen, kept or not, and
+    ``dim`` the row width (``None`` before the first row).
 
     The ``exemplar`` strategy chooses its rows late. Every update keeps the
     running means, quotas, warnings and each class's stored count
@@ -358,6 +321,11 @@ class ReplayBuffer:
     def __init__(self, capacity: int, strategy: str = "exemplar", seed: int = 0):
         require_int(capacity, "capacity", minimum=0)
         require_int(seed, "seed")
+        # SCBF stores the capacity as an unsigned and the seed as a signed 64-bit integer.
+        if capacity >= 2**64:
+            raise ConfigError(f"capacity must be < 2**64, got {capacity}")
+        if not -(2**63) <= seed < 2**63:
+            raise ConfigError(f"seed must lie in [-2**63, 2**63), got {seed}")
         if strategy not in STRATEGIES:
             raise ConfigError(
                 f"unknown buffer strategy {strategy!r}, expected one of {STRATEGIES}"
@@ -365,7 +333,9 @@ class ReplayBuffer:
         self.capacity = int(capacity)
         self.strategy = strategy
         self.seed = int(seed)
-        self.stats = RunningClassMean()
+        self.dim: int | None = None
+        self._sums: dict[int, np.ndarray] = {}
+        self._seen: dict[int, int] = {}
         self._classes: list[int] = []  # sorted ids of every class seen
         self.warnings: list[str] = []
         self._indices: dict[int, np.ndarray] = {}
@@ -414,13 +384,19 @@ class ReplayBuffer:
         """Per class: distance between the stored mean and the target mean ``means[y]``.
 
         Classes with nothing stored are absent from the result. A stored
-        class past the end of ``means`` raises :class:`ClassIdError`.
+        class past the end of ``means`` raises :class:`ClassIdError`, and a
+        mean of another width than the rows :class:`ShapeError`.
         """
         self._order()
         out: dict[int, float] = {}
         for y in sorted(self._rows):
             if y >= len(means):
                 raise ClassIdError(f"class {y} is stored but has no target mean")
+            if np.shape(means[y]) != (self.dim,):
+                raise ShapeError(
+                    f"target mean of class {y}: shape ({self.dim},) expected, "
+                    f"got {np.shape(means[y])}"
+                )
             out[y] = float(np.linalg.norm(np.mean(self._rows[y], axis=0) - means[y]))
         return out
 
@@ -450,17 +426,15 @@ class ReplayBuffer:
                 "rows, labels and indices disagree in length: rows "
                 f"{vectors.shape}, labels {labels.shape}, indices {indices.shape}"
             )
-        if self.stats.dim not in (None, vectors.shape[1]):
-            raise ShapeError(
-                f"rows of dimension {self.stats.dim} expected, got {vectors.shape[1]}"
-            )
+        if self.dim not in (None, vectors.shape[1]):
+            raise ShapeError(f"rows of dimension {self.dim} expected, got {vectors.shape[1]}")
         arrivals = self._arrivals(labels)
-        fresh = [y for y in arrivals if self.stats.count(y) == 0]
+        fresh = [y for y in arrivals if y not in self._seen]
         classes = self._classes
         before = list(classes) if fresh else classes
         for y in fresh:
             insort(classes, y)
-        self.stats.add_batch(vectors, arrivals)
+        self._add_sums(vectors, arrivals)
         # Quotas change only when a new class arrives, so only then can a
         # class without arrivals have anything to do.
         for y in classes if fresh else arrivals:
@@ -486,6 +460,28 @@ class ReplayBuffer:
             else:
                 self._update_by_distance(y, new_idx, new_rows, quota)
         return self
+
+    def _add_sums(self, vectors: np.ndarray, groups: dict) -> None:
+        """Add a batch whose class ``y`` rows are ``vectors[groups[y]]`` to the running sums.
+
+        A group is an index array or a slice. A one-row group adds ``row +
+        0.0``, the bits of its ``sum(axis=0)``: numpy starts that sum from
+        +0.0, so a -0.0 entry comes out as +0.0.
+        """
+        for y, pos in groups.items():
+            rows = vectors[pos]
+            batch_sum = rows[0] + 0.0 if len(rows) == 1 else rows.sum(axis=0)
+            if y in self._sums:
+                self._sums[y] = self._sums[y] + batch_sum
+                self._seen[y] += len(rows)
+            else:
+                self._sums[y] = batch_sum
+                self._seen[y] = len(rows)
+                self.dim = len(batch_sum)
+
+    def _mean(self, y: int) -> np.ndarray:
+        """The mean of every class ``y`` row seen."""
+        return self._sums[y] / self._seen[y]
 
     @staticmethod
     def _arrivals(labels: np.ndarray) -> dict:
@@ -549,7 +545,7 @@ class ReplayBuffer:
         it stored the pool, so the order is the same whichever read comes first.
         """
         for y in self._unordered:
-            self._queue(y, None, None, self._count[y], self.stats.mean(y))
+            self._queue(y, None, None, self._count[y], self._mean(y))
         self._unordered.clear()
         self._settle()
 
@@ -593,7 +589,7 @@ class ReplayBuffer:
         """Cut class ``y`` to the first ``n`` rows of its order, through :meth:`_queue`."""
         if self._count[y] <= n:
             return
-        target = self.stats.mean(y) if y in self._unordered else None
+        target = self._mean(y) if y in self._unordered else None
         self._unordered.discard(y)
         self._queue(y, None, None, n, target)
 
@@ -617,13 +613,13 @@ class ReplayBuffer:
             self._queue(y, new_idx, new_rows, pool, None)
             self._unordered.add(y)
         else:
-            self._queue(y, new_idx, new_rows, quota, self.stats.mean(y))
+            self._queue(y, new_idx, new_rows, quota, self._mean(y))
             self._unordered.discard(y)
 
     def _update_reservoir(self, y, new_idx, new_rows, quota) -> None:
         # The rows the class saw before this batch: a class that holds a
         # quota comes here on every arrival, after the running means count it.
-        seen = self.stats.count(y) - len(new_idx)
+        seen = self._seen[y] - len(new_idx)
         fill = max(0, min(quota - len(self._indices[y]), len(new_idx)))
         if fill:
             self._keep(
@@ -658,7 +654,7 @@ class ReplayBuffer:
 
     def _update_by_distance(self, y, new_idx, new_rows, quota) -> None:
         idx, rows = self._pooled(y, new_idx, new_rows)
-        dists = np.linalg.norm(rows - self.stats.mean(y), axis=1)
+        dists = np.linalg.norm(rows - self._mean(y), axis=1)
         if self.strategy == "outlier":
             dists = -dists
         ranked = np.sort(np.lexsort((idx, dists))[:quota])
@@ -666,14 +662,7 @@ class ReplayBuffer:
 
     def copy(self) -> "ReplayBuffer":
         self._order()
-        out = ReplayBuffer(self.capacity, self.strategy, self.seed)
-        out.stats = self.stats.copy()
-        out._classes = list(self._classes)
-        out.warnings = list(self.warnings)
-        for y, idx in self._indices.items():
-            out._keep(y, idx.copy(), self._rows[y].copy())
-        out._rng.bit_generator.state = self._rng.bit_generator.state
-        return out
+        return deepcopy(self)
 
 
 def save_buffer(buf: ReplayBuffer, path) -> None:
@@ -690,11 +679,11 @@ def save_buffer(buf: ReplayBuffer, path) -> None:
         buf.seed,
         len(classes),
     )
-    w.pack("I", buf.stats.dim or 0)
+    w.pack("I", buf.dim or 0)
     for y in classes:
         idx = buf._indices.get(y, np.zeros(0, dtype=np.int64))
-        w.pack("IIQ", y, len(idx), buf.stats.count(y))
-        w.array(buf.stats._sums[y], "<f8")
+        w.pack("IIQ", y, len(idx), buf._seen[y])
+        w.array(buf._sums[y], "<f8")
         w.array(idx, "<i8")
         w.array(buf._rows.get(y, np.zeros(0)), "<f8")
     w.json(buf._rng.bit_generator.state)
@@ -724,18 +713,18 @@ def load_buffer(path) -> ReplayBuffer:
         if seen == 0 or seen < stored:
             raise FormatError(f"class {y} stores {stored} rows but counts {seen} seen")
         last = y
-        buf.stats._sums[y] = r.array("<f8", dim, "class sum").copy()
-        buf.stats._counts[y] = int(seen)
+        buf._classes.append(y)
+        buf._sums[y] = r.array("<f8", dim, "class sum").copy()
+        buf._seen[y] = int(seen)
         idx = r.array("<i8", stored, "stored indices").copy()
         rows = r.array("<f8", stored * dim, "stored rows").reshape(stored, dim).copy()
         if stored:
             buf._keep(y, idx, rows)
-    buf._classes = buf.stats.classes()
     for y, idx in buf._indices.items():
         quota = buf._quota(y, buf._classes)
         if len(idx) > quota:
             raise FormatError(f"class {y} stores {len(idx)} rows, past its quota of {quota}")
-    buf.stats.dim = dim if n_classes else None
+    buf.dim = dim if n_classes else None
     rng_state = r.json("rng state", dict)
     # numpy truncates a float, and reads a bool, where the state holds an int.
     numbers = {k: v for k, v in rng_state.items() if k != "bit_generator"}

@@ -201,6 +201,30 @@ class TestBadConfigValues:
         self.assert_validation_error(result, "sigma")
 
 
+class TestBufferHeaderRange:
+    """A buffer seed or capacity past ``SCBF``'s 64-bit header fields once
+    ran to the end, wrote the state checkpoint, then died in ``save_buffer``
+    with a ``struct.error`` traceback."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 2**63), ("seed", -(2**63) - 1), ("capacity", 2**64),
+    ])
+    def test_stops_before_streaming_and_writes_no_checkpoint(
+        self, workspace, capsys, field, value
+    ):
+        tmp_path, cfg_path = workspace
+        cfg = json.loads(cfg_path.read_text())
+        cfg["buffer"][field] = value
+        cfg_path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        code = main(["run", "--config", str(cfg_path), "--checkpoint", str(tmp_path / "ck.bin")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and f"{field} must" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.glob("ck.bin*")) == []
+
+
 class TestBadFloatConfigValues:
     """Float fields once gave a traceback, ran a bool as 1.0, ran a non-finite
     value to a late runtime failure, or failed without naming the field."""

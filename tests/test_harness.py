@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import json
 import tracemalloc
+import weakref
 from itertools import islice
 from types import SimpleNamespace
 
@@ -500,6 +502,24 @@ class TestRobustnessSweep:
         monkeypatch.setattr(DataConfig, "resolve", counting_resolve)
         robustness_sweep(small_config(), 3)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("classifier", ["ncc", "ridge"])
+    def test_holds_one_run_at_a_time(self, monkeypatch, classifier):
+        # Every run's statistics, buffer and predictor were kept to the end
+        # of the sweep, so its memory grew with the number of schedules.
+        runs, original = [], harness._execute_on
+
+        def watched(*args):
+            gc.collect()
+            assert [ref() for ref in runs] == [None] * len(runs)
+            outcome = original(*args)
+            runs.extend(weakref.ref(part) for part in (outcome.state, outcome.buffer))
+            return outcome
+
+        monkeypatch.setattr(harness, "_execute_on", watched)
+        cfg = small_config(classifier={"kind": classifier}, buffer={"capacity": 12})
+        report = robustness_sweep(cfg, 4)
+        assert len(runs) == 8 and report.state_max_deviation < 1e-9
 
 
 def pairwise_deviation(states):

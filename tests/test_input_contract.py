@@ -4,7 +4,9 @@
 them: rows that are not a 2-d batch of the model's width, or labels that
 are not one 1-d label per row, raise ``ShapeError``; a non-finite entry
 raises ``DataError``; a non-integer label dtype or an id outside
-``[0, K)`` raises ``ClassIdError``. Before the contract, a NaN row was
+``[0, K)``, an unsigned 64-bit id past the int64 range included, raises
+``ClassIdError``. ``herding_order``'s target must be finite and of the
+pool's width. Before the contract, a NaN row was
 scored as class 0 by the linear and adapted predictors, picked first by
 herding, and reached ``adapt`` only as diverged head parameters, after
 its first epoch; so no training step may run on faulty input.
@@ -114,6 +116,15 @@ LABEL_FAULTS = {
     "one label short": (lambda ys: ys[:-1], ShapeError),
     "id below 0": (lambda ys: _label(ys, -1), ClassIdError),
     "id at K": (lambda ys: _label(ys, K), ClassIdError),
+    "uint64 id past int64": (lambda ys: _label(ys.astype(np.uint64), 2**63 + 1), ClassIdError),
+}
+
+#: Non-finite herding targets, which once gave every row a nan or inf
+#: distance and the identity order back: name -> target.
+TARGET_FAULTS = {
+    "nan": [np.nan] + [0.0] * (D - 1),
+    "+inf": [np.inf] + [0.0] * (D - 1),
+    "-inf": [-np.inf] + [0.0] * (D - 1),
 }
 
 
@@ -152,6 +163,13 @@ def test_row_fault_of_an_unlabelled_entry_point(entry, fault, no_steps):
     xs, _ = rows_and_labels()
     with pytest.raises(error):
         UNLABELLED[entry](edit(xs))
+
+
+@pytest.mark.parametrize("fault", TARGET_FAULTS)
+def test_target_fault_of_herding_order(fault):
+    xs, _ = rows_and_labels()
+    with pytest.raises(DataError, match="target mean"):
+        herding_order(xs, TARGET_FAULTS[fault])
 
 
 @pytest.mark.parametrize("entry", [*LABELLED, *UNLABELLED])

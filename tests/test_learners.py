@@ -341,6 +341,49 @@ class TestBatchLengths:
             state.update_batch(np.ones((3, 3)), [0, 1])
 
 
+class TestUnsignedLabels:
+    @pytest.mark.parametrize("kind", [NccState, RidgeState])
+    def test_uint64_label_past_int64_names_its_value(self, kind):
+        # Cast to int64, 2**63 + 1 was reported as class id -9223372036854775807.
+        state = kind(3, 2)
+        with pytest.raises(ClassIdError, match=f"{2**63 + 1} is past the int64 range"):
+            state.update_batch(np.ones((2, 2)), np.array([0, 2**63 + 1], dtype=np.uint64))
+        assert not state.class_sums.any()
+
+    def test_uint64_labels_in_range_pass(self):
+        state = NccState(3, 2).update_batch(np.ones((2, 2)), np.array([0, 2], dtype=np.uint64))
+        assert state.counts.tolist() == [1, 0, 1]
+
+
+def scst_bytes(state) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.bin"
+        save_state(state, path)
+        return path.read_bytes()
+
+
+class TestCopy:
+    @pytest.mark.parametrize("kind", [NccState, RidgeState])
+    def test_copy_keeps_its_bytes_and_ends_where_the_original_ends(self, kind):
+        # d=8 takes 256-row ridge blocks: the copy is taken with 150 rows
+        # pending, and the rest of the stream flushes a block in place.
+        rng = np.random.default_rng(42)
+        xs, ys = unit_rows(rng, 300, 8), rng.integers(0, 4, 300)
+        batches = np.split(np.arange(300), [1, 2, 10, 40, 41, 150, 151, 230])
+        state = kind(4, 8)
+        for batch in batches[:6]:
+            state.update_batch(xs[batch], ys[batch])
+        assert kind is NccState or state._pending == 150
+        twin = state.copy()
+        at_copy = scst_bytes(twin)
+        for batch in batches[6:]:
+            state.update_batch(xs[batch], ys[batch])
+        assert scst_bytes(twin) == at_copy
+        for batch in batches[6:]:
+            twin.update_batch(xs[batch], ys[batch])
+        assert scst_bytes(twin) == scst_bytes(state)
+
+
 class TestRidgeSolve:
     def test_state_with_no_samples_solves_to_a_zero_head(self):
         head = RidgeState(3, 4).solve()

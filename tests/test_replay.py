@@ -27,7 +27,7 @@ from scroll import (
 )
 from scroll import replay
 from scroll.harness import _class_means
-from scroll.replay import ONE_THREAD_MULADDS, STRATEGIES, RunningClassMean, _herd_lanes
+from scroll.replay import ONE_THREAD_MULADDS, STRATEGIES, _herd_lanes
 
 
 def unit_rows(rng, n, d):
@@ -305,6 +305,25 @@ class TestBatchChecks:
         assert buf.total_stored() == 0
         buf.update(np.zeros((0, 2)), [], [])  # an empty list has no dtype to judge
 
+    def test_uint64_dataset_index_past_int64_names_its_value(self):
+        # Cast to int64, index 2**64 - 1 was stored as -1.
+        buf = ReplayBuffer(4, "exemplar", seed=4)
+        with pytest.raises(ClassIdError, match=f"dataset indices: {2**64 - 1} is past"):
+            buf.update(np.ones((2, 3)), np.array([0, 1]), np.array([0, 2**64 - 1], np.uint64))
+        assert buf.total_stored() == 0
+        buf.update(np.ones((1, 3)), np.array([0]), np.array([2**63 - 1], np.uint64))
+        assert buf.stored_indices(0) == [2**63 - 1]
+
+    @pytest.mark.parametrize("capacity, seed", [(2**64 - 1, 2**63 - 1), (3, -(2**63))])
+    def test_capacity_and_seed_at_the_header_limits_round_trip(self, capacity, seed, tmp_path):
+        # One past these limits is a ConfigError (tests/test_cli.py).
+        buf = ReplayBuffer(capacity, "reservoir", seed)
+        buf.update(np.eye(3), np.array([0, 0, 1]), np.arange(3))
+        save_buffer(buf, tmp_path / "buffer.bin")
+        loaded = load_buffer(tmp_path / "buffer.bin")
+        assert (loaded.capacity, loaded.seed) == (capacity, seed)
+        assert scbf_bytes(loaded) == scbf_bytes(buf)
+
     def test_rows_grouped_by_class_in_batch_order(self, table):
         # Each class's rows are summed in batch order, so its running mean
         # keeps its bits.
@@ -313,8 +332,8 @@ class TestBatchChecks:
         buf.update(table.vectors[idx], table.labels[idx], idx)
         for y in range(table.class_count):
             rows = idx[table.labels[idx] == y]
-            assert buf.stats.count(y) == len(rows)
-            np.testing.assert_array_equal(buf.stats._sums[y], table.vectors[rows].sum(axis=0))
+            assert buf._seen[y] == len(rows)
+            np.testing.assert_array_equal(buf._sums[y], table.vectors[rows].sum(axis=0))
 
 
 class TestQuotaAndCapacity:
@@ -491,6 +510,12 @@ class TestMomentDistance:
         with pytest.raises(ClassIdError, match="class 5 "):
             buf.moment_distances(_class_means(table))
 
+    @pytest.mark.parametrize("width", [7, 9])
+    def test_means_of_another_width_are_a_shape_error(self, table, width):
+        buf = feed(ReplayBuffer(6, "exemplar", seed=14), table, [0, 30, 60], 3)
+        with pytest.raises(ShapeError, match=rf"class 0: shape \(8,\) expected, got \({width},\)"):
+            buf.moment_distances(np.zeros((table.class_count, width)))
+
 
 @st.composite
 def streams(draw):
@@ -544,7 +569,7 @@ class TestBufferProperties:
                         assert set(stored) <= set(held[y])
                 elif strategy == "exemplar":
                     pool = sorted(held.get(y, []) + arrived[y])
-                    assert_greedy_prefix(stored, pool, vectors, buf.stats.mean(y))
+                    assert_greedy_prefix(stored, pool, vectors, buf._mean(y))
             capped = [n for y, n in buf.per_class_counts().items() if n < seen[y]]
             assert not capped or max(capped) - min(capped) <= 1
             assert buf.total_stored() <= capacity
@@ -563,7 +588,7 @@ class EagerBuffer(ReplayBuffer):
             self._keep(y, self._indices[y][:quota].copy(), self._rows[y][:quota].copy())
             return
         idx, rows = self._pooled(y, new_idx, new_rows)
-        keep = list(islice(reference_herd(rows, self.stats.mean(y)), quota))
+        keep = list(islice(reference_herd(rows, self._mean(y)), quota))
         self._keep(y, idx[keep], rows[keep])
 
 
@@ -606,7 +631,7 @@ def exemplar_streams(draw):
 
 def assert_same_contents(buf, ref, means, first=0):
     """Every read agrees; ``first`` picks the read that has to order the buffer."""
-    classes = sorted(ref.stats.classes())
+    classes = sorted(ref._sums)
     reads = [
         lambda b: [b.stored_indices(y) for y in classes],
         lambda b: [(a.shape, a.tobytes()) for a in b.training_arrays()],
@@ -675,12 +700,15 @@ class TestDeferredOrder:
     def test_update_without_new_class_does_not_list_classes(self, table, monkeypatch):
         buf = ReplayBuffer(6, "exemplar", seed=18)
         feed(buf, table, [0, 30, 60], 3)
+        asked, original = [], ReplayBuffer._quota
 
-        def listed(self):
-            raise AssertionError("update listed every class seen")
+        def quota(self, y, classes):
+            asked.append(y)
+            return original(self, y, classes)
 
-        monkeypatch.setattr(RunningClassMean, "classes", listed)
-        feed(buf, table, [1, 31, 2, 61], 2)
+        monkeypatch.setattr(ReplayBuffer, "_quota", quota)
+        feed(buf, table, [1, 31, 2, 61], 2)  # classes {0, 1}, then {0, 2}
+        assert asked == [0, 1, 0, 2]
         assert buf.per_class_counts() == {0: 2, 1: 2, 2: 2}
 
 
@@ -879,8 +907,18 @@ class ParentBuffer(ReplayBuffer):
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.stats = SummedMeans()
         self.reservoir_seen: dict[int, int] = {}
+
+    def _add_sums(self, vectors, groups):
+        for y, pos in groups.items():
+            batch_sum = vectors[pos].sum(axis=0)
+            if y in self._sums:
+                self._sums[y] = self._sums[y] + batch_sum
+                self._seen[y] += len(pos)
+            else:
+                self._sums[y] = batch_sum
+                self._seen[y] = len(pos)
+                self.dim = len(batch_sum)
 
     @staticmethod
     def _arrivals(labels):
@@ -906,7 +944,7 @@ class ParentBuffer(ReplayBuffer):
             self._keep(y, idx, rows)
             self._unordered.add(y)
             return
-        keep = list(islice(reference_herd(rows, self.stats.mean(y)), quota))
+        keep = list(islice(reference_herd(rows, self._mean(y)), quota))
         self._keep(y, idx[keep], rows[keep])
 
     def _update_reservoir(self, y, new_idx, new_rows, quota):
@@ -934,19 +972,33 @@ class ParentBuffer(ReplayBuffer):
             self._keep(y, idx[keep], rows[keep])
 
 
-class SummedMeans(RunningClassMean):
-    """Running sums that always add ``sum(axis=0)`` of the class rows."""
+class TestOracles:
+    @pytest.mark.parametrize("oracle", [EagerBuffer, ParentBuffer])
+    def test_every_override_names_a_buffer_method(self, oracle):
+        # An override left behind by a rename would never be called, and the
+        # oracle would compare the buffer with itself.
+        defined = [name for name, value in vars(oracle).items()
+                   if callable(value) or isinstance(value, staticmethod)]
+        assert defined
+        assert [name for name in defined if name not in vars(ReplayBuffer)] == []
 
-    def add_batch(self, vectors, groups):
-        for y, pos in groups.items():
-            batch_sum = vectors[pos].sum(axis=0)
-            if y in self._sums:
-                self._sums[y] = self._sums[y] + batch_sum
-                self._counts[y] += len(pos)
-            else:
-                self._sums[y] = batch_sum
-                self._counts[y] = len(pos)
-                self.dim = len(batch_sum)
+
+class TestCopy:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_copy_keeps_its_bytes_and_ends_where_the_original_ends(self, table, strategy):
+        # Capacity 10 over four classes: quotas shrink, reservoir rows are
+        # overwritten in place, and exemplar herds wait at the copy.
+        order = np.random.default_rng(43).permutation(table.n_samples)
+        buf = ReplayBuffer(10, strategy, seed=43)
+        feed(buf, table, order[:21], 1)
+        feed(buf, table, order[21:60], 3)
+        assert strategy != "exemplar" or buf._waiting
+        twin = buf.copy()
+        at_copy = scbf_bytes(twin)
+        feed(buf, table, order[60:], 4)
+        assert scbf_bytes(twin) == at_copy
+        feed(twin, table, order[60:], 4)
+        assert scbf_bytes(twin) == scbf_bytes(buf)
 
 
 def assert_same_state(buf, ref):
@@ -958,14 +1010,14 @@ def assert_same_state(buf, ref):
     assert buf._unordered == ref._unordered
     if ref.strategy == "reservoir":
         held = [y for y in buf._classes if buf._quota(y, buf._classes) > 0]
-        assert {y: ref.reservoir_seen[y] for y in held} == {y: buf.stats._counts[y] for y in held}
+        assert {y: ref.reservoir_seen[y] for y in held} == {y: buf._seen[y] for y in held}
     assert buf.warnings == ref.warnings
     assert buf._rng.bit_generator.state == ref._rng.bit_generator.state
-    assert buf.stats._counts == ref.stats._counts
-    assert buf.stats.dim == ref.stats.dim
+    assert buf._seen == ref._seen
+    assert buf.dim == ref.dim
     buf._settle()
     ref._settle()
-    for mine, theirs in ((buf.stats._sums, ref.stats._sums), (buf._indices, ref._indices),
+    for mine, theirs in ((buf._sums, ref._sums), (buf._indices, ref._indices),
                          (buf._rows, ref._rows)):
         assert mine.keys() == theirs.keys()
         for y in mine:
@@ -1027,20 +1079,20 @@ class TestOneRowPath:
         buf = ReplayBuffer(4, "exemplar", seed=4)
         with pytest.raises(ClassIdError, match=f"class id {label} "):
             buf.update(np.ones((1, 3)), np.array([label]), np.array([0]))
-        assert buf.total_stored() == 0 and buf.stats.dim is None
+        assert buf.total_stored() == 0 and buf.dim is None
 
     def test_signed_zero_row_sums_to_positive_zero(self):
         buf = ReplayBuffer(4, "exemplar", seed=4)
         buf.update(np.array([[-0.0, 1.0]]), np.array([0]), np.array([0]))
-        assert buf.stats._sums[0].tobytes() == np.array([0.0, 1.0]).tobytes()
+        assert buf._sums[0].tobytes() == np.array([0.0, 1.0]).tobytes()
 
     def test_width_survives_copy_and_checkpoint(self, tmp_path):
         buf = ReplayBuffer(4, "exemplar", seed=4)
-        assert buf.stats.dim is None
+        assert buf.dim is None
         buf.update(np.ones((1, 3)), np.array([0]), np.array([0]))
         save_buffer(buf, tmp_path / "buffer.bin")
         for other in (buf.copy(), load_buffer(tmp_path / "buffer.bin")):
-            assert other.stats.dim == 3
+            assert other.dim == 3
             with pytest.raises(ShapeError, match="dimension 3"):
                 other.update(np.ones((1, 5)), np.array([0]), np.array([1]))
 
@@ -1112,7 +1164,7 @@ class TestLateSelection:
         assert buf.per_class_counts() == ref.per_class_counts()
         assert buf.warnings == ref.warnings
         for y in range(table.class_count):
-            assert buf.stats.mean(y).tobytes() == ref.stats.mean(y).tobytes()
+            assert buf._mean(y).tobytes() == ref._mean(y).tobytes()
         monkeypatch.undo()
         assert [buf.stored_indices(y) for y in range(4)] == [
             ref.stored_indices(y) for y in range(4)
