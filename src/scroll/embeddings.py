@@ -138,11 +138,19 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _looks_normalized(vectors: np.ndarray) -> bool:
+def _loaded_table(vectors: np.ndarray, labels: np.ndarray, class_count: int) -> EmbeddingTable:
+    """A checked table of a file's rows, flagged ``normalized`` when every row is unit norm.
+
+    The table is checked unflagged, so a non-finite row raises its
+    :class:`DataError` first; then one pass of row norms sets the flag,
+    which the constructor would otherwise verify with a second pass.
+    """
+    table = EmbeddingTable(vectors, labels, class_count)
     # An overflowing norm is inf, which correctly reads as not unit.
     with np.errstate(over="ignore"):
-        norms = _row_norms(vectors)
-    return bool(np.all(np.abs(norms - 1.0) <= UNIT_NORM_TOL))
+        norms = _row_norms(table.vectors)
+    object.__setattr__(table, "normalized", bool(np.all(np.abs(norms - 1.0) <= UNIT_NORM_TOL)))
+    return table
 
 
 def _remap_labels(raw_labels: np.ndarray) -> tuple[np.ndarray, dict[int, int]]:
@@ -212,9 +220,7 @@ def _load_binary(data: bytes) -> tuple[EmbeddingTable, dict[int, int]]:
         raise FormatError(
             f"header declares {k} classes but file contains {len(mapping)} distinct labels"
         )
-    vectors64 = vectors.astype(np.float64)
-    table = EmbeddingTable(vectors64, labels, k, normalized=_looks_normalized(vectors64))
-    return table, mapping
+    return _loaded_table(vectors.astype(np.float64), labels, k), mapping
 
 
 def _dump_csv(table: EmbeddingTable, fh) -> None:
@@ -258,10 +264,7 @@ def _load_csv(fh) -> tuple[EmbeddingTable, dict[int, int]]:
         raise FormatError("file contains a header but no data rows")
     vectors = np.array(rows, dtype=np.float64)
     labels, mapping = _remap_labels(np.array(raw_labels, dtype=np.int64))
-    table = EmbeddingTable(
-        vectors, labels, len(mapping), normalized=_looks_normalized(vectors)
-    )
-    return table, mapping
+    return _loaded_table(vectors, labels, len(mapping)), mapping
 
 
 @dataclass(frozen=True)

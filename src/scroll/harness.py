@@ -235,9 +235,20 @@ def _evaluate(predict_batch, table: EmbeddingTable) -> tuple[float, list[float]]
     return accuracy, per_class
 
 
-def _class_means(table: EmbeddingTable) -> list[np.ndarray]:
-    """Each class's mean row, by class id: the targets of ``moment_distances``."""
-    return [table.vectors[table.labels == y].mean(axis=0) for y in range(table.class_count)]
+def _class_members(table: EmbeddingTable) -> list[np.ndarray]:
+    """Each class's row indices in ascending order, by class id, from one stable argsort."""
+    order = np.argsort(table.labels, kind="stable")
+    counts = np.bincount(table.labels, minlength=table.class_count)
+    return np.split(order, np.cumsum(counts)[:-1])
+
+
+def _class_means(table: EmbeddingTable, members=None) -> list[np.ndarray]:
+    """Each class's mean row, by class id: the targets of ``moment_distances``.
+
+    ``members`` is :func:`_class_members` of the table, computed when not given.
+    """
+    members = _class_members(table) if members is None else members
+    return [table.vectors[rows].mean(axis=0) for rows in members]
 
 
 def _new_state(cfg: ExperimentConfig, table: EmbeddingTable):
@@ -576,8 +587,8 @@ def buffer_study(
             raise ConfigError(f"unknown buffer strategy {strategy!r}")
     train, _ = cfg.data.resolve()
     classes = train.class_count
-    members = [np.flatnonzero(train.labels == y) for y in range(classes)]
-    means = _class_means(train)
+    members = _class_members(train)
+    means = _class_means(train, members)
     count = shuffles * classes  # stream i: class i % classes in shuffle i // classes
     distances = np.empty((len(scenarios), len(strategies), count))
     for first in range(0, count, _STUDY_STREAMS):

@@ -21,10 +21,14 @@ blocks; every other step is a product cut into row blocks of at most
 spin through all of stage two, and its bits do not depend on the thread
 count.
 
-Class sums gain a batch's rows one at a time, in batch order, through
-``np.add.at``. A one-row ridge batch, the unit of a per-sample stream,
-takes a plain in-place add instead: the same single add, at a fraction of
-the per-call cost, so both paths give the same bits.
+Class sums gain a batch's rows one at a time, in batch order, each by
+one IEEE add onto the stored sum: the bits of ``np.add.at``, which serves
+only as the tests' oracle. :func:`_add_rows` groups an n-row batch by
+label with one stable argsort, then takes at most about 2 sqrt(n) numpy
+calls: one sequential ``np.add.accumulate`` per class of more than
+``isqrt(n)`` rows, and one fancy-indexed add per row depth of the other
+classes. A one-row batch, the unit of a per-sample stream, is one plain
+in-place add.
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ RIDGE_BLOCK_ROWS = 256
 #: pass over the d x d sums, which small blocks repeat often. Per 200-row
 #: ``update_batch`` on the VM above: two-row blocks at d=362 took 24 ms
 #: where one threaded 200-row product took 8 ms; four-row blocks at d=256
-#: take 12 ms against 8 ms, and 0.08 ms per single row against 0.24 ms.
+#: take 8.2 ms against 0.38-0.44 ms for one 200-row product.
 _MIN_ONE_THREAD_ROWS = 4
 
 #: Most rows of a diagonal block the ridge solve factors with LAPACK. Such
@@ -204,22 +208,64 @@ def _cholesky_solve(factor: np.ndarray, inverses: list[np.ndarray], rhs: np.ndar
     return x
 
 
+def _add_rows(sums: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> None:
+    """``np.add.at(sums, ys, xs)``, bit for bit, in at most about 2 sqrt(n) numpy calls.
+
+    Each class sum gains its rows through single adds, one row at a time,
+    in batch order, starting from the stored sum. One stable argsort groups
+    the n rows by label. A class with more than ``isqrt(n)`` rows takes one
+    ``np.add.accumulate`` over its stored sum and its rows, which adds in
+    sequence by definition. Every other class gains its r-th row in the
+    r-th of at most ``isqrt(n)`` fancy-indexed adds, whose labels are
+    distinct. Scratch memory is O(n d).
+    """
+    n = ys.shape[0]
+    if n == 1:
+        sums[ys[0]] += xs[0]
+        return
+    # Labels below 2**16 sort as uint16, which numpy's stable sort radix-sorts.
+    order = np.argsort(ys.astype(np.uint16) if len(sums) <= 2**16 else ys, kind="stable")
+    labels = ys[order]
+    starts = np.flatnonzero(np.diff(labels, prepend=-1))
+    sizes = np.diff(starts, append=n)
+    deep = sizes > math.isqrt(n)
+    for lo, size in zip(starts[deep].tolist(), sizes[deep].tolist()):
+        y = labels[lo]
+        chain = np.concatenate((sums[y : y + 1], xs[order[lo : lo + size]]))
+        sums[y] = np.add.accumulate(chain, axis=0)[-1]
+    shallow = ~np.repeat(deep, sizes)
+    depth = (np.arange(n) - np.repeat(starts, sizes))[shallow]
+    by_depth = np.argsort(depth, kind="stable")
+    labels = labels[shallow][by_depth]
+    rows = xs[order[shallow][by_depth]]
+    lo = 0
+    for hi in np.cumsum(np.bincount(depth)).tolist():
+        sums[labels[lo:hi]] += rows[lo:hi]
+        lo = hi
+
+
 def as_int_ids(values, what: str) -> np.ndarray:
     """``values`` as an int64 array; a non-integer dtype raises :class:`ClassIdError`.
 
     Converting with ``dtype=np.int64`` alone would truncate 1.7 to 1, and
     wrap a 64-bit unsigned value of 2**63 or more to a negative one, so such
-    a value raises :class:`ClassIdError` too. An empty sequence has no
-    integer dtype (``[]`` reads as float64) and passes.
+    a value raises :class:`ClassIdError` too. So does a list or tuple of
+    Python ints that numpy reads as object or float64 because one lies
+    outside the int64 range; the error names that value. An empty sequence
+    has no integer dtype (``[]`` reads as float64) and passes.
     """
-    values = np.asarray(values)
-    if values.size and values.dtype.kind not in "iu":
-        raise ClassIdError(f"{what}: expected an integer dtype, got {values.dtype}")
-    if values.dtype.kind == "u" and values.dtype.itemsize == 8 and values.size:
-        largest = int(values.max())
+    array = np.asarray(values)
+    if array.size and array.dtype.kind not in "iu":
+        ints = isinstance(values, (list, tuple)) and all(type(v) is int for v in values)
+        wide = [v for v in values if not -(2**63) <= v < 2**63] if ints else []
+        if wide:
+            raise ClassIdError(f"{what}: {wide[0]} is past the int64 range")
+        raise ClassIdError(f"{what}: expected an integer dtype, got {array.dtype}")
+    if array.dtype.kind == "u" and array.dtype.itemsize == 8 and array.size:
+        largest = int(array.max())
         if largest >= 2**63:
             raise ClassIdError(f"{what}: {largest} is past the int64 range")
-    return values.astype(np.int64, copy=False)
+    return array.astype(np.int64, copy=False)
 
 
 class LinearHead:
@@ -295,7 +341,7 @@ class NccState:
     def update_batch(self, xs, ys) -> "NccState":
         """Add each row to its class sum; other classes' rows are untouched."""
         xs, ys = check_batch(xs, ys, self.dim, self.class_count)
-        np.add.at(self.class_sums, ys, xs)
+        _add_rows(self.class_sums, xs, ys)
         self.counts += np.bincount(ys, minlength=self.class_count)
         return self
 
@@ -405,10 +451,7 @@ class RidgeState:
         """Accumulate each row: cov gains x x^T, class row y gains x."""
         xs, ys = check_batch(xs, ys, self.dim, self.class_count)
         self._push(xs)
-        if len(ys) == 1:  # the one add np.add.at would make
-            self.class_sums[ys[0]] += xs[0]
-        else:
-            np.add.at(self.class_sums, ys, xs)
+        _add_rows(self.class_sums, xs, ys)
         self.seen += xs.shape[0]
         return self
 

@@ -15,6 +15,7 @@ from scroll import (
     save_embeddings,
     synthesize,
 )
+from scroll import embeddings
 from scroll._binio import Reader
 from scroll.embeddings import _NORM_BLOCK_ELEMENTS, _row_norms
 
@@ -263,6 +264,52 @@ class TestCsvFormat:
         path.write_text("f0,f1,label\nx,0.0,0\n")
         with pytest.raises(FormatError, match="line 2"):
             load_embeddings(path, "csv")
+
+
+class TestLoadedNorms:
+    @pytest.mark.parametrize("fmt", ["binary", "csv"])
+    def test_a_load_computes_row_norms_once(self, tmp_path, monkeypatch, fmt):
+        # The loader sets the normalized flag from one pass of row norms,
+        # which the constructor no longer repeats to verify the flag.
+        rng = np.random.default_rng(8)
+        t = normalize(make_table(rng.standard_normal((40, 5)), np.arange(40) % 4, 4))
+        path = tmp_path / f"t.{fmt}"
+        save_embeddings(t, path, fmt)
+        calls = []
+
+        def counted(rows):
+            calls.append(rows.shape)
+            return _row_norms(rows)
+
+        monkeypatch.setattr(embeddings, "_row_norms", counted)
+        loaded, _ = load_embeddings(path, fmt)
+        assert loaded.normalized
+        assert calls == [(40, 5)]
+
+    @pytest.mark.parametrize("fmt, scale", [
+        ("csv", 3.0), ("csv", 1e200), ("binary", 3.0), ("binary", 3e38),
+    ])
+    def test_non_unit_rows_load_unflagged_without_warning(self, tmp_path, fmt, scale):
+        # A CSV row of 1e200 entries has a sum of squares past float64's
+        # range; the binary format stores float32, whose largest entries
+        # square to about 1e77.
+        t = make_table([[scale, 0.0], [0.0, scale], [scale, scale]], [0, 1, 0], 2)
+        path = tmp_path / f"t.{fmt}"
+        save_embeddings(t, path, fmt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded, _ = load_embeddings(path, fmt)
+        assert not loaded.normalized
+
+    def test_nan_row_raises_the_tables_data_error(self, tmp_path):
+        t = make_table([[1.0, 0.0], [0.0, 1.0]], [0, 1], 2)
+        path = tmp_path / "t.bin"
+        save_embeddings(t, path, "binary")
+        blob = bytearray(path.read_bytes())
+        blob[26:30] = np.array([np.nan], "<f4").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match="non-finite value in row 1"):
+            load_embeddings(path, "binary")
 
 
 class TestSynthesize:

@@ -27,7 +27,7 @@ from scroll import (
 from scroll import harness
 from scroll._seeding import seeded_rng
 from scroll.harness import (
-    ConsumeOnceStream, DataConfig, _adapted, _class_means, _evaluate, _stage_one,
+    ConsumeOnceStream, DataConfig, _adapted, _class_means, _class_members, _evaluate, _stage_one,
     _state_deviation, _stream, _sweep_schedule_specs,
 )
 from scroll.learners import RIDGE_BLOCK_ROWS
@@ -577,6 +577,23 @@ class TestStateDeviation:
         assert ones.cov.tobytes() == ragged.cov.tobytes()
         assert ones.class_sums.tobytes() == ragged.class_sums.tobytes()
         assert _state_deviation(states) == 0.0
+
+
+class TestClassMeans:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_match_the_boolean_mask_means_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 30))
+        labels = np.concatenate([np.arange(k), rng.integers(0, k, int(rng.integers(0, 300)))])
+        rng.shuffle(labels)
+        scales = 10.0 ** rng.integers(-3, 4, (len(labels), 1))
+        table = EmbeddingTable(rng.standard_normal((len(labels), 7)) * scales, labels, k)
+        masks = [table.labels == y for y in range(k)]
+        members = _class_members(table)
+        assert [m.tolist() for m in members] == [np.flatnonzero(m).tolist() for m in masks]
+        expected = [table.vectors[m].mean(axis=0).tobytes() for m in masks]
+        assert [m.tobytes() for m in _class_means(table)] == expected
+        assert [m.tobytes() for m in _class_means(table, members)] == expected
 
 
 def per_stream_study(cfg, shuffles, scenarios, strategies):

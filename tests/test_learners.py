@@ -303,25 +303,36 @@ class TestOneRowUpdates:
     @given(st.integers(0, 2**32 - 1))
     def test_match_the_add_at_path_bit_for_bit(self, seed):
         # Oracle: the np.add.at and np.bincount updates every batch took
-        # before one-row ridge batches got a plain in-place add.
+        # before class sums moved to _add_rows. One-row batches take a plain
+        # add; a longer batch reaches the deep path (a class of more than
+        # isqrt(n) rows), the depth path, or both: one class holding half
+        # the stream beside classes of a row or two.
         rng = np.random.default_rng(seed)
-        k, d, n = int(rng.integers(1, 6)), int(rng.integers(1, 9)), int(rng.integers(1, 60))
+        k, d, n = int(rng.integers(1, 40)), int(rng.integers(1, 9)), int(rng.integers(1, 120))
         grid = np.array([-0.0, 0.0, -1.0, 0.1, 3.0, 1e300, -1e300])
         rows = np.where(rng.random((n, d)) < 0.5, grid[rng.integers(0, 7, (n, d))],
                         rng.standard_normal((n, d)))
         labels = rng.integers(0, k, n)
+        mix = rng.choice(["uniform", "one class", "one class and the rest"])
+        if mix != "uniform":
+            labels[rng.random(n) < (1.0 if mix == "one class" else 0.5)] = rng.integers(0, k)
         ncc, ridge = NccState(k, d), RidgeState(k, d)
         sums, counts = np.zeros((k, d)), np.zeros(k, dtype=np.int64)
+        start = 0
         with np.errstate(over="ignore", invalid="ignore"):  # +-1e300 rows may overflow
-            for x, y in zip(rows, labels):
-                ys = [int(y)] if rng.choice(["array", "list"]) == "list" else np.array([y])
-                ncc.update_batch(x[None, :], ys)
-                ridge.update_batch(x[None, :], ys)
-                np.add.at(sums, np.array([y]), x[None, :])
-                counts += np.bincount([y], minlength=k)
+            while start < n:
+                stop = start + (1 if rng.random() < 0.3 else int(rng.integers(1, n - start + 1)))
+                xs, ys = rows[start:stop], labels[start:stop]
+                form = rng.choice(["list", "int32", "uint64", "int64"])
+                given_ys = ys.tolist() if form == "list" else ys.astype(form)
+                ncc.update_batch(xs, given_ys)
+                ridge.update_batch(xs, given_ys)
+                np.add.at(sums, ys, xs)
+                counts += np.bincount(ys, minlength=k)
                 assert ncc.class_sums.tobytes() == sums.tobytes()
                 assert ridge.class_sums.tobytes() == sums.tobytes()
                 assert ncc.counts.tobytes() == counts.tobytes()
+                start = stop
         assert ridge.seen == n
 
     @pytest.mark.parametrize("kind", [NccState, RidgeState])
@@ -348,6 +359,22 @@ class TestUnsignedLabels:
         state = kind(3, 2)
         with pytest.raises(ClassIdError, match=f"{2**63 + 1} is past the int64 range"):
             state.update_batch(np.ones((2, 2)), np.array([0, 2**63 + 1], dtype=np.uint64))
+        assert not state.class_sums.any()
+
+    @pytest.mark.parametrize("kind", [NccState, RidgeState])
+    def test_python_int_past_uint64_names_its_value(self, kind):
+        # numpy reads [2**64] as an object array, once reported as its dtype.
+        state = kind(3, 2)
+        with pytest.raises(ClassIdError, match=f"{2**64} is past the int64 range"):
+            state.update_batch(np.ones((1, 2)), [2**64])
+        assert not state.class_sums.any()
+
+    @pytest.mark.parametrize("kind", [NccState, RidgeState])
+    def test_python_ints_on_both_sides_of_int64_name_the_value(self, kind):
+        # numpy reads [-1, 2**63] as float64, once reported as its dtype.
+        state = kind(3, 2)
+        with pytest.raises(ClassIdError, match=f"{2**63} is past the int64 range"):
+            state.update_batch(np.ones((2, 2)), [-1, 2**63])
         assert not state.class_sums.any()
 
     def test_uint64_labels_in_range_pass(self):
