@@ -15,15 +15,19 @@ class Reader:
         self.data = data
         self.offset = 0
 
-    def _advance(self, count: int, what: str) -> int:
-        """Move past ``count`` bytes and return where they start."""
-        start, end = self.offset, self.offset + count
+    def require(self, count: int, what: str) -> int:
+        """End of the next ``count`` bytes, checked without moving (before allocating for them)."""
+        end = self.offset + count
         if end > len(self.data):
             raise FormatError(
-                f"truncated {what}: need bytes [{start}, {end}) "
+                f"truncated {what}: need bytes [{self.offset}, {end}) "
                 f"but data ends at byte {len(self.data)}"
             )
-        self.offset = end
+        return end
+
+    def _advance(self, count: int, what: str) -> int:
+        """Move past ``count`` bytes and return where they start."""
+        start, self.offset = self.offset, self.require(count, what)
         return start
 
     def take(self, count: int, what: str) -> bytes:

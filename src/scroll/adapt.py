@@ -10,12 +10,15 @@ head alone on the raw embeddings; no adapter is built. Every adaptation
 call restarts from the stage-one head; nothing is warm-started from a
 previous adapted model.
 
-A call checks its buffer arrays once, then runs every minibatch through
-one private step that writes its logits and gradients into arrays
-allocated once per call. Rows are gathered a few whole minibatches at a
-time, so memory stays at O(256 (d + K)) beyond the buffer and O(n)
-vectors; the epoch loss is summed from per-row terms at the end of the
-epoch, in the order the per-batch means would have been added.
+A call checks its buffer arrays once and builds its minibatch plan, the
+arguments of every step as views of arrays allocated once per call. Each
+minibatch then takes one private step, whose label gradient subtracts a
+one-hot block, and one optimizer pass over all trained parameters, with
+AdaDelta's squared-step update deferred into the next step's decay. Rows
+are gathered a few whole minibatches at a time, so memory stays at
+O(256 (d + K)) beyond the buffer and O(n) vectors; the epoch loss is
+summed from per-row terms at the end of the epoch, in the order the
+per-batch means would have been added.
 """
 
 from __future__ import annotations
@@ -193,15 +196,15 @@ def _logits(params: AdapterParams, zs: np.ndarray) -> np.ndarray:
     return logits
 
 
-def _step(params, zs, label_pos, temperature, logits, log_z, dlogits, grads) -> None:
+def _step(params, zs, hot, temperature, logits, log_z, dlogits, grads) -> None:
     """Forward and backward pass of one checked minibatch, into given arrays.
 
-    ``label_pos[i]`` is the flat position of row ``i``'s label logit in a
-    ``(rows, K)`` array. ``logits`` receives the temperature-scaled logits
-    less their row maximum and ``log_z`` each row's log-normalizer, so the
-    loss of row ``i`` is ``log_z[i] - logits.flat[label_pos[i]]``.
-    ``dlogits`` is scratch shaped like ``logits``; ``grads`` maps every
-    gradient name to the array that receives it.
+    ``hot`` is the ``(rows, K)`` one-hot block (float or bool) of the rows' labels.
+    ``logits`` receives the temperature-scaled logits less their row
+    maximum and ``log_z`` each row's log-normalizer, so the loss of row
+    ``i`` is ``log_z[i]`` less its label logit. ``dlogits`` is scratch
+    shaped like ``logits``; ``grads`` maps every gradient name to the array
+    that receives it.
     """
     if isinstance(params, LinearHead):
         head, feat = params, zs
@@ -222,7 +225,8 @@ def _step(params, zs, label_pos, temperature, logits, log_z, dlogits, grads) -> 
 
     np.subtract(logits, log_z[:, None], out=dlogits)
     np.exp(dlogits, out=dlogits)
-    dlogits.ravel()[label_pos] -= 1.0
+    # Off the label, p - 0.0 is p, so this is the label entries' -= 1.
+    dlogits -= hot
     dlogits /= len(zs) * temperature
     np.matmul(dlogits.T, feat, out=grads["weights"])
     np.add.reduce(dlogits, axis=0, out=grads["biases"])
@@ -252,10 +256,10 @@ def loss_and_grads(
     if head is not params:
         shapes.update(up=params.up.shape, down=params.down.shape)
     grads = {name: np.empty(shape) for name, shape in shapes.items()}
-    label_pos = np.arange(batch) * head.class_count + ys
     logits, log_z = np.empty((batch, head.class_count)), np.empty(batch)
-    _step(params, zs, label_pos, temperature, logits, log_z, np.empty_like(logits), grads)
-    return float(np.add.reduce(log_z - logits.ravel()[label_pos]) / batch), grads
+    hot = ys[:, None] == np.arange(head.class_count)
+    _step(params, zs, hot, temperature, logits, log_z, np.empty_like(logits), grads)
+    return float(np.add.reduce(log_z - logits[hot]) / batch), grads
 
 
 def adadelta_step(
@@ -276,44 +280,45 @@ def adadelta_step(
     """
     if not 0 < rho < 1:
         raise ConfigError(f"rho must lie in (0, 1), got {rho}")
-    param = np.array(param, dtype=np.float64)
-    accums = np.array([accum_grad_sq, accum_step_sq], dtype=np.float64)
-    _adadelta_update(
-        param, np.asarray(grad, dtype=np.float64), accums,
-        np.empty_like(param), np.empty_like(accums), rho, eps, lr,
-    )
-    return param, accums[0], accums[1]
+    grad = np.asarray(grad, dtype=np.float64)
+    grad_sq = rho * np.asarray(accum_grad_sq, dtype=np.float64) + (1.0 - rho) * grad * grad
+    step_sq = np.asarray(accum_step_sq, dtype=np.float64)
+    step = np.sqrt(step_sq + eps) / np.sqrt(grad_sq + eps) * grad
+    step_sq = rho * step_sq + (1.0 - rho) * step * step
+    return np.asarray(param, dtype=np.float64) - lr * step, grad_sq, step_sq
 
 
-def _adadelta_update(param, grad, accums, tmp, roots, rho, eps, lr) -> None:
-    """:func:`adadelta_step` in place: ``param`` and ``accums`` are overwritten.
-
-    ``accums`` stacks the squared-gradient and squared-step averages, so
-    one add and one square root give both roots; ``tmp`` is scratch shaped
-    like ``param`` and ``roots`` like ``accums``. The operations and their
-    order are those of the textbook form
-    ``grad_sq = rho*grad_sq + (1-rho)*grad*grad``,
-    ``step = -sqrt(step_sq + eps) / sqrt(grad_sq + eps) * grad``,
-    ``step_sq = rho*step_sq + (1-rho)*step*step``, ``param + lr*step``,
-    except that ``tmp`` holds ``-step`` and is subtracted. Rounding is
-    symmetric in sign, so the results are bit-identical to that form.
-    """
-    grad_sq, step_sq = accums
-    np.multiply(1.0 - rho, grad, out=tmp)
-    tmp *= grad
-    np.multiply(rho, grad_sq, out=grad_sq)
-    grad_sq += tmp
-    np.add(accums, eps, out=roots)
-    np.sqrt(roots, out=roots)
-    np.divide(roots[1], roots[0], out=tmp)
-    tmp *= grad
-    step_term = roots[0]
-    np.multiply(1.0 - rho, tmp, out=step_term)
-    step_term *= tmp
-    np.multiply(rho, step_sq, out=step_sq)
-    step_sq += step_term
-    np.multiply(lr, tmp, out=tmp)
+def _sgd_pass(param, grad, tmp, lr) -> None:
+    """``param -= lr * grad`` in place, with ``tmp`` as scratch shaped like ``param``."""
+    np.multiply(lr, grad, out=tmp)
     param -= tmp
+
+
+def _adadelta_pass(param, pending, accums, work, rho, eps, lr) -> None:
+    """One AdaDelta step on ``param`` in place, with the squared-step update deferred.
+
+    ``pending`` stacks this step's gradient (row 0) and the previous step
+    (row 1, zero before the first). ``accums`` stacks the squared-gradient
+    average and the squared-step average as of the step before, so one
+    decay updates the first for this step and the second for the previous
+    one; ``work`` is scratch shaped like them. Row 1 of ``pending`` then
+    receives this step, ``sqrt(step_sq + eps) / sqrt(grad_sq + eps) * grad``,
+    and ``param`` loses ``lr`` times it; ``lr`` is a scalar or one rate
+    per element. Each element sees the operations of :func:`adadelta_step`
+    in its order, so the parameters are bit-identical to a call of it per
+    step. Only the last step's square is never added, which no caller reads.
+    """
+    np.multiply(1.0 - rho, pending, out=work)
+    work *= pending
+    accums *= rho
+    accums += work
+    np.add(accums, eps, out=work)
+    np.sqrt(work, out=work)
+    grad, step = pending
+    np.divide(work[1], work[0], out=step)
+    step *= grad
+    np.multiply(lr, step, out=work[0])
+    param -= work[0]
 
 
 class AdaptedPredictor:
@@ -380,10 +385,11 @@ def adapt(
     if cfg.mode == "none":
         return AdaptedPredictor(init.copy(), provenance=provenance, warnings=warnings)
 
-    # Every trained tensor is a view of one flat array: the head group
-    # (weights, biases) at lr_head, then in adapter mode the adapter group
-    # (down, up) at lr_adapter. The updates are elementwise, so one call per
-    # group gives each element the operations a call per tensor would.
+    # Every trained tensor is a view of one flat array: the head (weights,
+    # biases) at lr_head, then in adapter mode the adapter (down, up) at
+    # lr_adapter. The updates are elementwise, so one pass over the flat
+    # array, with a rate per element in adapter mode, gives each element
+    # the operations a call per tensor would.
     adapter = init_adapter(init, cfg.bottleneck, cfg.seed) if cfg.mode == "adapter" else None
     tensors = [init.weights, init.biases]
     if adapter is not None:
@@ -395,18 +401,18 @@ def adapt(
     if adapter is not None:
         adapter = AdapterParams(*projections, head)
     params = adapter or head
-    flat_grad = np.empty_like(flat)
-    grads_out = dict(zip(("weights", "biases", "down", "up"), _views(flat_grad, shapes)))
     split = init.weights.size + init.biases.size
-    rates = [(slice(0, split), cfg.lr_head)]
+    rate = cfg.lr_head
     if adapter is not None:
-        rates.append((slice(split, None), cfg.lr_adapter))
-    # Per group: parameters, gradients, both AdaDelta accumulators (stacked),
-    # scratch shaped like the parameters, then like the accumulators, then
-    # the learning rate.
-    buffers = (flat, flat_grad, np.zeros((2, flat.size)), np.empty_like(flat),
-               np.empty((2, flat.size)))
-    groups = [tuple(b[..., part] for b in buffers) + (rate,) for part, rate in rates]
+        rate = np.repeat([cfg.lr_head, cfg.lr_adapter], [split, flat.size - split])
+    # Row 0 receives the gradients; row 1 holds AdaDelta's previous step.
+    pending, work = np.zeros((2, flat.size)), np.empty((2, flat.size))
+    grads = dict(zip(("weights", "biases", "down", "up"), _views(pending[0], shapes)))
+    if cfg.optimizer == "sgd":
+        update, update_args = _sgd_pass, (flat, pending[0], work[0], rate)
+    else:
+        update = _adadelta_pass
+        update_args = (flat, pending, np.zeros_like(pending), work, cfg.rho, cfg.eps, rate)
 
     # The per-epoch buffer check scores in slices whose largest product
     # (d x max(K, h) per row) stays on one OpenBLAS thread; a woken second
@@ -415,15 +421,27 @@ def adapt(
     check_block = min(PREDICT_BLOCK_ROWS, max(1, ONE_THREAD_MULADDS // (init.dim * widest)))
 
     # An epoch's rows are gathered one chunk of whole minibatches at a time.
-    # Row i of an epoch sits at flat position (i % batch) * K + label of its
-    # minibatch's logits and (i % chunk) * K + label of its chunk's.
+    # The plan holds, per chunk, its share of the epoch and its blocks, and
+    # the arguments of each of its steps: views, built once per call and
+    # shared by the chunks of one size, so they take O(chunk) memory.
+    # Row i of an epoch sits at flat position (i % chunk) * K + label of
+    # its chunk's logits and one-hot blocks.
     classes, batch = init.class_count, min(cfg.batch_size, stored)
     chunk = min(stored, batch * max(1, PREDICT_BLOCK_ROWS // batch))
-    rows, logits = np.empty((chunk, init.dim)), np.empty((chunk, classes))
-    dlogits = np.empty((batch, classes))
-    positions = np.arange(stored)
-    batch_offsets, chunk_offsets = positions % batch * classes, positions % chunk * classes
-    log_z, label_logits = np.empty(stored), np.empty(stored)
+    rows, hot, logits = (np.empty((chunk, width)) for width in (init.dim, classes, classes))
+    dlogits, log_z, terms = np.empty((batch, classes)), np.empty(chunk), np.empty(stored)
+    plan, steps = [], {}
+    for start in range(0, stored, chunk):
+        size = min(chunk, stored - start)
+        if size not in steps:
+            steps[size] = [
+                (rows[lo:hi], hot[lo:hi], cfg.temperature, logits[lo:hi], log_z[lo:hi],
+                 dlogits[:hi - lo], grads)
+                for lo, hi in ((lo, min(lo + batch, size)) for lo in range(0, size, batch))
+            ]
+        plan.append((slice(start, start + size), rows[:size], hot[:size].ravel(),
+                     logits[:size].ravel(), log_z[:size], steps[size]))
+    chunk_offsets = np.arange(stored) % chunk * classes
     whole = stored - stored % batch
     rng = seeded_rng(cfg.seed, 33)
     curve: list[tuple[int, float, float]] = []
@@ -433,31 +451,21 @@ def adapt(
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, cfg.epochs + 1):
             order = rng.permutation(stored)
-            labels = ys[order]
-            batch_pos, chunk_pos = batch_offsets + labels, chunk_offsets + labels
-            for start in range(0, stored, chunk):
-                stop = min(start + chunk, stored)
+            chunk_pos = chunk_offsets + ys[order]
+            for part, block, block_hot, block_logits, block_z, chunk_steps in plan:
                 # mode="clip" writes straight into the block: the indices
                 # are in range, and "raise" would go through a copy.
-                block = np.take(zs, order[start:stop], axis=0, out=rows[:stop - start],
-                                mode="clip")
-                for lo in range(start, stop, batch):
-                    hi = min(lo + batch, stop)
-                    _step(params, block[lo - start:hi - start], batch_pos[lo:hi],
-                          cfg.temperature, logits[lo - start:hi - start], log_z[lo:hi],
-                          dlogits[:hi - lo], grads_out)
-                    for param, grad, accums, tmp, roots, rate in groups:
-                        if cfg.optimizer == "sgd":
-                            param -= rate * grad
-                        else:
-                            _adadelta_update(
-                                param, grad, accums, tmp, roots, cfg.rho, cfg.eps, rate
-                            )
-                np.take(logits[:stop - start].ravel(), chunk_pos[start:stop],
-                        out=label_logits[start:stop], mode="clip")
+                zs.take(order[part], axis=0, out=block, mode="clip")
+                block_hot.fill(0.0)
+                block_hot[chunk_pos[part]] = 1.0
+                for args in chunk_steps:
+                    _step(params, *args)
+                    update(*update_args)
+                # Each row's loss term: its log-normalizer less its label logit.
+                label_logits = block_logits.take(chunk_pos[part], out=terms[part], mode="clip")
+                np.subtract(block_z, label_logits, out=label_logits)
             # Each minibatch's mean loss, reduced as loss_and_grads reduces
             # it, then weighted and added in batch order.
-            terms = log_z - label_logits
             epoch_loss = 0.0
             for loss in (np.add.reduce(terms[:whole].reshape(-1, batch), axis=1) / batch).tolist():
                 epoch_loss += loss * batch
@@ -470,8 +478,8 @@ def adapt(
                 raise DataError("adapter parameters contain non-finite values")
             if not math.isfinite(epoch_loss):
                 raise DataError("training loss is not finite")
-            buffer_acc = float(np.mean(blocked_argmax(predictor._scores, zs, check_block) == ys))
-            curve.append((epoch, epoch_loss / stored, buffer_acc))
+            hits = blocked_argmax(predictor._scores, zs, check_block) == ys
+            curve.append((epoch, epoch_loss / stored, float(np.count_nonzero(hits)) / stored))
 
     return AdaptedPredictor(
         predictor.head, adapter, provenance=provenance, curve=curve, warnings=warnings

@@ -40,7 +40,7 @@ def _load_json(path) -> dict:
             return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise ConfigError(f"invalid JSON in {path}: {exc}") from None
 
 

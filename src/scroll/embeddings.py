@@ -177,7 +177,10 @@ def load_embeddings(path, fmt: str = "binary") -> tuple[EmbeddingTable, dict[int
         with open(path, "rb") as fh:
             return _load_binary(fh.read())
     with open(path, "r", newline="") as fh:
-        return _load_csv(fh)
+        try:
+            return _load_csv(fh)
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"CSV file is not valid text: {exc}") from None
 
 
 def save_embeddings(table: EmbeddingTable, path, fmt: str = "binary") -> None:

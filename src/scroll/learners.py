@@ -527,6 +527,7 @@ def load_state(path) -> NccState | RidgeState:
     if k == 0 or d == 0:
         raise FormatError(f"degenerate state header: K={k}, d={d}")
     if kind == _KIND_NCC:
+        r.require(8 * (k * d + k), "class sums and counts")
         state = NccState(k, d)
         state.class_sums = r.array("<f8", k * d, "class sums").reshape(k, d).copy()
         state.counts = r.array("<i8", k, "counts").copy()
@@ -540,9 +541,11 @@ def load_state(path) -> NccState | RidgeState:
             raise FormatError(f"ridge lam must be positive and finite, got {lam!r}")
         if not (seen >= 0 and seen.is_integer()):
             raise FormatError(f"ridge sample count must be a non-negative integer, got {seen!r}")
+        block_rows = _ridge_block_rows(d)
+        if pending >= block_rows:
+            raise FormatError(f"{pending} pending rows do not fit a {block_rows}-row block")
+        r.require(8 * d * (d + k + pending), "second-moment matrix, class sums and pending rows")
         state = RidgeState(k, d, lam)
-        if pending >= len(state._block):
-            raise FormatError(f"{pending} pending rows do not fit a {len(state._block)}-row block")
         state._cov = r.array("<f8", d * d, "second-moment matrix").reshape(d, d).copy()
         state.class_sums = r.array("<f8", k * d, "class sums").reshape(k, d).copy()
         state._block[:pending] = r.array("<f8", pending * d, "pending rows").reshape(pending, d)

@@ -459,13 +459,16 @@ class TestBufferChecks:
             adapt(head, buf, AdaptConfig(mode="full_head", epochs=1, seed=1))
 
     @pytest.mark.parametrize("mode", ["full_head", "adapter"])
-    def test_memory_beyond_the_buffer_arrays_stays_in_blocks(self, mode):
-        # A gather of a whole epoch's rows would add n x d floats (8.2 MB).
+    @pytest.mark.parametrize("batch_size", [50, 1])
+    def test_memory_beyond_the_buffer_arrays_stays_in_blocks(self, mode, batch_size):
+        # A gather of a whole epoch's rows would add n x d floats (8.2 MB),
+        # and step arguments kept for every minibatch of an epoch would add
+        # about 90 floats' worth of views per row at batch size 1.
         rng = np.random.default_rng(65)
         n, d, k, h = 4000, 256, 100, 8
         buf = ArrayBuffer(rng.standard_normal((n, d)), np.arange(n) % k)
         head = LinearHead(0.01 * rng.standard_normal((k, d)), np.zeros(k))
-        cfg = AdaptConfig(mode=mode, epochs=1, bottleneck=h, seed=1)
+        cfg = AdaptConfig(mode=mode, epochs=1, batch_size=batch_size, bottleneck=h, seed=1)
         tracemalloc.start()
         try:
             adapt(head, buf, cfg)
@@ -825,27 +828,84 @@ class TestFusedSteps:
                     np.testing.assert_array_equal(pred.adapter.up, ref["up"])
                 assert pred.curve == curve
 
-    def test_one_optimizer_call_per_group_per_step(self, monkeypatch):
+    def test_one_optimizer_pass_per_step_over_every_trained_parameter(self, monkeypatch):
         module = importlib.import_module("scroll.adapt")
         calls = []
-        update = module._adadelta_update
+        update = module._adadelta_pass
 
         def counted(param, *args):
             calls.append(param.size)
             return update(param, *args)
 
-        monkeypatch.setattr(module, "_adadelta_update", counted)
+        monkeypatch.setattr(module, "_adadelta_pass", counted)
         rng = np.random.default_rng(59)
         buf = large_buffer(rng)
         head = LinearHead(rng.standard_normal((4, 8)), np.zeros(4))
         steps = 3 * math.ceil(buf.total_stored() / 64)
-        for mode, sizes in (("full_head", [4 * 8 + 4]), ("adapter", [4 * 8 + 4, 2 * 3 * 8])):
+        for mode, size in (("full_head", 4 * 8 + 4), ("adapter", 4 * 8 + 4 + 2 * 3 * 8)):
             calls.clear()
             adapt(head, buf, AdaptConfig(mode=mode, epochs=3, batch_size=64, bottleneck=3))
-            assert calls == sizes * steps
+            assert calls == [size] * steps
         calls.clear()
         adapt(head, buf, AdaptConfig(mode="adapter", epochs=1, optimizer="sgd"))
         assert calls == []
+
+
+@st.composite
+def adadelta_streams(draw):
+    """Flat gradient sequences split into a head and an adapter group, with their rates.
+
+    Entries are drawn from a seed, with 0, +-inf and NaN mixed in; rho
+    reaches close to 0 and to 1, and either rate can be 0.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    head_size, adapter_size = int(rng.integers(1, 6)), int(rng.integers(0, 6))
+    size = head_size + adapter_size
+    grads = rng.standard_normal((int(rng.integers(1, 8)), size)) * 10.0 ** rng.integers(-3, 4)
+    specials = np.array([0.0, np.inf, -np.inf, np.nan])
+    marked = rng.random(grads.shape) < draw(st.sampled_from([0.0, 0.1, 0.3]))
+    grads[marked] = rng.choice(specials, size=int(marked.sum()))
+    rho = draw(st.sampled_from([1e-12, 0.05, 0.5, 0.95, 1.0 - 1e-12]))
+    eps = draw(st.sampled_from([1e-12, 1e-6, 1.0]))
+    rates = [draw(st.sampled_from([0.0, 0.01, 1.0, 3.7])) for _ in range(2)]
+    return head_size, grads, rho, eps, rates
+
+
+def assert_same_bits(actual, expected):
+    """NaN where ``expected`` has NaN, and every other entry with its exact bits (signed zeros too)."""
+    nan = np.isnan(expected)
+    np.testing.assert_array_equal(np.isnan(actual), nan)
+    np.testing.assert_array_equal(actual[~nan].view(np.int64), expected[~nan].view(np.int64))
+
+
+class TestPipelinedAdadelta:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(adadelta_streams())
+    def test_matches_an_adadelta_step_per_group(self, stream):
+        module = importlib.import_module("scroll.adapt")
+        split, grads, rho, eps, (lr_head, lr_adapter) = stream
+        size = grads.shape[1]
+        start = np.random.default_rng(split).standard_normal(size)
+        flat, pending = start.copy(), np.zeros((2, size))
+        accums, work = np.zeros((2, size)), np.empty((2, size))
+        rate = np.repeat([lr_head, lr_adapter], [split, size - split])
+        groups = [[start[:split], np.zeros(split), np.zeros(split), lr_head],
+                  [start[split:], np.zeros(size - split), np.zeros(size - split), lr_adapter]]
+        with np.errstate(all="ignore"):
+            for grad in grads:
+                pending[0] = grad
+                module._adadelta_pass(flat, pending, accums, work, rho, eps, rate)
+                previous_step_sq = np.concatenate([group[2] for group in groups])
+                for group, part in zip(groups, (grad[:split], grad[split:])):
+                    param, grad_sq, step_sq, lr = group
+                    group[:3] = adadelta_step(param, part, grad_sq, step_sq, rho, eps, lr)
+                    textbook = reference_adadelta_step(param, part, grad_sq, step_sq, rho, eps, lr)
+                    for got, want in zip(group[:3], textbook):
+                        assert_same_bits(got, want)
+                assert_same_bits(flat, np.concatenate([group[0] for group in groups]))
+                assert_same_bits(accums[0], np.concatenate([group[1] for group in groups]))
+                # The squared-step average lags one step behind.
+                assert_same_bits(accums[1], previous_step_sq)
 
 
 class TestPredictorCheckpoint:

@@ -109,6 +109,15 @@ class TestRunCommand:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(cfg_path)]) == 2
 
+    def test_config_that_is_not_utf8_is_validation_error(self, tmp_path, capsys):
+        # A leading 0xff byte once escaped as a UnicodeDecodeError traceback.
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff" + json.dumps({"schedule": {"kind": "single_batch"}}).encode())
+        capsys.readouterr()
+        assert main(["run", "--config", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid JSON in {bad}") and "Traceback" not in err
+
     def test_bad_arguments_are_validation_errors(self):
         assert main(["run"]) == 1
         assert main(["frobnicate"]) == 1
@@ -313,6 +322,17 @@ class TestFileInput:
         cfg_path = csv_config(tmp_path, rows, [0, 1, 2], [rows[0], rows[2]], [0, 2])
         assert main(["run", "--config", str(cfg_path)]) == 2
         assert "different label sets" in capsys.readouterr().err
+
+    def test_csv_cell_that_is_not_utf8_is_runtime_error(self, tmp_path, capsys):
+        # A 0xff byte in a cell once escaped as a UnicodeDecodeError traceback.
+        rows = [(1.0, 0.0), (0.0, 1.0)]
+        cfg_path = csv_config(tmp_path, rows, [0, 1], rows, [0, 1])
+        train = tmp_path / "train.csv"
+        train.write_bytes(train.read_bytes().replace(b"1.0,0.0", b"1.0,\xff", 1))
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: CSV file is not valid text") and "Traceback" not in err
 
     def test_huge_csv_row_is_normalized(self, tmp_path):
         train = [(1e200, 1e200), (1.0, 1.1), (1e200, -1e200), (1.0, -1.1)]

@@ -33,7 +33,11 @@ from scroll import (
 )
 from scroll.errors import all_finite
 from scroll.learners import (
+    _KIND_NCC,
+    _KIND_RIDGE,
     ONE_THREAD_MULADDS,
+    STATE_MAGIC,
+    STATE_VERSION,
     _blocked_cholesky,
     _blocked_product,
     _cholesky_solve,
@@ -906,6 +910,19 @@ class TestCheckpoints:
         data[at : at + 4] = struct.pack("<I", len(s._block))
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError, match="pending rows"):
+            load_state(path)
+
+    @pytest.mark.parametrize("kind", ["ncc", "ridge"])
+    def test_header_beyond_the_payload_is_a_format_error_before_allocating(self, tmp_path, kind):
+        # K=3, d=2**31 once raised MemoryError: 48 GiB of NCC class sums, and
+        # a ridge second-moment matrix of 2**62 entries.
+        path = tmp_path / "state.bin"
+        tag = _KIND_NCC if kind == "ncc" else _KIND_RIDGE
+        data = STATE_MAGIC + struct.pack("<HBII", STATE_VERSION, tag, 3, 2**31)
+        if kind == "ridge":
+            data += struct.pack("<ddI", 1.0, 0.0, 0)  # lam, seen, pending
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match=r"^truncated .*class sums"):
             load_state(path)
 
     @pytest.mark.parametrize("field, value", [
