@@ -1,11 +1,19 @@
-"""Helpers for the little-endian binary container formats."""
+"""The little-endian binary container shared by the ``SCST``, ``SCBF``, ``SCAD`` and ``SCRL`` files.
+
+Every file is a 4-byte magic, a u16 format version, then its payload, and
+ends exactly where the payload does. This module is the one place that
+opens a binary file, checks a magic or compares a version; the loaders
+read their payload through a :class:`Reader` and the savers write it
+through a :class:`Writer`.
+"""
 
 import json
+import math
 import struct
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import DataError, FormatError, all_finite
 
 
 class Reader:
@@ -14,6 +22,17 @@ class Reader:
     def __init__(self, data: bytes):
         self.data = data
         self.offset = 0
+
+    @classmethod
+    def read_file(cls, path, magic: bytes, version: int, what: str) -> "Reader":
+        """A reader over the payload of ``path``, after its magic and ``version``."""
+        with open(path, "rb") as fh:
+            r = cls(fh.read())
+        r.expect_magic(magic)
+        (found,) = r.unpack("H", f"{what} version")
+        if found != version:
+            raise FormatError(f"unsupported {what} version {found} at byte {len(magic)}")
+        return r
 
     def require(self, count: int, what: str) -> int:
         """End of the next ``count`` bytes, checked without moving (before allocating for them)."""
@@ -51,6 +70,17 @@ class Reader:
         start = self._advance(np.dtype(dtype).itemsize * count, what)
         return np.frombuffer(self.data, dtype=dtype, count=count, offset=start)
 
+    def floats(self, shape: tuple, what: str) -> np.ndarray:
+        """The next float64 array of ``shape`` (a tuple), owned and finite.
+
+        The byte count is checked before anything is allocated; a NaN or
+        infinite entry raises :class:`DataError` naming ``what``.
+        """
+        values = self.array("<f8", math.prod(shape), what).reshape(shape).copy()
+        if not all_finite(values):
+            raise DataError(f"non-finite values in {what}")
+        return values
+
     def json(self, what: str, kind: type):
         """A JSON value of type ``kind``, as :meth:`Writer.json` writes it."""
         (count,) = self.unpack("I", f"{what} length")
@@ -71,13 +101,11 @@ class Reader:
 
 
 class Writer:
-    """Accumulates little-endian fields into a byte string."""
+    """Accumulates a file's magic, u16 version and little-endian fields."""
 
-    def __init__(self):
-        self._parts: list[bytes] = []
-
-    def raw(self, data: bytes) -> None:
-        self._parts.append(data)
+    def __init__(self, magic: bytes, version: int):
+        self._parts: list[bytes] = [magic]
+        self.pack("H", version)
 
     def pack(self, fmt: str, *values) -> None:
         self._parts.append(struct.pack("<" + fmt, *values))
@@ -89,7 +117,8 @@ class Writer:
         """``value`` as a u32 byte count, then JSON with sorted keys."""
         blob = json.dumps(value, sort_keys=True).encode()
         self.pack("I", len(blob))
-        self.raw(blob)
+        self._parts.append(blob)
 
-    def getvalue(self) -> bytes:
-        return b"".join(self._parts)
+    def save(self, path) -> None:
+        with open(path, "wb") as fh:
+            fh.write(b"".join(self._parts))

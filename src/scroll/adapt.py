@@ -506,40 +506,31 @@ def write_training_curve(curve, path) -> None:
 
 def save_predictor(pred: AdaptedPredictor, path) -> None:
     """Write an adapted-predictor checkpoint (magic ``SCAD``)."""
-    w = Writer()
-    w.raw(PREDICTOR_MAGIC)
+    w = Writer(PREDICTOR_MAGIC, PREDICTOR_VERSION)
     k, d = pred.head.weights.shape
     h = pred.adapter.width if pred.adapter is not None else 0
-    w.pack("HBIII", PREDICTOR_VERSION, 1 if pred.adapter else 0, k, d, h)
+    w.pack("BIII", 1 if pred.adapter else 0, k, d, h)
     w.array(pred.head.weights, "<f8")
     w.array(pred.head.biases, "<f8")
     if pred.adapter is not None:
         w.array(pred.adapter.down, "<f8")
         w.array(pred.adapter.up, "<f8")
     w.json(pred.provenance)
-    with open(path, "wb") as fh:
-        fh.write(w.getvalue())
+    w.save(path)
 
 
 def load_predictor(path) -> AdaptedPredictor:
     """Read back a checkpoint written by :func:`save_predictor`."""
-    with open(path, "rb") as fh:
-        r = Reader(fh.read())
-    r.expect_magic(PREDICTOR_MAGIC)
-    version, has_adapter, k, d, h = r.unpack("HBIII", "predictor header")
-    if version != PREDICTOR_VERSION:
-        raise FormatError(f"unsupported predictor version {version}")
+    r = Reader.read_file(path, PREDICTOR_MAGIC, PREDICTOR_VERSION, "predictor")
+    has_adapter, k, d, h = r.unpack("BIII", "predictor header")
     if has_adapter not in (0, 1):
         raise FormatError(f"predictor adapter flag must be 0 or 1, got {has_adapter}")
     if k == 0 or d == 0:
         raise FormatError(f"degenerate predictor header: K={k}, d={d}")
-    weights = r.array("<f8", k * d, "head weights").reshape(k, d).copy()
-    biases = r.array("<f8", k, "head biases").copy()
-    head = LinearHead(weights, biases)
+    head = LinearHead(r.floats((k, d), "head weights"), r.floats((k,), "head biases"))
     adapter = None
     if has_adapter:
-        down = r.array("<f8", h * d, "down projection").reshape(h, d).copy()
-        up = r.array("<f8", d * h, "up projection").reshape(d, h).copy()
+        down, up = r.floats((h, d), "down projection"), r.floats((d, h), "up projection")
         adapter = AdapterParams(down, up, head)
     provenance = r.json("provenance", dict)
     r.expect_end()

@@ -174,8 +174,7 @@ def load_embeddings(path, fmt: str = "binary") -> tuple[EmbeddingTable, dict[int
     if fmt not in FORMATS:
         raise ConfigError(f"unknown embedding format {fmt!r}, expected one of {FORMATS}")
     if fmt == "binary":
-        with open(path, "rb") as fh:
-            return _load_binary(fh.read())
+        return _load_binary(Reader.read_file(path, EMBEDDING_MAGIC, EMBEDDING_VERSION, "embedding"))
     with open(path, "r", newline="") as fh:
         try:
             return _load_csv(fh)
@@ -188,30 +187,17 @@ def save_embeddings(table: EmbeddingTable, path, fmt: str = "binary") -> None:
     if fmt not in FORMATS:
         raise ConfigError(f"unknown embedding format {fmt!r}, expected one of {FORMATS}")
     if fmt == "binary":
-        with open(path, "wb") as fh:
-            fh.write(_dump_binary(table))
+        w = Writer(EMBEDDING_MAGIC, EMBEDDING_VERSION)
+        w.pack("III", table.n_samples, table.dim, table.class_count)
+        w.array(table.vectors, "<f4")
+        w.array(table.labels, "<u4")
+        w.save(path)
     else:
         with open(path, "w", newline="") as fh:
             _dump_csv(table, fh)
 
 
-def _dump_binary(table: EmbeddingTable) -> bytes:
-    w = Writer()
-    w.raw(EMBEDDING_MAGIC)
-    w.pack(
-        "HIII", EMBEDDING_VERSION, table.n_samples, table.dim, table.class_count
-    )
-    w.array(table.vectors, "<f4")
-    w.array(table.labels, "<u4")
-    return w.getvalue()
-
-
-def _load_binary(data: bytes) -> tuple[EmbeddingTable, dict[int, int]]:
-    r = Reader(data)
-    r.expect_magic(EMBEDDING_MAGIC)
-    (version,) = r.unpack("H", "version field")
-    if version != EMBEDDING_VERSION:
-        raise FormatError(f"unsupported version {version} at byte 4")
+def _load_binary(r: Reader) -> tuple[EmbeddingTable, dict[int, int]]:
     n, dim, k = r.unpack("III", "size header")
     if n == 0 or dim == 0 or k == 0:
         raise FormatError(f"degenerate header: N={n}, d={dim}, K={k}")

@@ -26,7 +26,7 @@ from .embeddings import (
 from .errors import (
     ConfigError, DataError, StreamReuseError, require_fields, require_float, require_int,
 )
-from .learners import LinearHead, NccState, RidgeState
+from .learners import NccState, RidgeState
 from .replay import ReplayBuffer, STRATEGIES
 from .schedules import ScheduleSpec, build_schedule, iter_batches
 
@@ -257,28 +257,19 @@ def _new_state(cfg: ExperimentConfig, table: EmbeddingTable):
     return RidgeState(table.class_count, table.dim, cfg.ridge_lambda)
 
 
-def _stage_one(cfg: ExperimentConfig, state):
-    """The stage-one predictor and the head stage two starts from.
-
-    A ridge system is solved once for both; NCC predicts by its own rule,
-    which masks unseen classes, and starts stage two from its linear head.
-    """
-    head = init_head(cfg.classifier, state)
-    predict = state.predict_batch if isinstance(state, NccState) else head.predict_batch
-    return predict, head
-
-
 def _stream(cfg: ExperimentConfig, train, schedule, timing: dict):
     """Stream once into fresh statistics and buffer, fitting each checkpoint on the way.
 
     Returns both plus, for each ``intermediate_evals`` position, the
-    :func:`_fit` of a copy of the statistics (NCC's stage-one predictor
-    reads them) and of the buffer after that batch, adding its times to
-    ``timing``. Checkpoints are scored only after the stream: a test-set
-    evaluation threads, and would leave an OpenBLAS thread spinning through
-    the updates and fits that follow. A fit stays on one thread for NCC,
-    and for ridge while d <= 1088 and d * K <= 65,536; past that a
-    checkpoint's solve may thread. No benchmark workload is that wide.
+    :func:`_fit` of the statistics and the buffer after that batch, adding
+    its times to ``timing``. NCC's statistics are fitted as a copy, which
+    its stage-one predictor reads when it is scored; a ridge fit reads the
+    live statistics only while it solves. Checkpoints are scored only after
+    the stream: a test-set evaluation threads, and would leave an OpenBLAS
+    thread spinning through the updates and fits that follow. A fit stays
+    on one thread for NCC, and for ridge while d <= 1088 and d * K <=
+    65,536; past that a checkpoint's solve may thread. No benchmark
+    workload is that wide.
     """
     state = _new_state(cfg, train)
     buffer = (
@@ -294,39 +285,35 @@ def _stream(cfg: ExperimentConfig, train, schedule, timing: dict):
             buffer.update(batch.vectors, batch.labels, batch.indices)
         state.update_batch(batch.vectors, batch.labels)
         if t in checkpoints:
-            fits[t] = _fit(cfg, state.copy(), buffer, timing)
+            fits[t] = _fit(cfg, state.copy() if isinstance(state, NccState) else state,
+                           buffer, timing)
     return state, buffer, fits
-
-
-def _adapted(cfg: ExperimentConfig, head: LinearHead, buffer) -> AdaptedPredictor | None:
-    """Stage two, always restarted from the stage-one ``head`` (left untouched).
-
-    ``None`` when there is nothing to adapt: no or an empty buffer, or mode ``none``.
-    """
-    if buffer is None or cfg.adapt.mode == "none" or buffer.total_stored() == 0:
-        return None
-    if cfg.adapt.init_kind == "random":
-        head = init_head(
-            "random",
-            class_count=head.class_count,
-            dim=head.dim,
-            seed=cfg.adapt.seed,
-        )
-        return adapt(head, buffer, cfg.adapt, init_kind="random")
-    return adapt(head, buffer, cfg.adapt, init_kind=cfg.classifier)
 
 
 def _fit(cfg: ExperimentConfig, state, buffer, timing: dict):
     """Solve and adapt one stream position: the end of the stream or a checkpoint.
 
     Returns the stage-one predict function, the stage-one head and the
-    adapted predictor (``None`` when nothing was adapted), and adds the
-    position's times to ``timing``'s ``solve_s`` and ``adapt_s``.
+    adapted predictor, and adds the position's times to ``timing``'s
+    ``solve_s`` and ``adapt_s``. A ridge system is solved once for both
+    stages; NCC predicts by its own rule, which reads ``state`` and masks
+    unseen classes, and starts stage two from its linear head. Stage two
+    always restarts from that head (left untouched); the predictor is
+    ``None`` when there is nothing to adapt: no or an empty buffer, or
+    mode ``none``.
     """
     t_solve = time.perf_counter()
-    predict, head = _stage_one(cfg, state)
+    head = init_head(cfg.classifier, state)
+    predict = state.predict_batch if isinstance(state, NccState) else head.predict_batch
     t_adapt = time.perf_counter()
-    predictor = _adapted(cfg, head, buffer)
+    predictor = None
+    if buffer is not None and cfg.adapt.mode != "none" and buffer.total_stored() > 0:
+        init, kind = head, cfg.classifier
+        if cfg.adapt.init_kind == "random":
+            init = init_head("random", class_count=head.class_count, dim=head.dim,
+                             seed=cfg.adapt.seed)
+            kind = "random"
+        predictor = adapt(init, buffer, cfg.adapt, init_kind=kind)
     timing["solve_s"] += t_adapt - t_solve
     timing["adapt_s"] += time.perf_counter() - t_adapt
     return predict, head, predictor

@@ -498,42 +498,40 @@ class RidgeState:
 
 def save_state(state: NccState | RidgeState, path) -> None:
     """Write a classifier state checkpoint (magic ``SCST``, float64 payload)."""
-    w = Writer()
-    w.raw(STATE_MAGIC)
+    w = Writer(STATE_MAGIC, STATE_VERSION)
     if isinstance(state, NccState):
-        w.pack("HBII", STATE_VERSION, _KIND_NCC, state.class_count, state.dim)
+        w.pack("BII", _KIND_NCC, state.class_count, state.dim)
         w.array(state.class_sums, "<f8")
         w.array(state.counts, "<i8")
     elif isinstance(state, RidgeState):
-        w.pack("HBII", STATE_VERSION, _KIND_RIDGE, state.class_count, state.dim)
+        w.pack("BII", _KIND_RIDGE, state.class_count, state.dim)
         w.pack("ddI", state.lam, float(state.seen), state._pending)
         w.array(state._cov, "<f8")
         w.array(state.class_sums, "<f8")
         w.array(state._block[: state._pending], "<f8")
     else:
         raise ConfigError(f"cannot checkpoint object of type {type(state).__name__}")
-    with open(path, "wb") as fh:
-        fh.write(w.getvalue())
+    w.save(path)
 
 
 def load_state(path) -> NccState | RidgeState:
-    """Read back a checkpoint written by :func:`save_state`."""
-    with open(path, "rb") as fh:
-        r = Reader(fh.read())
-    r.expect_magic(STATE_MAGIC)
-    version, kind, k, d = r.unpack("HBII", "state header")
-    if version != STATE_VERSION:
-        raise FormatError(f"unsupported state version {version}")
+    """Read back a checkpoint written by :func:`save_state`.
+
+    The payload is read before the state is built, so a header that
+    declares more than the file holds allocates nothing.
+    """
+    r = Reader.read_file(path, STATE_MAGIC, STATE_VERSION, "state")
+    kind, k, d = r.unpack("BII", "state header")
     if k == 0 or d == 0:
         raise FormatError(f"degenerate state header: K={k}, d={d}")
     if kind == _KIND_NCC:
-        r.require(8 * (k * d + k), "class sums and counts")
-        state = NccState(k, d)
-        state.class_sums = r.array("<f8", k * d, "class sums").reshape(k, d).copy()
-        state.counts = r.array("<i8", k, "counts").copy()
-        if (state.counts < 0).any():
-            raise FormatError(f"NCC class counts must be non-negative, got {state.counts.min()}")
+        sums = r.floats((k, d), "class sums")
+        counts = r.array("<i8", k, "counts").copy()
+        if (counts < 0).any():
+            raise FormatError(f"NCC class counts must be non-negative, got {counts.min()}")
         r.expect_end()
+        state = NccState(k, d)
+        state.class_sums, state.counts = sums, counts
         return state
     if kind == _KIND_RIDGE:
         lam, seen, pending = r.unpack("ddI", "ridge scalars")
@@ -545,12 +543,14 @@ def load_state(path) -> NccState | RidgeState:
         if pending >= block_rows:
             raise FormatError(f"{pending} pending rows do not fit a {block_rows}-row block")
         r.require(8 * d * (d + k + pending), "second-moment matrix, class sums and pending rows")
+        cov = r.floats((d, d), "second-moment matrix")
+        sums = r.floats((k, d), "class sums")
+        rows = r.floats((pending, d), "pending rows")
+        r.expect_end()
         state = RidgeState(k, d, lam)
-        state._cov = r.array("<f8", d * d, "second-moment matrix").reshape(d, d).copy()
-        state.class_sums = r.array("<f8", k * d, "class sums").reshape(k, d).copy()
-        state._block[:pending] = r.array("<f8", pending * d, "pending rows").reshape(pending, d)
+        state._cov, state.class_sums = cov, sums
+        state._block[:pending] = rows
         state._pending = pending
         state.seen = int(seen)
-        r.expect_end()
         return state
     raise FormatError(f"unknown state kind tag {kind}")

@@ -668,17 +668,9 @@ class ReplayBuffer:
 def save_buffer(buf: ReplayBuffer, path) -> None:
     """Write a buffer checkpoint (magic ``SCBF``) with full restore state."""
     buf._order()
-    w = Writer()
-    w.raw(BUFFER_MAGIC)
+    w = Writer(BUFFER_MAGIC, BUFFER_VERSION)
     classes = buf._classes
-    w.pack(
-        "HBQqI",
-        BUFFER_VERSION,
-        STRATEGIES.index(buf.strategy),
-        buf.capacity,
-        buf.seed,
-        len(classes),
-    )
+    w.pack("BQqI", STRATEGIES.index(buf.strategy), buf.capacity, buf.seed, len(classes))
     w.pack("I", buf.dim or 0)
     for y in classes:
         idx = buf._indices.get(y, np.zeros(0, dtype=np.int64))
@@ -688,18 +680,13 @@ def save_buffer(buf: ReplayBuffer, path) -> None:
         w.array(buf._rows.get(y, np.zeros(0)), "<f8")
     w.json(buf._rng.bit_generator.state)
     w.json(buf.warnings)
-    with open(path, "wb") as fh:
-        fh.write(w.getvalue())
+    w.save(path)
 
 
 def load_buffer(path) -> ReplayBuffer:
     """Read back a checkpoint written by :func:`save_buffer`."""
-    with open(path, "rb") as fh:
-        r = Reader(fh.read())
-    r.expect_magic(BUFFER_MAGIC)
-    version, strategy_tag, capacity, seed, n_classes = r.unpack("HBQqI", "buffer header")
-    if version != BUFFER_VERSION:
-        raise FormatError(f"unsupported buffer version {version}")
+    r = Reader.read_file(path, BUFFER_MAGIC, BUFFER_VERSION, "buffer")
+    strategy_tag, capacity, seed, n_classes = r.unpack("BQqI", "buffer header")
     if strategy_tag >= len(STRATEGIES):
         raise FormatError(f"unknown strategy tag {strategy_tag}")
     (dim,) = r.unpack("I", "vector dimension")
@@ -712,12 +699,14 @@ def load_buffer(path) -> ReplayBuffer:
             raise FormatError(f"class ids must ascend strictly, got {y} after {last}")
         if seen == 0 or seen < stored:
             raise FormatError(f"class {y} stores {stored} rows but counts {seen} seen")
+        if seen >= 2**63:
+            raise FormatError(f"class {y} counts {seen} seen, past the int64 range")
         last = y
         buf._classes.append(y)
-        buf._sums[y] = r.array("<f8", dim, "class sum").copy()
+        buf._sums[y] = r.floats((dim,), "class sums")
         buf._seen[y] = int(seen)
         idx = r.array("<i8", stored, "stored indices").copy()
-        rows = r.array("<f8", stored * dim, "stored rows").reshape(stored, dim).copy()
+        rows = r.floats((stored, dim), "stored rows")
         if stored:
             buf._keep(y, idx, rows)
     for y, idx in buf._indices.items():

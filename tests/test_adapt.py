@@ -475,12 +475,23 @@ class TestBufferChecks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        params = k * d + k + 2 * h * d
-        budget = (buf.zs.nbytes + buf.ys.nbytes  # the arrays training_arrays returns
-                  + 4 * PREDICT_BLOCK_ROWS * (d + k) * 8  # row, logit and score blocks
-                  + 16 * n * 8  # per-row vectors
-                  + 10 * params * 8)  # parameters, gradients, optimizer state
-        assert peak <= budget
+        # Each term is what adapt holds, in floats. Parameters: the flat
+        # trained vector, the gradient and previous-step rows, AdaDelta's two
+        # averages and two scratch rows; the adapter adds its initial
+        # tensors and a learning rate per element.
+        params = k * d + k + (2 * h * d if mode == "adapter" else 0)
+        chunk = batch_size * max(1, PREDICT_BLOCK_ROWS // batch_size)
+        minibatches = -(-n // batch_size)
+        floats = (
+            (9 if mode == "adapter" else 7) * params
+            + chunk * (d + 2 * k + 1) + batch_size * k  # rows, one-hot, logits, log_z, dlogits
+            + batch_size * (2 * d + k + 4 * h)  # one step's temporaries
+            + 6 * n  # permutation, chunk positions, loss terms, buffer predictions
+            + 6 * minibatches  # the minibatch losses, reduced and as a list
+        )
+        # The step arguments of at most two chunk sizes: a tuple of views, under 1 kB each.
+        steps = 2 * (chunk // batch_size) * 1024
+        assert peak <= buf.zs.nbytes + buf.ys.nbytes + 8 * floats + steps
 
 
 def frozen_adapter_reference(head, buf, cfg, rng):

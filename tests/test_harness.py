@@ -27,7 +27,7 @@ from scroll import (
 from scroll import harness
 from scroll._seeding import seeded_rng
 from scroll.harness import (
-    ConsumeOnceStream, DataConfig, _adapted, _class_means, _class_members, _evaluate, _stage_one,
+    ConsumeOnceStream, DataConfig, _class_means, _class_members, _evaluate, _fit,
     _state_deviation, _stream, _sweep_schedule_specs,
 )
 from scroll.learners import RIDGE_BLOCK_ROWS
@@ -306,8 +306,7 @@ class TestCheckpoints:
         _, _, fits = _stream(cfg, train, schedule, fit_timing())
         _, head, predictor = fits[3]
         state, buffer = stream_prefix(cfg, train, 3)
-        _, want_head = _stage_one(cfg, state)
-        want = _adapted(cfg, want_head, buffer)
+        _, want_head, want = _fit(cfg, state, buffer, fit_timing())
 
         def arrays(head, predictor):
             adapted, adapter = predictor.head, predictor.adapter
@@ -330,7 +329,7 @@ class TestCheckpoints:
         outcome = execute(cfg)
         (entry,) = outcome.report.intermediate
         state, _ = stream_prefix(cfg, outcome.train, 2)
-        preds = _stage_one(cfg, state)[0](outcome.test.vectors)
+        preds = _fit(cfg, state, None, fit_timing())[0](outcome.test.vectors)
         assert entry["stage_one_accuracy"] == float(np.mean(preds == outcome.test.labels))
         assert entry["stage_one_accuracy"] < outcome.report.accuracy["stage_one"]
 
@@ -342,9 +341,8 @@ class TestIntermediatePredictor:
     def accuracies_at(cfg, train, test, t):
         """Oracle: the stage-one and adapted accuracies of a run that ended after batch t."""
         state, buffer = stream_prefix(cfg, train, t)
-        stage_one, head = _stage_one(cfg, state)
+        stage_one, _, adapted = _fit(cfg, state, buffer, fit_timing())
         stage_one_acc = float(np.mean(stage_one(test.vectors) == test.labels))
-        adapted = _adapted(cfg, head, buffer)
         if adapted is None:
             return stage_one_acc, stage_one_acc
         return stage_one_acc, float(np.mean(adapted.predict_batch(test.vectors) == test.labels))

@@ -956,6 +956,31 @@ class TestCheckpoints:
         with pytest.raises(FormatError, match="counts must be non-negative, got -3"):
             load_state(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_ncc_class_sum_is_a_data_error_at_load(self, tmp_path, value):
+        # A NaN or infinite sum once loaded, and failed only in predict_batch.
+        path = tmp_path / "state.bin"
+        save_state(NccState(2, 3).update_batch(np.ones((1, 3)), [0]), path)
+        data = bytearray(path.read_bytes())
+        at = 4 + 2 + 1 + 4 + 4 + 8  # header (magic, u16 version, u8 kind, u32 K, u32 d), entry 1
+        data[at : at + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataError, match="non-finite values in class sums"):
+            load_state(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_ridge_second_moment_is_a_data_error_at_load(self, tmp_path, value):
+        # A NaN or infinite cov entry once loaded, and failed only in solve.
+        path = tmp_path / "state.bin"
+        save_state(RidgeState(2, 3).update_batch(np.ones((1, 3)), [0]), path)
+        data = bytearray(path.read_bytes())
+        # Header: magic, u16 version, u8 kind, u32 K, u32 d; lam, seen, pending; then cov.
+        at = 4 + 2 + 1 + 4 + 4 + 8 + 8 + 4 + 8 * 4
+        data[at : at + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataError, match="non-finite values in second-moment matrix"):
+            load_state(path)
+
     def test_unknown_kind_tag_is_a_format_error(self, tmp_path):
         path = tmp_path / "state.bin"
         save_state(NccState(2, 3).update_batch(np.ones((1, 3)), [0]), path)

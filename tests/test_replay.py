@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from scroll import (
     ClassIdError,
     ConfigError,
+    DataError,
     FormatError,
     ReplayBuffer,
     ShapeError,
@@ -790,6 +791,39 @@ class TestBufferCheckpoint:
             path.write_bytes(bytes(edited))
             with pytest.raises(FormatError, match=f"class 0 stores 2 rows but counts {seen}"):
                 load_buffer(path)
+
+    def test_seen_count_past_int64_is_a_format_error(self, tmp_path):
+        # A seen of 2**64 - 1 once loaded, and the next reservoir update
+        # raised numpy's ValueError drawing a slot past the int64 range.
+        path, data, (first, _) = self._two_class_file(tmp_path)
+        for seen in (2**63, 2**64 - 1):
+            edited = bytearray(data)
+            edited[first + 8 : first + 16] = struct.pack("<Q", seen)
+            path.write_bytes(bytes(edited))
+            with pytest.raises(FormatError, match=f"class 0 counts {seen} seen, past the int64"):
+                load_buffer(path)
+        data[first + 8 : first + 16] = struct.pack("<Q", 2**63 - 1)
+        path.write_bytes(bytes(data))
+        assert load_buffer(path)._seen[0] == 2**63 - 1
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_class_sum_is_a_data_error_at_load(self, tmp_path, value):
+        path, data, (first, _) = self._two_class_file(tmp_path)
+        at = first + 16 + 8  # past the class header, entry 1 of the sum
+        data[at : at + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataError, match="non-finite values in class sums"):
+            load_buffer(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_stored_row_is_a_data_error_at_load(self, tmp_path, value):
+        # A NaN row once loaded, and training_arrays() returned it.
+        path, data, (_, second) = self._two_class_file(tmp_path)
+        at = second + 16 + 8 * (3 + 2) + 8 * 4  # past the sum and indices: row 1, entry 1
+        data[at : at + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataError, match="non-finite values in stored rows"):
+            load_buffer(path)
 
     def test_version_one_is_a_format_error(self, tmp_path):
         # Version 1 stored a reservoir count per class beside the seen count.
