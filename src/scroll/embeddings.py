@@ -37,16 +37,15 @@ _NORM_BLOCK_ELEMENTS = 2**16
 class EmbeddingTable:
     """N unit- or raw-scale feature vectors with dense integer labels.
 
-    Invariants enforced at construction: all entries finite, labels cover
-    exactly ``0..class_count-1`` with every class present, and when
-    ``normalized`` is set every row has Euclidean norm 1 within
-    ``UNIT_NORM_TOL``. The backing arrays are read-only.
+    Invariants enforced at construction: all entries finite, and labels
+    cover exactly ``0..class_count-1`` with every class present. The
+    backing arrays are read-only. Whether the rows are unit norm is
+    decided by :func:`normalize` alone.
     """
 
     vectors: np.ndarray
     labels: np.ndarray
     class_count: int
-    normalized: bool = False
 
     def __post_init__(self):
         vectors = np.ascontiguousarray(self.vectors, dtype=np.float64)
@@ -73,14 +72,6 @@ class EmbeddingTable:
         if (counts == 0).any():
             missing = int(np.where(counts == 0)[0][0])
             raise DataError(f"class {missing} has no samples")
-        if self.normalized:
-            norms = _row_norms(vectors)
-            bad = np.abs(norms - 1.0) > UNIT_NORM_TOL
-            if bad.any():
-                row = int(np.where(bad)[0][0])
-                raise DataError(
-                    f"normalized flag set but row {row} has norm {norms[row]!r}"
-                )
         vectors.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "vectors", vectors)
@@ -98,15 +89,20 @@ class EmbeddingTable:
 def normalize(table: EmbeddingTable) -> EmbeddingTable:
     """Scale every row to unit Euclidean norm.
 
-    Already-normalized tables are returned unchanged, which makes the
-    operation exactly idempotent. A zero row cannot be scaled and raises
-    :class:`DegenerateInputError` naming the row.
+    A table whose every row has norm 1 within ``UNIT_NORM_TOL`` is
+    returned unchanged, which makes the operation exactly idempotent; any
+    other table is divided by the norms of that one pass. A zero row
+    cannot be scaled and raises :class:`DegenerateInputError` naming the row.
     """
-    if table.normalized:
+    norms = _row_norms(table.vectors)
+    if np.all(np.abs(norms - 1.0) <= UNIT_NORM_TOL):
         return table
+    return _divided(table, norms)
+
+
+def _divided(table: EmbeddingTable, norms: np.ndarray) -> EmbeddingTable:
+    """``table`` with every row divided by its norm; ``norms`` is the table's :func:`_row_norms`."""
     rows = table.vectors
-    with np.errstate(over="ignore"):
-        norms = _row_norms(rows)
     # The sum of squares overflows for entries above ~1e154 and underflows
     # below ~1e-154. Only such rows are first divided by their largest
     # entry; every other row keeps the plain x / ||x|| bits.
@@ -119,9 +115,7 @@ def normalize(table: EmbeddingTable) -> EmbeddingTable:
         rows = rows.copy()
         rows[extreme] /= peaks[:, None]
         norms[extreme] = np.linalg.norm(rows[extreme], axis=1)
-    return EmbeddingTable(
-        rows / norms[:, None], table.labels, table.class_count, normalized=True
-    )
+    return EmbeddingTable(rows / norms[:, None], table.labels, table.class_count)
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
@@ -129,28 +123,15 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 
     The one-shot call squares the whole table into one temporary. Here each
     block of about ``_NORM_BLOCK_ELEMENTS`` entries is squared and summed on
-    its own; every row still reduces alone, so the bits are the same.
+    its own; every row still reduces alone, so the bits are the same. A
+    norm past the float range is inf, without a warning.
     """
     step = max(1, _NORM_BLOCK_ELEMENTS // max(rows.shape[1], 1))
     norms = np.empty(rows.shape[0])
-    for lo in range(0, rows.shape[0], step):
-        norms[lo:lo + step] = np.linalg.norm(rows[lo:lo + step], axis=1)
-    return norms
-
-
-def _loaded_table(vectors: np.ndarray, labels: np.ndarray, class_count: int) -> EmbeddingTable:
-    """A checked table of a file's rows, flagged ``normalized`` when every row is unit norm.
-
-    The table is checked unflagged, so a non-finite row raises its
-    :class:`DataError` first; then one pass of row norms sets the flag,
-    which the constructor would otherwise verify with a second pass.
-    """
-    table = EmbeddingTable(vectors, labels, class_count)
-    # An overflowing norm is inf, which correctly reads as not unit.
     with np.errstate(over="ignore"):
-        norms = _row_norms(table.vectors)
-    object.__setattr__(table, "normalized", bool(np.all(np.abs(norms - 1.0) <= UNIT_NORM_TOL)))
-    return table
+        for lo in range(0, rows.shape[0], step):
+            norms[lo:lo + step] = np.linalg.norm(rows[lo:lo + step], axis=1)
+    return norms
 
 
 def _remap_labels(raw_labels: np.ndarray) -> tuple[np.ndarray, dict[int, int]]:
@@ -165,8 +146,7 @@ def load_embeddings(path, fmt: str = "binary") -> tuple[EmbeddingTable, dict[int
 
     Labels in the file may be arbitrary integers; they are remapped to
     dense ids in ascending original order, and the original->dense mapping
-    is returned alongside the table. The data is not rescaled, but the
-    ``normalized`` flag is set when every stored row is already unit norm.
+    is returned alongside the table. The data is not rescaled.
 
     Raises :class:`FormatError` (naming the byte or line offset) for
     malformed content and :class:`DataError` for non-finite values.
@@ -209,7 +189,7 @@ def _load_binary(r: Reader) -> tuple[EmbeddingTable, dict[int, int]]:
         raise FormatError(
             f"header declares {k} classes but file contains {len(mapping)} distinct labels"
         )
-    return _loaded_table(vectors.astype(np.float64), labels, k), mapping
+    return EmbeddingTable(vectors.astype(np.float64), labels, k), mapping
 
 
 def _dump_csv(table: EmbeddingTable, fh) -> None:
@@ -247,13 +227,15 @@ def _load_csv(fh) -> tuple[EmbeddingTable, dict[int, int]]:
             raise FormatError(f"line {lineno}: {exc}") from None
         if not all(np.isfinite(values)):
             raise DataError(f"line {lineno}: non-finite value")
+        if not -2**63 <= label < 2**63:
+            raise FormatError(f"line {lineno}: label {label} is outside the int64 range")
         rows.append(values)
         raw_labels.append(label)
     if not rows:
         raise FormatError("file contains a header but no data rows")
     vectors = np.array(rows, dtype=np.float64)
     labels, mapping = _remap_labels(np.array(raw_labels, dtype=np.int64))
-    return _loaded_table(vectors, labels, len(mapping)), mapping
+    return EmbeddingTable(vectors, labels, len(mapping)), mapping
 
 
 @dataclass(frozen=True)
@@ -307,8 +289,10 @@ def _sample_split(means: np.ndarray, spec: SyntheticSpec, rng: np.random.Generat
     # A noise entry beyond the float range is inf, which the table rejects.
     with np.errstate(over="ignore"):
         rows = rows + spec.cluster_spread * rng.standard_normal((k * n, dim))
-    labels = np.repeat(np.arange(k, dtype=np.int64), n)
-    return normalize(EmbeddingTable(rows, labels, k))
+    table = EmbeddingTable(rows, np.repeat(np.arange(k, dtype=np.int64), n), k)
+    # Divided even where every row is already unit (spread 0), so the bits never
+    # depend on the unit-norm test.
+    return _divided(table, _row_norms(table.vectors))
 
 
 def synthesize(spec: SyntheticSpec) -> tuple[EmbeddingTable, EmbeddingTable]:

@@ -477,12 +477,14 @@ class RidgeState:
         k, d = self.class_count, self.dim
         if self.seen == 0:
             return LinearHead(np.zeros((k, d)), np.zeros(k))
-        system = self.cov + (self.lam * self.seen) * np.eye(d)
-        if not (np.isfinite(system).all() and np.isfinite(self.class_sums).all()):
-            raise LinAlgFailure("ridge statistics are not finite (overflow)")
         rhs = self.class_sums.T
-        # Overflow shows as non-finite weights, which LinearHead rejects.
+        # An overflowed regularizer or statistic shows as a non-finite
+        # system, which raises; overflow in the solve as non-finite
+        # weights, which LinearHead rejects.
         with np.errstate(over="ignore", invalid="ignore"):
+            system = self.cov + (self.lam * self.seen) * np.eye(d)
+            if not (np.isfinite(system).all() and np.isfinite(self.class_sums).all()):
+                raise LinAlgFailure("ridge statistics are not finite (overflow)")
             try:
                 factor, inverses = _blocked_cholesky(system)
             except np.linalg.LinAlgError as exc:
@@ -540,8 +542,11 @@ def load_state(path) -> NccState | RidgeState:
         if not (seen >= 0 and seen.is_integer()):
             raise FormatError(f"ridge sample count must be a non-negative integer, got {seen!r}")
         block_rows = _ridge_block_rows(d)
-        if pending >= block_rows:
-            raise FormatError(f"{pending} pending rows do not fit a {block_rows}-row block")
+        if pending != int(seen) % block_rows:
+            raise FormatError(
+                f"{pending} pending rows do not match {int(seen)} samples "
+                f"in {block_rows}-row blocks"
+            )
         r.require(8 * d * (d + k + pending), "second-moment matrix, class sums and pending rows")
         cov = r.floats((d, d), "second-moment matrix")
         sums = r.floats((k, d), "class sums")

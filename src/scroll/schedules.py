@@ -119,6 +119,9 @@ class ScheduleSpec:
             for name in ("permutation", "bounds"):
                 field = f"schedule.{name} entry"
                 values = tuple(int(require_int(i, field)) for i in getattr(self, name))
+                for i in values:
+                    if not -2**63 <= i < 2**63:
+                        raise ConfigError(f"{field} {i} is outside the int64 range")
                 object.__setattr__(self, name, values)
 
     @classmethod

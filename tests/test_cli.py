@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import scroll
-from scroll import load_predictor, load_state, normalize, load_embeddings
+from scroll import (
+    EmbeddingTable, load_embeddings, load_predictor, load_state, normalize, save_embeddings,
+)
 from scroll.cli import main
 
 
@@ -359,7 +361,7 @@ def synthetic_run(tmp_path, capsys, **spec):
 
 class TestExtremeSyntheticSpecs:
     """Each spec once printed numpy overflow warnings, and the first two then
-    failed on a zero-norm row of a table flagged as normalized."""
+    failed on a zero-norm row."""
 
     def test_huge_cluster_spread_runs(self, tmp_path, capsys):
         assert synthetic_run(tmp_path, capsys, cluster_spread=1e200) == (0, "")
@@ -370,6 +372,90 @@ class TestExtremeSyntheticSpecs:
     def test_spread_beyond_float_range_is_runtime_error(self, tmp_path, capsys):
         code, err = synthetic_run(tmp_path, capsys, cluster_spread=1e308)
         assert code == 2 and err.startswith("error: non-finite value in row")
+
+
+def driver_files(tmp_path, fmt="csv", k=3, d=4, scale=1.0, duplicate=False,
+                 row0=None, label0=None):
+    """Write a train and a test embedding file of ``k`` classes, 6 rows each.
+
+    ``duplicate`` repeats one row per class; ``row0`` and ``label0``
+    replace the first train row and its raw label (CSV writes them as is).
+    """
+    rng = np.random.default_rng(10 * k + d)
+    paths = {}
+    for split in ("train", "test"):
+        labels = np.repeat(np.arange(k), 6)
+        if duplicate:
+            rows = np.repeat(rng.standard_normal((k, d)), 6, axis=0) * scale
+        else:
+            rows = rng.standard_normal((labels.size, d)) * scale
+        raw = labels.tolist()
+        if split == "train" and row0 is not None:
+            rows[0] = row0
+        if split == "train" and label0 is not None:
+            raw[0] = label0
+        path = tmp_path / f"{split}.{'bin' if fmt == 'binary' else 'csv'}"
+        if fmt == "binary":
+            save_embeddings(EmbeddingTable(rows, labels, k), path, "binary")
+        else:
+            lines = [",".join(f"f{j}" for j in range(d)) + ",label"]
+            lines += [",".join([*map(repr, row.tolist()), str(y)]) for row, y in zip(rows, raw)]
+            path.write_text("\n".join(lines) + "\n")
+        paths[f"{split}_path"] = str(path)
+    return {**paths, "format": fmt}
+
+
+_DRIVER_CONFIG = {
+    "schedule": {"kind": "random_iid", "batch_size": 5, "seed": 1},
+    "classifier": {"kind": "ridge", "lambda": 1.0},
+    "buffer": {"capacity": 8, "strategy": "exemplar", "seed": 2},
+    "adapt": {"mode": "adapter", "epochs": 2, "seed": 3},
+}
+
+#: name: (expected exit code, driver_files arguments, config entries replaced).
+_DRIVER_CASES = {
+    "ncc-binary": (0, {"fmt": "binary"}, {"classifier": {"kind": "ncc"}}),
+    "ridge-csv": (0, {}, {}),
+    "ncc-gaussian-full-head": (0, {"k": 5}, {
+        "classifier": {"kind": "ncc"},
+        "schedule": {"kind": "gaussian", "sigma": 0.2, "batch_size": 4},
+        "adapt": {"mode": "full_head", "epochs": 2},
+    }),
+    "more-classes-than-slots": (0, {"k": 7}, {"buffer": {"capacity": 3}}),
+    "duplicate-rows": (0, {"duplicate": True}, {}),
+    "one-class": (0, {"k": 1}, {}),
+    "one-dimension": (0, {"d": 1}, {}),
+    "entries-near-1e-308": (0, {"scale": 1e-308}, {}),
+    "capacity-0": (0, {}, {"buffer": {"capacity": 0}}),
+    "zero-row": (2, {"row0": 0.0}, {}),
+    "nan-in-csv": (2, {"row0": np.nan}, {}),
+    "lambda-1e308": (2, {}, {"classifier": {"kind": "ridge", "lambda": 1e308}}),
+    "csv-label-past-int64": (2, {"label0": 2**63}, {}),
+    "explicit-entry-past-int64": (1, {}, {
+        "schedule": {"kind": "explicit", "permutation": [2**64], "bounds": [0, 1]},
+    }),
+}
+
+
+@pytest.mark.parametrize("case", list(_DRIVER_CASES))
+def test_run_exits_cleanly_on_edge_inputs(tmp_path, capsys, case):
+    # A run ends in a report of finite accuracies in [0, 1] or in one
+    # error line, never in a traceback or a numpy warning.
+    expected, data, entries = _DRIVER_CASES[case]
+    cfg = {**_DRIVER_CONFIG, **entries, "data": driver_files(tmp_path, **data)}
+    cfg_path, report = tmp_path / "cfg.json", tmp_path / "report.json"
+    cfg_path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--config", str(cfg_path), "--report", str(report)])
+    err = capsys.readouterr().err
+    assert code == expected, err
+    if code == 0:
+        accuracy = json.loads(report.read_text())["accuracy"]
+        assert all(0.0 <= value <= 1.0 for value in accuracy.values()), accuracy
+    else:
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
 class TestImports:
@@ -441,7 +527,7 @@ class TestSynthCommand:
         train, mapping = load_embeddings(tmp_path / "demo_train.bin", "binary")
         assert train.class_count == 4
         assert mapping == {i: i for i in range(4)}
-        assert train.normalized
+        assert normalize(train) is train
 
     def test_bad_spec_is_validation_error(self, tmp_path):
         spec_path = tmp_path / "spec.json"

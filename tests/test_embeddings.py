@@ -18,10 +18,11 @@ from scroll import (
 from scroll import embeddings
 from scroll._binio import Reader
 from scroll.embeddings import _NORM_BLOCK_ELEMENTS, _row_norms
+from scroll.harness import DataConfig
 
 
-def make_table(vectors, labels, k, normalized=False):
-    return EmbeddingTable(np.asarray(vectors, float), np.asarray(labels), k, normalized)
+def make_table(vectors, labels, k):
+    return EmbeddingTable(np.asarray(vectors, float), np.asarray(labels), k)
 
 
 class TestTableInvariants:
@@ -44,10 +45,6 @@ class TestTableInvariants:
         with pytest.raises(DataError):
             make_table([[1.0, 0.0], [0.0, 1.0]], [0, 2], 2)
 
-    def test_rejects_bad_norm_when_flagged(self):
-        with pytest.raises(DataError, match="norm"):
-            make_table([[3.0, 4.0], [0.0, 1.0]], [0, 1], 2, normalized=True)
-
     def test_vectors_are_read_only(self):
         t = make_table([[1.0, 0.0], [0.0, 1.0]], [0, 1], 2)
         with pytest.raises(ValueError):
@@ -58,7 +55,7 @@ class TestNormalize:
     def test_three_four_five(self):
         t = make_table([[3.0, 4.0], [0.0, 2.0]], [0, 1], 2)
         out = normalize(t)
-        assert out.normalized
+        assert out is not t and normalize(out) is out
         np.testing.assert_array_equal(out.vectors[0], [0.6, 0.8])
 
     def test_unit_row_unchanged_within_tolerance(self):
@@ -66,6 +63,11 @@ class TestNormalize:
         t = make_table([row, [0.0, 1.0]], [0, 1], 2)
         out = normalize(t)
         assert np.abs(out.vectors[0] - row).max() <= 1e-12
+
+    def test_near_unit_table_is_returned_unchanged(self):
+        # Every row within UNIT_NORM_TOL of norm 1, though not exactly 1.
+        t = make_table([[0.6, 0.8 + 1e-7], [0.0, 1.0 - 1e-7]], [0, 1], 2)
+        assert normalize(t) is t
 
     def test_zero_row_is_degenerate(self):
         t = make_table([[0.0, 0.0], [0.0, 1.0]], [0, 1], 2)
@@ -209,12 +211,12 @@ class TestBinaryFormat:
         with pytest.raises(FormatError, match="header declares 3 classes"):
             load_embeddings(path, "binary")
 
-    def test_normalized_flag_detected(self, tmp_path):
+    def test_loaded_unit_table_is_kept_by_normalize(self, tmp_path):
         t = normalize(make_table([[3.0, 4.0], [5.0, 12.0]], [0, 1], 2))
         path = tmp_path / "t.bin"
         save_embeddings(t, path, "binary")
         loaded, _ = load_embeddings(path, "binary")
-        assert loaded.normalized
+        assert normalize(loaded) is loaded
 
     @pytest.mark.parametrize("declared", [2, 4])
     def test_header_class_count_must_match_labels(self, tmp_path, declared):
@@ -259,6 +261,20 @@ class TestCsvFormat:
         with pytest.raises(FormatError, match="line 3"):
             load_embeddings(path, "csv")
 
+    @pytest.mark.parametrize("label", [2**63, -2**63 - 1])
+    def test_label_outside_int64_reports_line(self, tmp_path, label):
+        # Such a label once escaped as an OverflowError from the label array.
+        path = tmp_path / "t.csv"
+        path.write_text(f"f0,f1,label\n1.0,0.0,0\n0.0,1.0,{label}\n")
+        with pytest.raises(FormatError, match=f"^line 3: label {label} is outside the int64"):
+            load_embeddings(path, "csv")
+
+    def test_labels_at_the_int64_limits_load(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(f"f0,f1,label\n1.0,0.0,{2**63 - 1}\n0.0,1.0,{-2**63}\n")
+        _, mapping = load_embeddings(path, "csv")
+        assert mapping == {-2**63: 0, 2**63 - 1: 1}
+
     def test_unparsable_float_reports_line(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("f0,f1,label\nx,0.0,0\n")
@@ -267,14 +283,8 @@ class TestCsvFormat:
 
 
 class TestLoadedNorms:
-    @pytest.mark.parametrize("fmt", ["binary", "csv"])
-    def test_a_load_computes_row_norms_once(self, tmp_path, monkeypatch, fmt):
-        # The loader sets the normalized flag from one pass of row norms,
-        # which the constructor no longer repeats to verify the flag.
-        rng = np.random.default_rng(8)
-        t = normalize(make_table(rng.standard_normal((40, 5)), np.arange(40) % 4, 4))
-        path = tmp_path / f"t.{fmt}"
-        save_embeddings(t, path, fmt)
+    @pytest.fixture()
+    def norm_calls(self, monkeypatch):
         calls = []
 
         def counted(rows):
@@ -282,14 +292,30 @@ class TestLoadedNorms:
             return _row_norms(rows)
 
         monkeypatch.setattr(embeddings, "_row_norms", counted)
-        loaded, _ = load_embeddings(path, fmt)
-        assert loaded.normalized
-        assert calls == [(40, 5)]
+        return calls
+
+    @pytest.mark.parametrize("fmt", ["binary", "csv"])
+    def test_row_norms_are_taken_once_per_table_by_normalize(self, tmp_path, norm_calls, fmt):
+        # A load takes no row norms; normalize takes one pass, which decides
+        # whether the table is unit and, when it is not, scales it.
+        rng = np.random.default_rng(8)
+        raw = make_table(rng.standard_normal((40, 5)), np.arange(40) % 4, 4)
+        for split in ("train", "test"):
+            save_embeddings(normalize(raw), tmp_path / f"{split}.{fmt}", fmt)
+        norm_calls.clear()
+        load_embeddings(tmp_path / f"train.{fmt}", fmt)
+        assert norm_calls == []
+        DataConfig(train_path=str(tmp_path / f"train.{fmt}"),
+                   test_path=str(tmp_path / f"test.{fmt}"), file_format=fmt).resolve()
+        assert norm_calls == [(40, 5), (40, 5)]
+        norm_calls.clear()
+        assert normalize(raw) is not raw
+        assert norm_calls == [(40, 5)]
 
     @pytest.mark.parametrize("fmt, scale", [
         ("csv", 3.0), ("csv", 1e200), ("binary", 3.0), ("binary", 3e38),
     ])
-    def test_non_unit_rows_load_unflagged_without_warning(self, tmp_path, fmt, scale):
+    def test_non_unit_rows_are_rescaled_without_warning(self, tmp_path, fmt, scale):
         # A CSV row of 1e200 entries has a sum of squares past float64's
         # range; the binary format stores float32, whose largest entries
         # square to about 1e77.
@@ -299,7 +325,9 @@ class TestLoadedNorms:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             loaded, _ = load_embeddings(path, fmt)
-        assert not loaded.normalized
+            out = normalize(loaded)
+        assert out is not loaded
+        np.testing.assert_allclose(out.vectors[2], [0.5**0.5, 0.5**0.5], rtol=1e-15)
 
     def test_nan_row_raises_the_tables_data_error(self, tmp_path):
         t = make_table([[1.0, 0.0], [0.0, 1.0]], [0, 1], 2)
@@ -332,7 +360,7 @@ class TestSynthesize:
         spec = SyntheticSpec(4, 6, 5, cluster_spread=0.3, shift_strength=0.2, seed=2)
         train, test = synthesize(spec)
         for t in (train, test):
-            assert t.normalized
+            assert normalize(t) is t
             assert np.abs(np.linalg.norm(t.vectors, axis=1) - 1).max() <= 1e-6
 
     def test_nearest_mean_rule_is_perfect_at_low_spread(self):

@@ -19,6 +19,7 @@ from scroll import (
     StreamReuseError,
     buffer_study,
     execute,
+    normalize,
     robustness_sweep,
     run,
     save_embeddings,
@@ -257,7 +258,7 @@ class TestFileData:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert train.normalized and test.normalized
+        assert normalize(train) is train and normalize(test) is test
         tables = 2 * (n * d + n) * 8
         payload = (tmp_path / "test.bin").stat().st_size
         assert peak <= tables + payload + 2**20

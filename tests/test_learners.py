@@ -462,11 +462,10 @@ class TestRidgeSolve:
             s.solve()
 
     def test_overflowed_regularizer_raises(self):
-        # lam * seen overflows to inf, so the system is not finite.
+        # lam * seen overflows to inf, so the system is not finite; building
+        # it warns of nothing (pytest turns warnings into errors).
         s = RidgeState(2, 3, lam=1e308).update_batch(np.eye(3)[:2], [0, 1])
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            LinAlgFailure, match="not finite"
-        ):
+        with pytest.raises(LinAlgFailure, match="not finite"):
             s.solve()
 
     def test_weights_that_overflow_are_a_data_error_without_a_warning(self):
@@ -910,6 +909,23 @@ class TestCheckpoints:
         data[at : at + 4] = struct.pack("<I", len(s._block))
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError, match="pending rows"):
+            load_state(path)
+
+    @pytest.mark.parametrize("seen", [0.0, 1000.0])
+    def test_ridge_pending_rows_must_match_the_sample_count(self, tmp_path, seen):
+        # Two pending rows once loaded beside a count of 0, and then solved
+        # to all-zero weights, or beside a count of 1000.
+        s = RidgeState(2, 3).update_batch(np.eye(3)[:2], [0, 1])
+        path = tmp_path / "state.bin"
+        save_state(s, path)
+        data = bytearray(path.read_bytes())
+        # Header: magic, u16 version, u8 kind, u32 K, u32 d; then lam, seen.
+        at = 4 + 2 + 1 + 4 + 4 + 8
+        data[at : at + 8] = struct.pack("<d", seen)
+        path.write_bytes(bytes(data))
+        with pytest.raises(
+            FormatError, match=f"^2 pending rows do not match {int(seen)} samples"
+        ):
             load_state(path)
 
     @pytest.mark.parametrize("kind", ["ncc", "ridge"])

@@ -37,6 +37,17 @@ class TestScheduleValidation:
         with pytest.raises(ConfigError, match="batch_bounds"):
             Schedule(np.arange(4), np.array([1, 4]))
 
+    @pytest.mark.parametrize("field, entry", [("permutation", 2**64), ("bounds", -2**63 - 1)])
+    def test_explicit_entry_outside_int64_is_a_config_error(self, field, entry):
+        # Such an entry once passed the spec, and build_schedule then raised
+        # OverflowError.
+        d = {"kind": "explicit", "permutation": [1, 0], "bounds": [0, 2]}
+        d[field] = d[field] + [entry]
+        with pytest.raises(
+            ConfigError, match=f"^schedule.{field} entry {entry} is outside the int64 range"
+        ):
+            ScheduleSpec.from_dict(d)
+
 
 class TestBuildSchedule:
     def test_single_batch_is_identity(self):
