@@ -10,15 +10,20 @@ head alone on the raw embeddings; no adapter is built. Every adaptation
 call restarts from the stage-one head; nothing is warm-started from a
 previous adapted model.
 
-A call checks its buffer arrays once and builds its minibatch plan, the
-arguments of every step as views of arrays allocated once per call. Each
-minibatch then takes one private step, whose label gradient subtracts a
-one-hot block, and one optimizer pass over all trained parameters, with
-AdaDelta's squared-step update deferred into the next step's decay. Rows
-are gathered a few whole minibatches at a time, so memory stays at
+A call checks its buffer arrays once and prepares everything an epoch
+reads; every epoch then runs from that plan. Each minibatch takes one
+private step, whose label gradient subtracts a one-hot block, and one
+optimizer pass over all trained parameters, with AdaDelta's squared-step
+update deferred into the next step's decay. The step's arguments are
+views of arrays allocated once per call (minibatches of one size share
+the views that depend only on that size), so a step allocates nothing.
+Rows are gathered a few whole minibatches at a time, so memory stays at
 O(256 (d + K)) beyond the buffer and O(n) vectors; the epoch loss is
 summed from per-row terms at the end of the epoch, in the order the
-per-batch means would have been added.
+per-batch means would have been added. After each epoch one finiteness
+pass checks every parameter, and the buffer is scored into prepared
+blocks with the products a prediction makes; the predictor is built once,
+after the last epoch.
 """
 
 from __future__ import annotations
@@ -187,54 +192,109 @@ def forward(params: AdapterParams, zs) -> np.ndarray:
 
 def _logits(params: AdapterParams, zs: np.ndarray) -> np.ndarray:
     """:func:`forward` of rows already checked by :func:`check_rows`."""
-    act = np.maximum(zs @ params.down.T, 0.0)
-    # In-place sums: no extra (n, d) or (n, k) temporary at prediction time.
-    feat = act @ params.up.T
-    feat += zs
-    logits = feat @ params.head.weights.T
-    logits += params.head.biases
-    return logits
+    n = zs.shape[0]
+    hidden = (params.down.T, params.up.T, np.empty((n, params.width)), np.empty((n, params.dim)))
+    logits = np.empty((n, params.head.class_count))
+    return _scores_into(zs, params.head.weights.T, params.head.biases, logits, hidden)
 
 
-def _step(params, zs, hot, temperature, logits, log_z, dlogits, grads) -> None:
+def _scores_into(zs, weights_t, biases, out, hidden=None) -> np.ndarray:
+    """The logits of checked rows ``zs`` written into ``out``, which is returned.
+
+    ``weights_t`` is the head's transposed weights. ``hidden`` is ``None``
+    for a bare head; with an adapter it is ``(down.T, up.T, act, feat)``,
+    the transposed projections and hidden and feature arrays shaped for
+    ``zs``. Every sum is in place, so no (n, d) or (n, K) temporary is made.
+    """
+    feat = zs
+    if hidden is not None:
+        down_t, up_t, act, feat = hidden
+        np.matmul(zs, down_t, out=act)
+        np.maximum(act, 0.0, out=act)
+        np.matmul(act, up_t, out=feat)
+        feat += zs
+    np.matmul(feat, weights_t, out=out)
+    out += biases
+    return out
+
+
+def _step(zs, hot, logits, log_z, dlogits, dlogits_t, row_max, scale, temperature,
+          weights, weights_t, biases, grad_weights, grad_biases, adapter) -> None:
     """Forward and backward pass of one checked minibatch, into given arrays.
 
-    ``hot`` is the ``(rows, K)`` one-hot block (float or bool) of the rows' labels.
-    ``logits`` receives the temperature-scaled logits less their row
-    maximum and ``log_z`` each row's log-normalizer, so the loss of row
-    ``i`` is ``log_z[i]`` less its label logit. ``dlogits`` is scratch
-    shaped like ``logits``; ``grads`` maps every gradient name to the array
-    that receives it.
+    ``hot`` is the ``(rows, K)`` one-hot block (float or bool) of the rows'
+    labels. ``logits`` receives the temperature-scaled logits less their
+    row maximum and the ``(rows, 1)`` column ``log_z`` each row's
+    log-normalizer, so the loss of row ``i`` is ``log_z[i]`` less its label
+    logit. ``dlogits`` (with its transpose) and ``row_max`` are scratch, and
+    ``scale`` is ``rows * temperature``. The head's gradients go to
+    ``grad_weights`` and ``grad_biases``. ``adapter`` is ``None`` for a bare
+    head; otherwise :func:`_step_args` lays out the projections, the
+    minibatch's hidden, feature and backward scratch, and the arrays that
+    receive the projections' gradients.
     """
-    if isinstance(params, LinearHead):
-        head, feat = params, zs
-        np.matmul(zs, head.weights.T, out=logits)
+    if adapter is None:
+        feat = zs
     else:
-        head = params.head
-        act = np.matmul(zs, params.down.T)
+        (down_t, up, up_t, act, feat, d_feat, d_feat_t, d_pre, d_pre_t, mask,
+         grad_down, grad_up) = adapter
+        np.matmul(zs, down_t, out=act)
         np.maximum(act, 0.0, out=act)
-        feat = np.matmul(act, params.up.T)
+        np.matmul(act, up_t, out=feat)
         feat += zs
-        np.matmul(feat, head.weights.T, out=logits)
-    logits += head.biases
+    np.matmul(feat, weights_t, out=logits)
+    logits += biases
     logits /= temperature
-    logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
+    np.maximum.reduce(logits, axis=1, keepdims=True, out=row_max)
+    logits -= row_max
     np.exp(logits, out=dlogits)
-    np.add.reduce(dlogits, axis=1, out=log_z)
+    np.add.reduce(dlogits, axis=1, keepdims=True, out=log_z)
     np.log(log_z, out=log_z)
 
-    np.subtract(logits, log_z[:, None], out=dlogits)
+    np.subtract(logits, log_z, out=dlogits)
     np.exp(dlogits, out=dlogits)
     # Off the label, p - 0.0 is p, so this is the label entries' -= 1.
     dlogits -= hot
-    dlogits /= len(zs) * temperature
-    np.matmul(dlogits.T, feat, out=grads["weights"])
-    np.add.reduce(dlogits, axis=0, out=grads["biases"])
-    if head is not params:
-        d_feat = dlogits @ head.weights
-        np.matmul(d_feat.T, act, out=grads["up"])
-        d_pre = (d_feat @ params.up) * (act > 0.0)
-        np.matmul(d_pre.T, zs, out=grads["down"])
+    dlogits /= scale
+    np.matmul(dlogits_t, feat, out=grad_weights)
+    np.add.reduce(dlogits, axis=0, out=grad_biases)
+    if adapter is not None:
+        np.matmul(dlogits, weights, out=d_feat)
+        np.matmul(d_feat_t, act, out=grad_up)
+        np.matmul(d_feat, up, out=d_pre)
+        np.greater(act, 0.0, out=mask)
+        d_pre *= mask
+        np.matmul(d_pre_t, zs, out=grad_down)
+
+
+def _step_args(sizes, temperature: float, tensors, grads) -> dict[int, tuple]:
+    """Per minibatch size, the arguments of :func:`_step` after a minibatch's own four.
+
+    ``tensors`` are the trained arrays (weights, biases and, with an
+    adapter, down and up) and ``grads`` the arrays that receive their
+    gradients, in that order. The scratch is allocated once, for the
+    largest size, and every size gets views of it, which all minibatches of
+    that size share.
+    """
+    weights, biases, *projections = tensors
+    (classes, dim), rows = weights.shape, max(sizes)
+    scratch = [np.empty((rows, classes)), np.empty((rows, 1))]
+    if projections:
+        width = projections[0].shape[0]
+        scratch += [np.empty((rows, width)), np.empty((rows, dim)), np.empty((rows, dim)),
+                    np.empty((rows, width)), np.empty((rows, width), dtype=bool)]
+    args = {}
+    for size in sizes:
+        dlogits, row_max, *hidden = (array[:size] for array in scratch)
+        adapter = None
+        if projections:
+            down, up = projections
+            act, feat, d_feat, d_pre, mask = hidden
+            adapter = (down.T, up, up.T, act, feat, d_feat, d_feat.T, d_pre, d_pre.T, mask,
+                       *grads[2:])
+        args[size] = (dlogits, dlogits.T, row_max, size * temperature, temperature,
+                      weights, weights.T, biases, *grads[:2], adapter)
+    return args
 
 
 def loss_and_grads(
@@ -244,22 +304,23 @@ def loss_and_grads(
 
     The loss is ``mean(-log softmax(logits / temperature)[y])`` over the
     batch. Gradients are returned for the head (``weights``, ``biases``)
-    and, when ``params`` is an adapter, for its projections (``up``,
-    ``down``). A bare :class:`LinearHead` scores the raw embeddings.
+    and, when ``params`` is an adapter, for its projections (``down``,
+    ``up``). A bare :class:`LinearHead` scores the raw embeddings.
     """
     head = params if isinstance(params, LinearHead) else params.head
     zs, ys = check_batch(zs, ys, params.dim, head.class_count)
     batch = len(ys)
     if not batch:
         raise ConfigError("batch must contain at least one sample")
-    shapes = {"weights": head.weights.shape, "biases": head.biases.shape}
+    tensors = [head.weights, head.biases]
     if head is not params:
-        shapes.update(up=params.up.shape, down=params.down.shape)
-    grads = {name: np.empty(shape) for name, shape in shapes.items()}
-    logits, log_z = np.empty((batch, head.class_count)), np.empty(batch)
+        tensors += [params.down, params.up]
+    grads = [np.empty_like(tensor) for tensor in tensors]
+    logits, log_z = np.empty((batch, head.class_count)), np.empty((batch, 1))
     hot = ys[:, None] == np.arange(head.class_count)
-    _step(params, zs, hot, temperature, logits, log_z, np.empty_like(logits), grads)
-    return float(np.add.reduce(log_z - logits[hot]) / batch), grads
+    _step(zs, hot, logits, log_z, *_step_args([batch], temperature, tensors, grads)[batch])
+    loss = float(np.add.reduce(log_z[:, 0] - logits[hot]) / batch)
+    return loss, dict(zip(("weights", "biases", "down", "up"), grads))
 
 
 def adadelta_step(
@@ -294,31 +355,32 @@ def _sgd_pass(param, grad, tmp, lr) -> None:
     param -= tmp
 
 
-def _adadelta_pass(param, pending, accums, work, rho, eps, lr) -> None:
+def _adadelta_pass(param, pending, accums, work, grad, step, root_grad, root_step,
+                   rho, keep, eps, lr) -> None:
     """One AdaDelta step on ``param`` in place, with the squared-step update deferred.
 
-    ``pending`` stacks this step's gradient (row 0) and the previous step
-    (row 1, zero before the first). ``accums`` stacks the squared-gradient
-    average and the squared-step average as of the step before, so one
-    decay updates the first for this step and the second for the previous
-    one; ``work`` is scratch shaped like them. Row 1 of ``pending`` then
-    receives this step, ``sqrt(step_sq + eps) / sqrt(grad_sq + eps) * grad``,
-    and ``param`` loses ``lr`` times it; ``lr`` is a scalar or one rate
-    per element. Each element sees the operations of :func:`adadelta_step`
-    in its order, so the parameters are bit-identical to a call of it per
-    step. Only the last step's square is never added, which no caller reads.
+    ``pending`` stacks this step's gradient (row 0, ``grad``) and the
+    previous step (row 1, ``step``, zero before the first). ``accums`` stacks
+    the squared-gradient average and the squared-step average as of the step
+    before, so one decay updates the first for this step and the second for
+    the previous one; ``work`` is scratch shaped like them, with rows
+    ``root_grad`` and ``root_step``, and ``keep`` is ``1 - rho``. ``step``
+    then receives this step, ``sqrt(step_sq + eps) / sqrt(grad_sq + eps) * grad``,
+    and ``param`` loses ``lr`` times it; ``lr`` is a scalar or one rate per
+    element. Each element sees the operations of :func:`adadelta_step` in
+    its order, so the parameters are bit-identical to a call of it per step.
+    Only the last step's square is never added, which no caller reads.
     """
-    np.multiply(1.0 - rho, pending, out=work)
+    np.multiply(keep, pending, out=work)
     work *= pending
     accums *= rho
     accums += work
     np.add(accums, eps, out=work)
     np.sqrt(work, out=work)
-    grad, step = pending
-    np.divide(work[1], work[0], out=step)
+    np.divide(root_step, root_grad, out=step)
     step *= grad
-    np.multiply(lr, step, out=work[0])
-    param -= work[0]
+    np.multiply(lr, step, out=root_grad)
+    param -= root_grad
 
 
 class AdaptedPredictor:
@@ -359,11 +421,14 @@ def adapt(
     seeded shuffling, so the result is a pure function of its inputs.
 
     The buffer arrays are checked once, by :func:`check_batch`, before
-    any mode runs. Each epoch then gathers its rows into
-    one preallocated block of whole minibatches (at most
-    ``PREDICT_BLOCK_ROWS`` rows, or one larger minibatch) at a time and
-    runs each minibatch through the step :func:`loss_and_grads` uses, so
-    results are those of a per-batch ``loss_and_grads`` loop bit for bit.
+    any mode runs. The call then prepares every array and view an epoch
+    reads. Each epoch gathers its rows into one preallocated block of whole
+    minibatches (at most ``PREDICT_BLOCK_ROWS`` rows, or one larger
+    minibatch) at a time and runs each minibatch through the step
+    :func:`loss_and_grads` uses, so results are those of a per-batch
+    ``loss_and_grads`` loop bit for bit. It then checks the parameters and
+    the loss, and scores the buffer in prepared blocks with the products
+    a ``predict_batch`` of its parameters makes.
     """
     zs, ys = buffer.training_arrays()
     if zs.shape[0] == 0:
@@ -390,59 +455,75 @@ def adapt(
     # lr_adapter. The updates are elementwise, so one pass over the flat
     # array, with a rate per element in adapter mode, gives each element
     # the operations a call per tensor would.
-    adapter = init_adapter(init, cfg.bottleneck, cfg.seed) if cfg.mode == "adapter" else None
     tensors = [init.weights, init.biases]
-    if adapter is not None:
-        tensors += [adapter.down, adapter.up]
+    if cfg.mode == "adapter":
+        fresh = init_adapter(init, cfg.bottleneck, cfg.seed)
+        tensors += [fresh.down, fresh.up]
+        del fresh  # its head copy is not trained
     shapes = [t.shape for t in tensors]
     flat = np.concatenate([t.ravel() for t in tensors])
-    weights, biases, *projections = _views(flat, shapes)
-    head = LinearHead(weights, biases)
-    if adapter is not None:
-        adapter = AdapterParams(*projections, head)
-    params = adapter or head
-    split = init.weights.size + init.biases.size
+    tensors = _views(flat, shapes)
+    weights, biases, *projections = tensors
+    split = weights.size + biases.size
     rate = cfg.lr_head
-    if adapter is not None:
+    if projections:
         rate = np.repeat([cfg.lr_head, cfg.lr_adapter], [split, flat.size - split])
     # Row 0 receives the gradients; row 1 holds AdaDelta's previous step.
     pending, work = np.zeros((2, flat.size)), np.empty((2, flat.size))
-    grads = dict(zip(("weights", "biases", "down", "up"), _views(pending[0], shapes)))
+    grads = _views(pending[0], shapes)
     if cfg.optimizer == "sgd":
         update, update_args = _sgd_pass, (flat, pending[0], work[0], rate)
     else:
         update = _adadelta_pass
-        update_args = (flat, pending, np.zeros_like(pending), work, cfg.rho, cfg.eps, rate)
-
-    # The per-epoch buffer check scores in slices whose largest product
-    # (d x max(K, h) per row) stays on one OpenBLAS thread; a woken second
-    # thread would spin through the small training steps that follow.
-    widest = max(init.class_count, adapter.width if adapter is not None else 0)
-    check_block = min(PREDICT_BLOCK_ROWS, max(1, ONE_THREAD_MULADDS // (init.dim * widest)))
+        update_args = (flat, pending, np.zeros_like(pending), work, *pending, *work,
+                       cfg.rho, 1.0 - cfg.rho, cfg.eps, rate)
 
     # An epoch's rows are gathered one chunk of whole minibatches at a time.
-    # The plan holds, per chunk, its share of the epoch and its blocks, and
-    # the arguments of each of its steps: views, built once per call and
-    # shared by the chunks of one size, so they take O(chunk) memory.
+    # The plan holds, per chunk, its share of the epoch, its blocks and the
+    # arguments of each of its steps: views built once per call. Chunks of
+    # one size share their step tuples, and minibatches of one size the
+    # arguments that depend only on that size, so they take O(chunk) memory.
     # Row i of an epoch sits at flat position (i % chunk) * K + label of
     # its chunk's logits and one-hot blocks.
-    classes, batch = init.class_count, min(cfg.batch_size, stored)
+    classes, dim, batch = init.class_count, init.dim, min(cfg.batch_size, stored)
+    width = projections[0].shape[0] if projections else 0
     chunk = min(stored, batch * max(1, PREDICT_BLOCK_ROWS // batch))
-    rows, hot, logits = (np.empty((chunk, width)) for width in (init.dim, classes, classes))
-    dlogits, log_z, terms = np.empty((batch, classes)), np.empty(chunk), np.empty(stored)
+    rows, hot, logits = (np.empty((chunk, size)) for size in (dim, classes, classes))
+    log_z, terms = np.empty((chunk, 1)), np.empty(stored)
+    tails = _step_args({batch, stored % batch} - {0}, cfg.temperature, tensors, grads)
     plan, steps = [], {}
     for start in range(0, stored, chunk):
         size = min(chunk, stored - start)
         if size not in steps:
             steps[size] = [
-                (rows[lo:hi], hot[lo:hi], cfg.temperature, logits[lo:hi], log_z[lo:hi],
-                 dlogits[:hi - lo], grads)
+                (rows[lo:hi], hot[lo:hi], logits[lo:hi], log_z[lo:hi], *tails[hi - lo])
                 for lo, hi in ((lo, min(lo + batch, size)) for lo in range(0, size, batch))
             ]
-        plan.append((slice(start, start + size), rows[:size], hot[:size].ravel(),
-                     logits[:size].ravel(), log_z[:size], steps[size]))
+        part = slice(start, start + size)
+        plan.append((part, rows[:size], hot[:size].ravel(), logits[:size].ravel(),
+                     log_z[:size, 0], terms[part], steps[size]))
     chunk_offsets = np.arange(stored) % chunk * classes
     whole = stored - stored % batch
+    batch_terms, rest_terms = terms[:whole].reshape(-1, batch), terms[whole:]
+
+    # The per-epoch buffer check scores in blocks whose largest product
+    # (d x max(K, h) per row) stays on one OpenBLAS thread; a woken second
+    # thread would spin through the small training steps that follow. Each
+    # block scores into the prepared arrays of its size. The blocks' own
+    # views are taken per epoch: kept, they would cost O(n / block) objects.
+    widest = max(classes, width)
+    check_block = min(PREDICT_BLOCK_ROWS, max(1, ONE_THREAD_MULADDS // (dim * widest)))
+    block_rows = min(check_block, stored)
+    scores = np.empty((block_rows, classes))
+    if projections:
+        down, up = projections
+        act, feat = np.empty((block_rows, width)), np.empty((block_rows, dim))
+    score_args = {}
+    for size in {block_rows, stored % check_block} - {0}:
+        hidden = (down.T, up.T, act[:size], feat[:size]) if projections else None
+        score_args[size] = (weights.T, biases, scores[:size], hidden)
+    preds, hits = np.empty(stored, dtype=np.intp), np.empty(stored, dtype=bool)
+
     rng = seeded_rng(cfg.seed, 33)
     curve: list[tuple[int, float, float]] = []
     # A diverging run overflows into inf and nan; the per-epoch checks of
@@ -452,38 +533,44 @@ def adapt(
         for epoch in range(1, cfg.epochs + 1):
             order = rng.permutation(stored)
             chunk_pos = chunk_offsets + ys[order]
-            for part, block, block_hot, block_logits, block_z, chunk_steps in plan:
+            for part, block, block_hot, block_logits, block_z, block_terms, chunk_steps in plan:
                 # mode="clip" writes straight into the block: the indices
                 # are in range, and "raise" would go through a copy.
                 zs.take(order[part], axis=0, out=block, mode="clip")
+                positions = chunk_pos[part]
                 block_hot.fill(0.0)
-                block_hot[chunk_pos[part]] = 1.0
+                block_hot[positions] = 1.0
                 for args in chunk_steps:
-                    _step(params, *args)
+                    _step(*args)
                     update(*update_args)
                 # Each row's loss term: its log-normalizer less its label logit.
-                label_logits = block_logits.take(chunk_pos[part], out=terms[part], mode="clip")
+                label_logits = block_logits.take(positions, out=block_terms, mode="clip")
                 np.subtract(block_z, label_logits, out=label_logits)
             # Each minibatch's mean loss, reduced as loss_and_grads reduces
             # it, then weighted and added in batch order.
             epoch_loss = 0.0
-            for loss in (np.add.reduce(terms[:whole].reshape(-1, batch), axis=1) / batch).tolist():
+            for loss in (np.add.reduce(batch_terms, axis=1) / batch).tolist():
                 epoch_loss += loss * batch
-            if whole < stored:
-                rest = stored - whole
-                epoch_loss += float(np.add.reduce(terms[whole:]) / rest) * rest
-            # Re-validating the head here raises DataError once training diverges.
-            predictor = AdaptedPredictor(LinearHead(head.weights, head.biases), adapter)
-            if not all_finite(flat[split:]):
-                raise DataError("adapter parameters contain non-finite values")
+            if rest_terms.size:
+                rest = rest_terms.size
+                epoch_loss += float(np.add.reduce(rest_terms) / rest) * rest
+            # One pass over every parameter raises DataError once training
+            # diverges, naming the head first, as building the head would.
+            if not all_finite(flat):
+                broken = "adapter" if all_finite(flat[:split]) else "head"
+                raise DataError(f"{broken} parameters contain non-finite values")
             if not math.isfinite(epoch_loss):
                 raise DataError("training loss is not finite")
-            hits = blocked_argmax(predictor._scores, zs, check_block) == ys
+            for lo in range(0, stored, check_block):
+                block = zs[lo:lo + check_block]
+                np.argmax(_scores_into(block, *score_args[len(block)]), axis=1,
+                          out=preds[lo:lo + check_block])
+            np.equal(preds, ys, out=hits)
             curve.append((epoch, epoch_loss / stored, float(np.count_nonzero(hits)) / stored))
 
-    return AdaptedPredictor(
-        predictor.head, adapter, provenance=provenance, curve=curve, warnings=warnings
-    )
+    head = LinearHead(weights, biases)
+    adapter = AdapterParams(*projections, head) if projections else None
+    return AdaptedPredictor(head, adapter, provenance=provenance, curve=curve, warnings=warnings)
 
 
 def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:

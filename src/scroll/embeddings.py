@@ -39,7 +39,8 @@ class EmbeddingTable:
 
     Invariants enforced at construction: all entries finite, and labels
     cover exactly ``0..class_count-1`` with every class present. The
-    backing arrays are read-only. Whether the rows are unit norm is
+    table holds read-only views of its arrays: nothing is copied, and the
+    caller's arrays stay writeable. Whether the rows are unit norm is
     decided by :func:`normalize` alone.
     """
 
@@ -72,6 +73,9 @@ class EmbeddingTable:
         if (counts == 0).any():
             missing = int(np.where(counts == 0)[0][0])
             raise DataError(f"class {missing} has no samples")
+        # Read-only views: the caller's own arrays, which the conversions
+        # return as they are when they already fit, stay writeable.
+        vectors, labels = vectors.view(), labels.view()
         vectors.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "vectors", vectors)

@@ -728,24 +728,20 @@ class TestInPlaceUpdates:
                 assert [loss for _, loss, _ in pred.curve] == ref_losses
 
     def test_products_stay_in_blocks_and_one_step_per_batch(self, monkeypatch):
+        # The per-epoch buffer check scores every block through _scores_into.
         module = importlib.import_module("scroll.adapt")
         rows, steps = [], []
-        scores, logits, step = LinearHead.scores, module._logits, module._step
+        scores, step = module._scores_into, module._step
 
-        def scores_rows(self, xs):
-            rows.append(np.atleast_2d(xs).shape[0])
-            return scores(self, xs)
-
-        def logits_rows(params, zs):
-            rows.append(np.atleast_2d(zs).shape[0])
-            return logits(params, zs)
+        def scores_rows(zs, *args):
+            rows.append(zs.shape[0])
+            return scores(zs, *args)
 
         def counted(*args):
             steps.append(1)
             return step(*args)
 
-        monkeypatch.setattr(LinearHead, "scores", scores_rows)
-        monkeypatch.setattr(module, "_logits", logits_rows)
+        monkeypatch.setattr(module, "_scores_into", scores_rows)
         monkeypatch.setattr(module, "_step", counted)
         rng = np.random.default_rng(55)
         buf = large_buffer(rng)
@@ -761,14 +757,15 @@ class TestInPlaceUpdates:
     def test_buffer_check_products_stay_on_one_thread(self, monkeypatch):
         # 256-row checks at K=50, d=128 (1.6e6 multiply-adds per product)
         # woke a second BLAS thread, which spun through the training after.
+        module = importlib.import_module("scroll.adapt")
         rows = []
-        scores = AdaptedPredictor._scores
+        scores = module._scores_into
 
-        def recorded(self, zs):
+        def recorded(zs, *args):
             rows.append(zs.shape[0])
-            return scores(self, zs)
+            return scores(zs, *args)
 
-        monkeypatch.setattr(AdaptedPredictor, "_scores", recorded)
+        monkeypatch.setattr(module, "_scores_into", recorded)
         rng = np.random.default_rng(66)
         k, d = 50, 128
         buf = large_buffer(rng, k=k, d=d, per_class=6, capacity=300)
@@ -839,6 +836,28 @@ class TestFusedSteps:
                     np.testing.assert_array_equal(pred.adapter.up, ref["up"])
                 assert pred.curve == curve
 
+    def test_buffer_check_over_several_blocks_matches_each_epochs_predictions(self):
+        # At K=50, d=128 the check scores 40-row blocks (32-row ones under a
+        # 64-wide adapter): 300 rows take several blocks and a short last one.
+        rng = np.random.default_rng(67)
+        k, d = 50, 128
+        buf = large_buffer(rng, k=k, d=d, per_class=6, capacity=300)
+        zs, ys = buf.training_arrays()
+        head = LinearHead(0.1 * rng.standard_normal((k, d)), rng.standard_normal(k))
+        for mode, bottleneck, widest in (("full_head", None, k), ("adapter", 64, 64)):
+            block = ONE_THREAD_MULADDS // (d * widest)
+            assert len(ys) > block and len(ys) % block
+            for optimizer in ("adadelta", "sgd"):
+                # Large steps, so that the accuracy moves from epoch to epoch.
+                cfg = AdaptConfig(mode=mode, epochs=3, batch_size=64, bottleneck=bottleneck,
+                                  lr_head=5.0, lr_adapter=5.0, temperature=0.5,
+                                  optimizer=optimizer, seed=12)
+                curve = adapt(head, buf, cfg).curve
+                for epoch in range(1, cfg.epochs + 1):
+                    pred = adapt(head, buf, dataclasses.replace(cfg, epochs=epoch))
+                    assert curve[epoch - 1] == pred.curve[-1]
+                    assert curve[epoch - 1][2] == float(np.mean(pred.predict_batch(zs) == ys))
+
     def test_one_optimizer_pass_per_step_over_every_trained_parameter(self, monkeypatch):
         module = importlib.import_module("scroll.adapt")
         calls = []
@@ -905,7 +924,8 @@ class TestPipelinedAdadelta:
         with np.errstate(all="ignore"):
             for grad in grads:
                 pending[0] = grad
-                module._adadelta_pass(flat, pending, accums, work, rho, eps, rate)
+                module._adadelta_pass(flat, pending, accums, work, *pending, *work,
+                                      rho, 1.0 - rho, eps, rate)
                 previous_step_sq = np.concatenate([group[2] for group in groups])
                 for group, part in zip(groups, (grad[:split], grad[split:])):
                     param, grad_sq, step_sq, lr = group

@@ -12,7 +12,10 @@ Under ``checkpoints`` it pins the report and ``SCAD`` bytes of
 stream-gaussian at the default seed with ``intermediate_evals``: the path
 of ridge, an exemplar buffer and checkpoints, which no workload runs.
 The ridge solve keeps every product at these widths on one BLAS thread,
-so the ``SCAD`` bytes do not depend on the OpenBLAS thread count.
+so the ``SCAD`` bytes do not depend on the OpenBLAS thread count. Under
+``curves`` it pins the training curve that ``scroll run --checkpoint``
+writes at the default seed: adapt-head's (``full_head``) and that of the
+checkpointed stream-gaussian run (``adapter``).
 Regenerate the file, from a commit whose outputs are known to be right,
 with ``PYTHONPATH=src python tests/test_benchmark_reference.py``.
 """
@@ -28,12 +31,15 @@ from pathlib import Path
 import pytest
 
 from scroll import ExperimentConfig, save_buffer, save_predictor, save_state
+from scroll.cli import main
 from scroll.harness import buffer_study, execute
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 DIGESTS = Path(__file__).resolve().parent / "output_digests.json"
 PINNED_SEEDS = range(1, 10)
 CHECKPOINTS = [2000, 4000]
+#: The ``intermediate_evals`` of each workload whose training curve is pinned.
+CURVES = {"adapt-head": None, "stream-gaussian": CHECKPOINTS}
 
 
 def _bench_module(name):
@@ -94,6 +100,23 @@ def checkpoint_outputs(root: Path) -> dict:
     return {key: found[key] for key in ("output", "SCAD")}
 
 
+def curve_digest(name: str, root: Path) -> str:
+    """The sha256 of the ``.curve`` that ``scroll run --checkpoint`` writes for ``name``."""
+    w = workloads.WORKLOADS[name]
+    inputs = workloads.write_inputs(w, workloads.DEFAULT_SEED, root / "perfbench/.work/data", root)
+    if CURVES[name] is not None:
+        inputs["config"]["intermediate_evals"] = CURVES[name]
+    config = root / "config.json"
+    config.write_text(json.dumps(inputs["config"]))
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        assert main(["run", "--config", str(config), "--checkpoint", str(root / "run")]) == 0
+    finally:
+        os.chdir(cwd)
+    return hashlib.sha256((root / "run.curve").read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_default_seed_output_matches_the_reference_digest(name, tmp_path):
     assert outputs(name, workloads.DEFAULT_SEED, tmp_path)["output"] == REFERENCE[name]
@@ -110,6 +133,11 @@ def test_checkpointed_stream_matches_the_pinned_digests(tmp_path):
     assert checkpoint_outputs(tmp_path) == json.loads(DIGESTS.read_text())["checkpoints"]
 
 
+@pytest.mark.parametrize("name", sorted(CURVES))
+def test_training_curve_matches_the_pinned_digest(name, tmp_path):
+    assert curve_digest(name, tmp_path) == json.loads(DIGESTS.read_text())["curves"][name]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         pinned = {
@@ -118,4 +146,6 @@ if __name__ == "__main__":
             for name in sorted(workloads.WORKLOADS)
         }
         pinned["checkpoints"] = checkpoint_outputs(Path(tmp) / "checkpoints")
+        pinned["curves"] = {name: curve_digest(name, Path(tmp) / f"curve-{name}")
+                            for name in sorted(CURVES)}
     DIGESTS.write_text(json.dumps(pinned, indent=2, sort_keys=True) + "\n")

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -375,11 +376,14 @@ class TestExtremeSyntheticSpecs:
 
 
 def driver_files(tmp_path, fmt="csv", k=3, d=4, scale=1.0, duplicate=False,
-                 row0=None, label0=None):
+                 row0=None, label0=None, tie=False, query_norms=None):
     """Write a train and a test embedding file of ``k`` classes, 6 rows each.
 
-    ``duplicate`` repeats one row per class; ``row0`` and ``label0``
+    ``duplicate`` repeats one row per class; ``tie`` gives the first row
+    of class 0 to class 1 as well, in both files; ``row0`` and ``label0``
     replace the first train row and its raw label (CSV writes them as is).
+    ``query_norms`` makes the train rows unit length and spreads the test
+    rows' norms geometrically from ``1 / query_norms`` to ``query_norms``.
     """
     rng = np.random.default_rng(10 * k + d)
     paths = {}
@@ -389,6 +393,12 @@ def driver_files(tmp_path, fmt="csv", k=3, d=4, scale=1.0, duplicate=False,
             rows = np.repeat(rng.standard_normal((k, d)), 6, axis=0) * scale
         else:
             rows = rng.standard_normal((labels.size, d)) * scale
+        if tie:
+            rows[6] = rows[0]
+        if query_norms is not None:
+            rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+            if split == "test":
+                rows *= np.geomspace(1 / query_norms, query_norms, labels.size)[:, None]
         raw = labels.tolist()
         if split == "train" and row0 is not None:
             rows[0] = row0
@@ -427,6 +437,12 @@ _DRIVER_CASES = {
     "one-dimension": (0, {"d": 1}, {}),
     "entries-near-1e-308": (0, {"scale": 1e-308}, {}),
     "capacity-0": (0, {}, {"buffer": {"capacity": 0}}),
+    "exact-ties": (0, {"tie": True}, {}),
+    "exact-ties-ncc-full-head": (0, {"tie": True}, {
+        "classifier": {"kind": "ncc"}, "adapt": {"mode": "full_head", "epochs": 2},
+    }),
+    "non-unit-test-rows": (0, {"query_norms": 1e100}, {}),
+    "non-unit-test-rows-binary": (0, {"fmt": "binary", "query_norms": 1e30}, {}),
     "zero-row": (2, {"row0": 0.0}, {}),
     "nan-in-csv": (2, {"row0": np.nan}, {}),
     "lambda-1e308": (2, {}, {"classifier": {"kind": "ridge", "lambda": 1e308}}),
@@ -435,6 +451,15 @@ _DRIVER_CASES = {
         "schedule": {"kind": "explicit", "permutation": [2**64], "bounds": [0, 1]},
     }),
 }
+
+
+def _numbers(doc):
+    """Every int and float in a loaded JSON document."""
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        return [number for item in doc for number in _numbers(item)]
+    return [doc] if isinstance(doc, (int, float)) and not isinstance(doc, bool) else []
 
 
 @pytest.mark.parametrize("case", list(_DRIVER_CASES))
@@ -452,8 +477,9 @@ def test_run_exits_cleanly_on_edge_inputs(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert code == expected, err
     if code == 0:
-        accuracy = json.loads(report.read_text())["accuracy"]
-        assert all(0.0 <= value <= 1.0 for value in accuracy.values()), accuracy
+        doc = json.loads(report.read_text())
+        assert all(0.0 <= value <= 1.0 for value in doc["accuracy"].values()), doc["accuracy"]
+        assert all(math.isfinite(value) for value in _numbers(doc)), doc
     else:
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 

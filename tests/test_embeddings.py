@@ -50,6 +50,15 @@ class TestTableInvariants:
         with pytest.raises(ValueError):
             t.vectors[0, 0] = 5.0
 
+    def test_the_callers_arrays_stay_writeable(self):
+        # float64 and int64 C-contiguous arrays pass the conversions as they
+        # are; the table must freeze views of them, not the arrays themselves.
+        rows, labels = np.eye(2), np.array([0, 1])
+        t = EmbeddingTable(rows, labels, 2)
+        assert rows.flags.writeable and labels.flags.writeable
+        assert not (t.vectors.flags.writeable or t.labels.flags.writeable)
+        assert np.shares_memory(t.vectors, rows) and np.shares_memory(t.labels, labels)
+
 
 class TestNormalize:
     def test_three_four_five(self):
